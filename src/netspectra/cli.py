@@ -7,8 +7,10 @@ inputs and flags reproduces the output files byte for byte (only the
 manifest's timing field differs).  Exit codes: 0 success, 1 I/O or parse
 failure, 2 capability/size failure, 3 numerical non-convergence.
 
-Heavy imports happen after argument parsing so ``--threads`` can cap the
-BLAS thread pools through environment variables before numpy loads.
+Heavy imports happen after argument parsing so that ``--threads`` can set
+the BLAS thread environment variables before numpy loads.  The flag is
+best-effort: the variables take effect only if numpy is not yet loaded in
+the process (it does nothing when ``main()`` is called in-process).
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 
@@ -29,7 +33,8 @@ EXIT_SIZE = 2
 EXIT_NUMERIC = 3
 
 _MANIFEST_NAME = "manifest.json"
-_MANIFEST_REF = f"manifest: {_MANIFEST_NAME}"
+# manifest name for commands that write one ``--out`` file: ``<out><suffix>``
+_SIDECAR_SUFFIX = {"generate": ".params.json", "randomize": ".manifest.json"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,15 +77,7 @@ def _cap_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _write_manifest_file(
-    path: Path,
-    command: str,
-    args,
-    started: float,
-    outputs: list[Path],
-    inputs=(),
-    extra: dict | None = None,
-) -> None:
+def _write_manifest(path: Path, command: str, args, started: float, outputs, inputs, extra):
     parameters = {
         k: v for k, v in vars(args).items() if k not in ("func", "threads") and not callable(v)
     }
@@ -102,12 +99,6 @@ def _write_manifest_file(
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, command: str, args, started, outputs, inputs=(), extra=None):
-    _write_manifest_file(
-        out_dir / _MANIFEST_NAME, command, args, started, outputs, inputs, extra
-    )
-
-
 def _ingest(args):
     from . import netcore
 
@@ -122,17 +113,22 @@ def _ingest(args):
     return graph
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Result(NamedTuple):
+    """What a command computed.  ``outputs`` maps each output file name to a
+    function that writes the file's body to an open handle; ``summary`` is
+    the stdout line between ``<command>: `` and `` -> <destination>``;
+    ``extra`` adds top-level manifest fields; a ``failure`` message means
+    non-convergence (exit 3) after the outputs are written."""
+
+    outputs: dict
+    summary: str
+    extra: dict | None = None
+    failure: str | None = None
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, graph) -> _Result:
     from . import gmatrix, spectra
 
-    started = time.time()
-    graph = _ingest(args)
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
     spec = spectra.eigendecompose(g.to_dense(args.dense_limit), args.tol)
     gammas, zero_modes = spectra.relaxation_rates(spec, args.lambda_cutoff)
@@ -141,191 +137,119 @@ def cmd_spectrum(args) -> int:
     )
     report = spectra.degeneracy_clusters(spec, args.degeneracy_tol)
     par_gammas, pars = spectra.eigenvector_pars(spec, args.lambda_cutoff)
-    out = _out_dir(args)
-    spectra.spectrum_to_csv(
-        spec, out / "eigenvalues.csv", args.lambda_cutoff, header_comment=_MANIFEST_REF
-    )
-    spectra.dos_to_csv(hist, out / "dos.csv", header_comment=_MANIFEST_REF)
-    spectra.degeneracy_to_csv(report, out / "degeneracy.csv", header_comment=_MANIFEST_REF)
-    spectra.eigenvector_pars_to_csv(
-        par_gammas, pars, out / "eigenvector_par.csv", header_comment=_MANIFEST_REF
-    )
-    files = ["eigenvalues.csv", "dos.csv", "degeneracy.csv", "eigenvector_par.csv"]
-    _write_manifest(
-        out, "spectrum", args, started, [out / f for f in files], inputs=[args.input]
-    )
-    print(f"spectrum: n={graph.n_nodes} alpha={args.alpha} -> {out}")
-    return EXIT_OK
+    outputs = {
+        "eigenvalues.csv": partial(spectra.spectrum_to_csv, spec, lambda_cutoff=args.lambda_cutoff),
+        "dos.csv": partial(spectra.dos_to_csv, hist),
+        "degeneracy.csv": partial(spectra.degeneracy_to_csv, report),
+        "eigenvector_par.csv": partial(spectra.eigenvector_pars_to_csv, par_gammas, pars),
+    }
+    return _Result(outputs, f"n={graph.n_nodes} alpha={args.alpha}")
 
 
-def cmd_pagerank(args) -> int:
+def cmd_pagerank(args, graph) -> _Result:
     from . import gmatrix, ranking
 
-    started = time.time()
-    graph = _ingest(args)
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
     rank = ranking.pagerank_power(g, tol=args.tol, max_iter=args.max_iter)
-    out = _out_dir(args)
-    ranking.rank_to_csv(rank, out / "pagerank.csv", header_comment=_MANIFEST_REF)
-    _write_manifest(
-        out,
-        "pagerank",
-        args,
-        started,
-        [out / "pagerank.csv"],
-        inputs=[args.input],
+    return _Result(
+        {"pagerank.csv": partial(ranking.rank_to_csv, rank)},
+        f"n={graph.n_nodes} alpha={args.alpha} iterations={rank.iterations} "
+        f"residual={rank.residual:.3e}",
         extra={"iterations": rank.iterations, "residual": rank.residual, "converged": rank.converged},
+        failure=None if rank.converged else "iteration did not reach tolerance",
     )
-    print(
-        f"pagerank: n={graph.n_nodes} alpha={args.alpha} iterations={rank.iterations} "
-        f"residual={rank.residual:.3e} -> {out}"
-    )
-    if not rank.converged:
-        print("pagerank: iteration did not reach tolerance", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
 
 
-def cmd_fidelity(args) -> int:
+def cmd_fidelity(args, graph) -> _Result:
     from . import ranking
 
-    started = time.time()
-    graph = _ingest(args)
     grid = ranking.fidelity_grid(graph, args.alphas, tol=args.tol, max_iter=args.max_iter)
-    out = _out_dir(args)
-    ranking.fidelity_grid_to_csv(grid, out / "fidelity.csv", header_comment=_MANIFEST_REF)
-    _write_manifest(out, "fidelity", args, started, [out / "fidelity.csv"], inputs=[args.input])
-    print(f"fidelity: n={graph.n_nodes} grid {len(args.alphas)}x{len(args.alphas)} -> {out}")
-    return EXIT_OK
+    return _Result(
+        {"fidelity.csv": partial(ranking.fidelity_grid_to_csv, grid)},
+        f"n={graph.n_nodes} grid {len(args.alphas)}x{len(args.alphas)}",
+    )
 
 
-def cmd_par_curve(args) -> int:
+def cmd_par_curve(args, graph) -> _Result:
     from . import ranking
 
-    started = time.time()
-    graph = _ingest(args)
     points = ranking.par_vs_alpha(graph, args.alphas, tol=args.tol, max_iter=args.max_iter)
-    out = _out_dir(args)
-    ranking.par_curve_to_csv(points, out / "par_curve.csv", header_comment=_MANIFEST_REF)
-    _write_manifest(out, "par-curve", args, started, [out / "par_curve.csv"], inputs=[args.input])
-    print(f"par-curve: n={graph.n_nodes} {len(points)} alpha values -> {out}")
-    if not all(p.converged for p in points):
-        print("par-curve: some alpha values did not converge", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
-
-
-def cmd_degree_dist(args) -> int:
-    from . import netcore
-
-    started = time.time()
-    graph = _ingest(args)
-    out = _out_dir(args)
-    files = []
-    for direction in ("in", "out"):
-        dist = netcore.degree_distribution(graph, direction)
-        path = out / f"degree_{direction}.csv"
-        netcore.degree_distribution_to_csv(dist, path, header_comment=_MANIFEST_REF)
-        files.append(path)
-    _write_manifest(
-        out,
-        "degree-dist",
-        args,
-        started,
-        files,
-        inputs=[args.input],
-        extra={"mean_degree": graph.n_edges / max(graph.n_nodes, 1)},
+    return _Result(
+        {"par_curve.csv": partial(ranking.par_curve_to_csv, points)},
+        f"n={graph.n_nodes} {len(points)} alpha values",
+        failure=None if all(p.converged for p in points) else "some alpha values did not converge",
     )
-    print(f"degree-dist: n={graph.n_nodes} <k>={graph.n_edges / max(graph.n_nodes, 1):.6g} -> {out}")
-    return EXIT_OK
 
 
-def cmd_randomize(args) -> int:
+def cmd_degree_dist(args, graph) -> _Result:
     from . import netcore
 
-    started = time.time()
-    graph = _ingest(args)
+    outputs = {
+        f"degree_{direction}.csv": partial(
+            netcore.degree_distribution_to_csv, netcore.degree_distribution(graph, direction)
+        )
+        for direction in ("in", "out")
+    }
+    mean_degree = graph.n_edges / max(graph.n_nodes, 1)
+    return _Result(
+        outputs, f"n={graph.n_nodes} <k>={mean_degree:.6g}", extra={"mean_degree": mean_degree}
+    )
+
+
+def cmd_randomize(args, graph) -> _Result:
+    from . import netcore
+
     shuffled = netcore.maslov_randomize(
         graph, n_swaps=args.swaps, rng_seed=args.seed,
         allow_self_loops=not args.drop_self_loops,
     )
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = out_path.with_name(out_path.name + ".manifest.json")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest: {sidecar.name}\n")
-        netcore.save_edge_list(shuffled, fh)
-    _write_manifest_file(sidecar, "randomize", args, started, [out_path], inputs=[args.input])
-    print(f"randomize: {graph.n_edges} edges, {args.swaps if args.swaps is not None else 10 * graph.n_edges} swap attempts -> {out_path}")
-    return EXIT_OK
+    swaps = args.swaps if args.swaps is not None else 10 * graph.n_edges
+    return _Result(
+        {Path(args.out).name: partial(netcore.save_edge_list, shuffled)},
+        f"{graph.n_edges} edges, {swaps} swap attempts",
+    )
 
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, _graph) -> _Result:
     from . import genmodels, netcore
 
-    started = time.time()
     colors = None
-    if args.model == "ab":
-        params = genmodels.AbParams(
-            n_target=args.n, m=args.m, p=args.p, q=args.q, seed=args.seed
+    if args.model == "al":
+        graph = genmodels.generate_al(
+            genmodels.AlParams(n_target=args.n, m=args.m, seed=args.seed)
         )
-        graph = genmodels.generate_ab(params)
-    elif args.model == "color":
-        params = genmodels.ColorParams(
-            ab=genmodels.AbParams(
-                n_target=args.n, m=args.m, p=args.p, q=args.q, seed=args.seed
-            ),
-            eta=args.eta,
-            epsilon=args.epsilon,
-            initial_colors=args.initial_colors,
-        )
-        graph, colors = genmodels.generate_color(params)
     else:
-        params = genmodels.AlParams(n_target=args.n, m=args.m, seed=args.seed)
-        graph = genmodels.generate_al(params)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    sidecar = out_path.with_name(out_path.name + ".params.json")
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# manifest: {sidecar.name}\n")
-        netcore.save_edge_list(graph, fh, colors=colors)
-    _write_manifest_file(sidecar, f"generate {args.model}", args, started, [out_path])
-    print(f"generate {args.model}: n={graph.n_nodes} edges={graph.n_edges} -> {out_path}")
-    return EXIT_OK
+        ab = genmodels.AbParams(n_target=args.n, m=args.m, p=args.p, q=args.q, seed=args.seed)
+        if args.model == "ab":
+            graph = genmodels.generate_ab(ab)
+        else:
+            graph, colors = genmodels.generate_color(
+                genmodels.ColorParams(
+                    ab=ab, eta=args.eta, epsilon=args.epsilon, initial_colors=args.initial_colors
+                )
+            )
+    return _Result(
+        {Path(args.out).name: partial(netcore.save_edge_list, graph, colors=colors)},
+        f"n={graph.n_nodes} edges={graph.n_edges}",
+    )
 
 
-def cmd_truncate_spectrum(args) -> int:
+def cmd_truncate_spectrum(args, graph) -> _Result:
     from . import spectra
 
-    started = time.time()
-    graph = _ingest(args)
     cmp = spectra.truncated_spectrum_compare(
         graph, args.alpha, args.sizes, tol=args.tol, dense_limit=args.dense_limit
     )
-    out = _out_dir(args)
-    files = [out / "eigenvalues_full.csv"]
-    spectra.spectrum_to_csv(cmp.full, files[0], header_comment=_MANIFEST_REF)
+    outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
     hausdorff = {}
     for res in cmp.results:
-        path = out / f"eigenvalues_m{res.m}.csv"
-        spectra.spectrum_to_csv(res.spectrum, path, header_comment=_MANIFEST_REF)
-        files.append(path)
+        outputs[f"eigenvalues_m{res.m}.csv"] = partial(spectra.spectrum_to_csv, res.spectrum)
         hausdorff[str(res.m)] = res.hausdorff
-    _write_manifest(
-        out,
-        "truncate-spectrum",
-        args,
-        started,
-        files,
-        inputs=[args.input],
+    return _Result(
+        outputs,
+        " ".join(f"m={m}: hausdorff={h:.6g}" for m, h in hausdorff.items()),
         extra={"hausdorff": hausdorff},
     )
-    print(
-        "truncate-spectrum: "
-        + " ".join(f"m={m}: hausdorff={h:.6g}" for m, h in hausdorff.items())
-        + f" -> {out}"
-    )
-    return EXIT_OK
 
 
 def build_parser() -> _Parser:
@@ -334,7 +258,13 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=None, help="cap BLAS thread pools")
+    common.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help="best-effort BLAS thread cap: sets the BLAS env vars, which take effect "
+        "only if numpy is not yet loaded in the process",
+    )
 
     ingest = argparse.ArgumentParser(add_help=False)
     ingest.add_argument("input", help="edge-list file")
@@ -424,20 +354,61 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _classify_error(exc: BaseException) -> int:
+def _classify_error(exc: Exception) -> int:
+    """Report an expected failure on stderr and return its exit code;
+    anything else is a bug and propagates as a traceback."""
+    if isinstance(exc, MemoryError):
+        print(
+            "netspectra: out of memory; truncate by rank to diagonalize a smaller operator",
+            file=sys.stderr,
+        )
+        return EXIT_SIZE
     from .gmatrix import SizeLimitError
     from .spectra import EigensolverError
 
-    if isinstance(exc, SizeLimitError):
-        print(f"netspectra: {exc}", file=sys.stderr)
-        return EXIT_SIZE
-    if isinstance(exc, EigensolverError):
-        print(f"netspectra: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    if isinstance(exc, (OSError, ValueError)):
-        print(f"netspectra: {exc}", file=sys.stderr)
-        return EXIT_IO
+    # SizeLimitError is a ValueError, so it must be matched first
+    for kind, code in (
+        (SizeLimitError, EXIT_SIZE),
+        (EigensolverError, EXIT_NUMERIC),
+        ((OSError, ValueError), EXIT_IO),
+    ):
+        if isinstance(exc, kind):
+            print(f"netspectra: {exc}", file=sys.stderr)
+            return code
     raise exc
+
+
+def _run(args) -> int:
+    """Run one parsed command: ingest its input, compute, write each output
+    behind a ``# manifest: <name>`` first line, then the manifest (or the
+    ``--out`` file's sidecar), the summary line and the exit code."""
+    started = time.time()
+    try:
+        inputs = [args.input] if hasattr(args, "input") else []
+        result = args.func(args, _ingest(args) if inputs else None)
+        command = f"generate {args.model}" if args.command == "generate" else args.command
+        if hasattr(args, "out_dir"):
+            dest = Path(args.out_dir)
+            manifest = dest / _MANIFEST_NAME
+        else:
+            dest = Path(args.out)
+            manifest = dest.with_name(dest.name + _SIDECAR_SUFFIX[args.command])
+        manifest.parent.mkdir(parents=True, exist_ok=True)
+        paths = []
+        for name, write in result.outputs.items():
+            path = manifest.parent / name
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(f"# manifest: {manifest.name}\n")
+                write(fh)
+            paths.append(path)
+        _write_manifest(manifest, command, args, started, paths, inputs, result.extra)
+        print(f"{command}: {result.summary} -> {dest}")
+        if result.failure:
+            print(f"{command}: {result.failure}", file=sys.stderr)
+            return EXIT_NUMERIC
+        return EXIT_OK
+    except Exception as exc:
+        return _classify_error(exc)
 
 
 def main(argv=None) -> int:
@@ -448,10 +419,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
     if getattr(args, "threads", None):
         _cap_threads(args.threads)
-    try:
-        return args.func(args)
-    except Exception as exc:
-        return _classify_error(exc)
+    return _run(args)
 
 
 def run() -> None:

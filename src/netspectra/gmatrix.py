@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
-from .netcore import DirectedGraph
+from .netcore import DirectedGraph, _write_table
 
 if TYPE_CHECKING:
     from .ranking import RankVector
@@ -27,7 +27,6 @@ __all__ = [
     "StochasticMatrix",
     "GoogleMatrix",
     "build_stochastic",
-    "materialize_dense",
     "truncate_by_rank",
     "dense_to_csv",
     "sparse_to_csv",
@@ -83,6 +82,18 @@ class StochasticMatrix:
         return int(self.dangling.sum())
 
 
+def _normalize_columns(mat) -> tuple[sparse.csc_matrix, np.ndarray]:
+    """Scale every nonempty column of a CSC matrix by its accumulated float
+    sum, so it sums to 1 to machine precision (pairwise accumulation of the
+    unscaled entries can leave sums a few ulp off).  Returns the scaled
+    matrix and the mask of empty columns."""
+    colsums = np.asarray(mat.sum(axis=0)).ravel()
+    empty = colsums == 0.0
+    scale = np.ones(mat.shape[1])
+    scale[~empty] = 1.0 / colsums[~empty]
+    return (mat @ sparse.diags(scale)).tocsc(), empty
+
+
 def build_stochastic(graph: DirectedGraph) -> StochasticMatrix:
     """Normalize each column of the adjacency counts by its out-degree.
 
@@ -94,21 +105,11 @@ def build_stochastic(graph: DirectedGraph) -> StochasticMatrix:
     if n < 1:
         raise ValueError("graph must have at least one node")
     out_deg = graph.out_degrees()
-    dangling = out_deg == 0
-    if graph.n_edges:
-        src = graph.edges[:, 0]
-        dst = graph.edges[:, 1]
-        data = 1.0 / out_deg[src]
-        mat = sparse.coo_matrix((data, (dst, src)), shape=(n, n)).tocsc()
-        # pairwise float accumulation can leave sums off by a few ulp
-        colsums = np.asarray(mat.sum(axis=0)).ravel()
-        scale = np.ones(n)
-        nz = colsums > 0
-        scale[nz] = 1.0 / colsums[nz]
-        mat = mat @ sparse.diags(scale)
-    else:
-        mat = sparse.csc_matrix((n, n))
-    return StochasticMatrix(mat, dangling)
+    src = graph.edges[:, 0]
+    dst = graph.edges[:, 1]
+    counts = sparse.coo_matrix((1.0 / out_deg[src], (dst, src)), shape=(n, n)).tocsc()
+    mat, _ = _normalize_columns(counts)
+    return StochasticMatrix(mat, out_deg == 0)
 
 
 @dataclass(frozen=True)
@@ -162,10 +163,6 @@ class GoogleMatrix:
         return dense
 
 
-def materialize_dense(g: GoogleMatrix, dense_limit: int = DENSE_LIMIT_DEFAULT) -> np.ndarray:
-    return g.to_dense(dense_limit)
-
-
 def truncate_by_rank(
     g: GoogleMatrix, rank: "RankVector", m: int
 ) -> tuple[GoogleMatrix, np.ndarray]:
@@ -181,28 +178,15 @@ def truncate_by_rank(
     if not 1 <= m <= n:
         raise ValueError(f"m must lie in [1, {n}], got {m}")
     kept = np.sort(np.asarray(rank.order[:m], dtype=np.int64))
-    sub = g.s.matrix[kept, :][:, kept].tocsc()
-    colsums = np.asarray(sub.sum(axis=0)).ravel()
-    new_dangling = colsums == 0.0
-    scale = np.ones(m)
-    scale[~new_dangling] = 1.0 / colsums[~new_dangling]
-    sub = (sub @ sparse.diags(scale)).tocsc()
+    sub, new_dangling = _normalize_columns(g.s.matrix[kept, :][:, kept].tocsc())
     return GoogleMatrix(StochasticMatrix(sub, new_dangling), g.alpha), kept
 
 
 def dense_to_csv(matrix: np.ndarray, target, header_comment=None) -> None:
     """Row-major CSV at full float precision, no header row."""
     matrix = np.asarray(matrix)
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        for row in matrix:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+    fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    _write_table(target, header_comment, "", fmt, map(tuple, matrix.tolist()))
 
 
 def sparse_to_csv(s: StochasticMatrix, target, header_comment=None) -> None:
@@ -210,17 +194,7 @@ def sparse_to_csv(s: StochasticMatrix, target, header_comment=None) -> None:
 
     Dangling columns have no rows here; they are implicitly uniform.
     """
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("j,i,value\n")
-        mat = s.matrix
-        for j in range(s.n):
-            start, stop = mat.indptr[j], mat.indptr[j + 1]
-            for i, val in zip(mat.indices[start:stop], mat.data[start:stop]):
-                fh.write(f"{j},{i},{val:.17g}\n")
-    finally:
-        if own:
-            fh.close()
+    mat = s.matrix
+    cols = np.repeat(np.arange(s.n), np.diff(mat.indptr))
+    rows = zip(cols.tolist(), mat.indices.tolist(), mat.data.tolist())
+    _write_table(target, header_comment, "j,i,value\n", "%d,%d,%.17g\n", rows)

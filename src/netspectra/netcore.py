@@ -164,6 +164,22 @@ def _open_source(source):
     return open(source, "r", encoding="utf-8")
 
 
+def _write_table(target, header_comment, head: str, fmt: str, rows) -> None:
+    """Write a text table in one piece: an optional ``# <header_comment>``
+    line, ``head`` verbatim, then ``fmt % row`` for each row tuple.
+
+    ``target`` is a path (opened as UTF-8 with ``\\n`` newlines, then closed)
+    or an open text handle, which is written to and left open.
+    """
+    comment = f"# {header_comment}\n" if header_comment else ""
+    text = comment + head + "".join(map(fmt.__mod__, rows))
+    if hasattr(target, "write"):
+        target.write(text)
+        return
+    with open(target, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
 def load_edge_list(
     source,
     *,
@@ -246,21 +262,13 @@ def save_edge_list(graph: DirectedGraph, target, colors=None) -> None:
     ``# color <node> <color>`` lines, then one ``src dst`` line per edge in
     stored order.  Loading and re-saving a canonical file is byte-identical.
     """
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        fh.write(f"# nodes={graph.n_nodes}\n")
-        if colors is not None:
-            colors = np.asarray(colors)
-            if len(colors) != graph.n_nodes:
-                raise ValueError("colors length must equal n_nodes")
-            for node, col in enumerate(colors):
-                fh.write(f"# color {node} {int(col)}\n")
-        for src, dst in graph.edges:
-            fh.write(f"{src} {dst}\n")
-    finally:
-        if own:
-            fh.close()
+    head = f"# nodes={graph.n_nodes}\n"
+    if colors is not None:
+        colors = np.asarray(colors)
+        if len(colors) != graph.n_nodes:
+            raise ValueError("colors length must equal n_nodes")
+        head += "".join(f"# color {node} {int(col)}\n" for node, col in enumerate(colors))
+    _write_table(target, None, head, "%d %d\n", map(tuple, graph.edges.tolist()))
 
 
 def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, dict[int, int]]:
@@ -384,17 +392,13 @@ def degree_distribution(graph: DirectedGraph, direction: str) -> DegreeDistribut
 
 def degree_distribution_to_csv(dist: DegreeDistribution, target, header_comment=None) -> None:
     """Write ``k,count,cumulative_fraction`` rows sorted by degree."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("k,count,cumulative_fraction\n")
-        for k in sorted(dist.counts):
-            fh.write(f"{k},{dist.counts[k]},{dist.cumulative[k]:.17g}\n")
-    finally:
-        if own:
-            fh.close()
+    _write_table(
+        target,
+        header_comment,
+        "k,count,cumulative_fraction\n",
+        "%d,%d,%.17g\n",
+        ((k, dist.counts[k], dist.cumulative[k]) for k in sorted(dist.counts)),
+    )
 
 
 def fit_loglog_slope(

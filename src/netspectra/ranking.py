@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gmatrix import GoogleMatrix, build_stochastic
-from .netcore import DirectedGraph, FitError
+from .netcore import DirectedGraph, FitError, _write_table
 
 __all__ = [
     "PAGERANK_TOL",
@@ -250,43 +250,18 @@ def rank_to_csv(r: RankVector, target, header_comment=None) -> None:
     positions)."""
     position = np.empty(r.n, dtype=np.int64)
     position[r.order] = np.arange(1, r.n + 1)
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("node_id,score,rank_position\n")
-        for node in range(r.n):
-            fh.write(f"{node},{r.values[node]:.17g},{position[node]}\n")
-    finally:
-        if own:
-            fh.close()
+    rows = zip(range(r.n), r.values.tolist(), position.tolist())
+    _write_table(target, header_comment, "node_id,score,rank_position\n", "%d,%.17g,%d\n", rows)
 
 
 def par_curve_to_csv(points: list[ParPoint], target, header_comment=None) -> None:
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("alpha,xi\n")
-        for p in points:
-            fh.write(f"{p.alpha:.17g},{p.xi:.17g}\n")
-    finally:
-        if own:
-            fh.close()
+    rows = ((p.alpha, p.xi) for p in points)
+    _write_table(target, header_comment, "alpha,xi\n", "%.17g,%.17g\n", rows)
 
 
 def fidelity_grid_to_csv(grid: FidelityGrid, target, header_comment=None) -> None:
     """Square table with a leading header row/column of the damping values."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("alpha," + ",".join(f"{a:.17g}" for a in grid.alphas) + "\n")
-        for a, row in zip(grid.alphas, grid.f):
-            fh.write(f"{a:.17g}," + ",".join(f"{x:.17g}" for x in row) + "\n")
-    finally:
-        if own:
-            fh.close()
+    fmt = ",".join(["%.17g"] * (len(grid.alphas) + 1)) + "\n"
+    head = "alpha," + ",".join("%.17g" % a for a in grid.alphas) + "\n"
+    rows = ((a, *row) for a, row in zip(grid.alphas, grid.f.tolist()))
+    _write_table(target, header_comment, head, fmt, rows)

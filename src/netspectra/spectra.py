@@ -18,7 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .gmatrix import DENSE_LIMIT_DEFAULT, GoogleMatrix, truncate_by_rank
-from .netcore import DirectedGraph
+from .netcore import DirectedGraph, _write_table
 from .ranking import pagerank_power, participation_ratio
 
 __all__ = [
@@ -171,6 +171,16 @@ def alpha_scaling_check(
     return worst
 
 
+def _rates(spec: Spectrum, lambda_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
+    """``gamma = -2 ln|lambda|`` per eigenvalue (``inf`` below the zero-mode
+    cutoff) and the mask of eigenvalues at or above the cutoff."""
+    mags = np.abs(spec.eigenvalues)
+    finite = mags >= lambda_cutoff
+    with np.errstate(divide="ignore"):
+        gammas = np.where(finite, -2.0 * np.log(mags) + 0.0, np.inf)  # + 0.0 drops -0.0
+    return gammas, finite
+
+
 def relaxation_rates(
     spec: Spectrum, lambda_cutoff: float = ZERO_MODE_CUTOFF
 ) -> tuple[np.ndarray, int]:
@@ -179,10 +189,8 @@ def relaxation_rates(
     Eigenvalues with ``|lambda| < lambda_cutoff`` have effectively infinite
     rate and are returned only as a count of zero modes.
     """
-    mags = np.abs(spec.eigenvalues)
-    finite = mags >= lambda_cutoff
-    gammas = -2.0 * np.log(mags[finite]) + 0.0  # drop the sign of -0.0
-    return gammas, int((~finite).sum())
+    gammas, finite = _rates(spec, lambda_cutoff)
+    return gammas[finite], int((~finite).sum())
 
 
 @dataclass(frozen=True)
@@ -324,13 +332,11 @@ def eigenvector_pars(
     Zero modes (no finite rate) are omitted.  Within a degenerate eigenvalue
     cluster the returned values depend on the solver's basis choice.
     """
-    mags = np.abs(spec.eigenvalues)
-    finite = np.nonzero(mags >= lambda_cutoff)[0]
-    gammas = -2.0 * np.log(mags[finite]) + 0.0
+    gammas, finite = _rates(spec, lambda_cutoff)
     pars = np.array(
-        [participation_ratio(spec.eigenvectors[:, i]) for i in finite]
+        [participation_ratio(spec.eigenvectors[:, i]) for i in np.flatnonzero(finite)]
     )
-    return gammas, pars
+    return gammas[finite], pars
 
 
 @dataclass(frozen=True)
@@ -394,75 +400,38 @@ def spectrum_to_csv(
 ) -> None:
     """``re,im,abs,gamma,par,residual`` per eigenvalue (gamma is ``inf`` for
     zero modes)."""
-    mags = np.abs(spec.eigenvalues)
-    with np.errstate(divide="ignore"):
-        gammas = np.where(
-            mags >= lambda_cutoff, -2.0 * np.log(np.maximum(mags, 1e-300)) + 0.0, np.inf
-        )
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("re,im,abs,gamma,par,residual\n")
-        for i, lam in enumerate(spec.eigenvalues):
-            par = participation_ratio(spec.eigenvectors[:, i])
-            fh.write(
-                f"{lam.real:.17g},{lam.imag:.17g},{mags[i]:.17g},"
-                f"{gammas[i]:.17g},{par:.17g},{spec.residuals[i]:.17g}\n"
-            )
-    finally:
-        if own:
-            fh.close()
+    lam = spec.eigenvalues
+    gammas, _ = _rates(spec, lambda_cutoff)
+    pars = [participation_ratio(spec.eigenvectors[:, i]) for i in range(spec.n)]
+    rows = zip(
+        lam.real.tolist(), lam.imag.tolist(), np.abs(lam).tolist(), gammas.tolist(), pars,
+        spec.residuals.tolist(),
+    )
+    fmt = ",".join(["%.17g"] * 6) + "\n"
+    _write_table(target, header_comment, "re,im,abs,gamma,par,residual\n", fmt, rows)
 
 
 def eigenvector_pars_to_csv(gammas, pars, target, header_comment=None) -> None:
     """``gamma,par`` rows, one per non-zero-mode eigenvector."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("gamma,par\n")
-        for g, p in zip(gammas, pars):
-            fh.write(f"{g:.17g},{p:.17g}\n")
-    finally:
-        if own:
-            fh.close()
+    _write_table(target, header_comment, "gamma,par\n", "%.17g,%.17g\n", zip(gammas, pars))
 
 
 def dos_to_csv(hist: DosHistogram, target, header_comment=None) -> None:
     """``gamma_bin_center,W,integrated`` rows; zero-mode fraction and the
     effective smoothing window go into leading comment lines."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"# zero_modes={hist.zero_modes:.17g}\n")
-        fh.write(f"# smoothing_window={hist.smoothing_window:.17g}\n")
-        fh.write("gamma_bin_center,W,integrated\n")
-        for c, w, i in zip(hist.bin_centers, hist.density, hist.integrated):
-            fh.write(f"{c:.17g},{w:.17g},{i:.17g}\n")
-    finally:
-        if own:
-            fh.close()
+    head = (
+        f"# zero_modes={hist.zero_modes:.17g}\n"
+        f"# smoothing_window={hist.smoothing_window:.17g}\n"
+        "gamma_bin_center,W,integrated\n"
+    )
+    rows = zip(hist.bin_centers, hist.density, hist.integrated)
+    _write_table(target, header_comment, head, "%.17g,%.17g,%.17g\n", rows)
 
 
 def degeneracy_to_csv(report: DegeneracyReport, target, header_comment=None) -> None:
     """``re,im,multiplicity`` per cluster in the report's order."""
-    own = not hasattr(target, "write")
-    fh = open(target, "w", encoding="utf-8", newline="\n") if own else target
-    try:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(f"# tolerance={report.tolerance:.17g}\n")
-        fh.write("re,im,multiplicity\n")
-        for c in report.clusters:
-            fh.write(
-                f"{c.representative.real:.17g},{c.representative.imag:.17g},"
-                f"{c.multiplicity}\n"
-            )
-    finally:
-        if own:
-            fh.close()
+    head = f"# tolerance={report.tolerance:.17g}\nre,im,multiplicity\n"
+    rows = (
+        (c.representative.real, c.representative.imag, c.multiplicity) for c in report.clusters
+    )
+    _write_table(target, header_comment, head, "%.17g,%.17g,%d\n", rows)

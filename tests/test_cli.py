@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import json
 
 import numpy as np
@@ -62,6 +64,17 @@ class TestSpectrumCommand:
         code = main(
             ["spectrum", k5_file, "--dense-limit", "3", "--out-dir", str(tmp_path / "o")]
         )
+        assert code == 2
+        assert "truncate" in capsys.readouterr().err
+
+    def test_memory_error_exit_2_with_hint(self, k5_file, tmp_path, capsys, monkeypatch):
+        from netspectra import spectra
+
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(spectra, "eigendecompose", out_of_memory)
+        code = main(["spectrum", k5_file, "--out-dir", str(tmp_path / "o")])
         assert code == 2
         assert "truncate" in capsys.readouterr().err
 
@@ -244,6 +257,88 @@ class TestIngestionFlags:
         out = tmp_path / "out"
         assert main(["spectrum", two_cycle_file, "--threads", "1",
                      "--out-dir", str(out)]) == 0
+
+
+BASE_MANIFEST_KEYS = {
+    "schema_version", "tool", "tool_version", "command", "parameters", "seed",
+    "input_digests", "outputs", "wall_time_s",
+}
+SPECTRUM_FILES = ["eigenvalues.csv", "dos.csv", "degeneracy.csv", "eigenvector_par.csv"]
+
+# command -> (argv with GRAPH / OUT placeholders, manifest name, output files,
+# extra top-level manifest keys)
+MANIFEST_CASES = {
+    "spectrum": (["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES, set()),
+    "pagerank": (
+        ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
+        {"iterations", "residual", "converged"},
+    ),
+    "fidelity": (
+        ["fidelity", "GRAPH", "--alphas", "0.5,0.85", "--out-dir", "OUT"], "manifest.json",
+        ["fidelity.csv"], set(),
+    ),
+    "par-curve": (
+        ["par-curve", "GRAPH", "--alphas", "0.5,0.85", "--out-dir", "OUT"], "manifest.json",
+        ["par_curve.csv"], set(),
+    ),
+    "degree-dist": (
+        ["degree-dist", "GRAPH", "--out-dir", "OUT"], "manifest.json",
+        ["degree_in.csv", "degree_out.csv"], {"mean_degree"},
+    ),
+    "randomize": (
+        ["randomize", "GRAPH", "--seed", "2", "--out", "OUT/r.edges"], "r.edges.manifest.json",
+        ["r.edges"], set(),
+    ),
+    "truncate-spectrum": (
+        ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
+        ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"], {"hausdorff"},
+    ),
+    "generate ab": (
+        ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
+        "g.edges.params.json", ["g.edges"], set(),
+    ),
+    "generate color": (
+        ["generate", "color", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
+        "g.edges.params.json", ["g.edges"], set(),
+    ),
+    "generate al": (
+        ["generate", "al", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
+        "g.edges.params.json", ["g.edges"], set(),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(MANIFEST_CASES))
+def test_manifest_contract(command, tmp_path, capsys):
+    argv, manifest_name, files, extra_keys = MANIFEST_CASES[command]
+    graph = tmp_path / "g12.edges"
+    graph.write_text("".join(f"{i} {(i + k) % 12}\n" for i in range(12) for k in (1, 5)))
+    out = tmp_path / "out"
+    argv = [a.replace("GRAPH", str(graph)).replace("OUT", str(out)) for a in argv]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.startswith(f"{command}: ")
+    assert sorted(p.name for p in out.iterdir()) == sorted(files + [manifest_name])
+    manifest = json.loads((out / manifest_name).read_text())
+    assert set(manifest) == BASE_MANIFEST_KEYS | extra_keys
+    assert manifest["command"] == command
+    assert manifest["outputs"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files
+    }
+    ingests = not command.startswith("generate")
+    assert manifest["input_digests"] == (
+        {str(graph): hashlib.sha256(graph.read_bytes()).hexdigest()} if ingests else {}
+    )
+    for name in files:
+        first = (out / name).read_text().splitlines()[0]
+        assert first == f"# manifest: {manifest_name}"
+
+
+@pytest.mark.parametrize(
+    "module", ["netcore", "gmatrix", "ranking", "spectra", "genmodels", "cli"]
+)
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"netspectra.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
 
 
 class TestLazyPackageApi:

@@ -9,7 +9,6 @@ from netspectra.gmatrix import (
     StochasticMatrix,
     build_stochastic,
     dense_to_csv,
-    materialize_dense,
     sparse_to_csv,
     truncate_by_rank,
 )
@@ -136,7 +135,7 @@ class TestDense:
         g = GoogleMatrix.from_graph(sparse_random(40, seed=7), alpha=0.85)
         with pytest.raises(SizeLimitError):
             g.to_dense(dense_limit=39)
-        assert materialize_dense(g, dense_limit=40).shape == (40, 40)
+        assert g.to_dense(dense_limit=40).shape == (40, 40)
 
 
 class TestTruncateByRank:

@@ -317,6 +317,17 @@ class TestCsv:
         spectrum_to_csv(spec, buf)
         assert ",inf," in buf.getvalue()
 
+    def test_spectrum_csv_gamma_matches_rates_below_any_cutoff(self):
+        # at alpha 0 the operator has rank one, so the solver returns exact
+        # zeros; with no cutoff their rate is -2 ln 0 = inf in every output
+        spec = spectrum_of(sparse_random(10, seed=21), 0.0)
+        assert np.any(spec.eigenvalues == 0)
+        buf = io.StringIO()
+        spectrum_to_csv(spec, buf, lambda_cutoff=0.0)
+        gammas = [float(line.split(",")[3]) for line in buf.getvalue().splitlines()[1:]]
+        assert gammas == eigenvector_pars(spec, lambda_cutoff=0.0)[0].tolist()
+        assert gammas == relaxation_rates(spec, lambda_cutoff=0.0)[0].tolist()
+
     def test_dos_csv(self):
         hist = density_of_states([0.5, 1.0], 1)
         buf = io.StringIO()

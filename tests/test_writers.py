@@ -1,0 +1,103 @@
+"""Contract shared by every public text writer: a path and an open handle get
+the same bytes, and a caller's handle is left open and writable (the command
+line writes its ``# manifest:`` line first, then hands the handle on)."""
+
+import io
+from functools import partial
+
+import numpy as np
+import pytest
+
+from netspectra import gmatrix, netcore, ranking, spectra
+
+from helpers import sparse_random
+
+HEADER = "manifest: manifest.json"
+
+
+@pytest.fixture(scope="module")
+def writers():
+    graph = sparse_random(12, seed=3)
+    g = gmatrix.GoogleMatrix.from_graph(graph, 0.85)
+    spec = spectra.eigendecompose(g.to_dense())
+    gammas, zero_modes = spectra.relaxation_rates(spec)
+    par_gammas, pars = spectra.eigenvector_pars(spec)
+    alphas = [0.5, 0.85]
+    return {
+        "save_edge_list": partial(netcore.save_edge_list, graph, colors=np.arange(12) % 3),
+        "degree_distribution_to_csv": partial(
+            netcore.degree_distribution_to_csv,
+            netcore.degree_distribution(graph, "in"),
+            header_comment=HEADER,
+        ),
+        "dense_to_csv": partial(gmatrix.dense_to_csv, g.to_dense(), header_comment=HEADER),
+        "sparse_to_csv": partial(gmatrix.sparse_to_csv, g.s, header_comment=HEADER),
+        "rank_to_csv": partial(ranking.rank_to_csv, ranking.pagerank_power(g), header_comment=HEADER),
+        "par_curve_to_csv": partial(
+            ranking.par_curve_to_csv, ranking.par_vs_alpha(graph, alphas), header_comment=HEADER
+        ),
+        "fidelity_grid_to_csv": partial(
+            ranking.fidelity_grid_to_csv, ranking.fidelity_grid(graph, alphas), header_comment=HEADER
+        ),
+        "spectrum_to_csv": partial(spectra.spectrum_to_csv, spec, header_comment=HEADER),
+        "eigenvector_pars_to_csv": partial(
+            spectra.eigenvector_pars_to_csv, par_gammas, pars, header_comment=HEADER
+        ),
+        "dos_to_csv": partial(
+            spectra.dos_to_csv, spectra.density_of_states(gammas, zero_modes), header_comment=HEADER
+        ),
+        "degeneracy_to_csv": partial(
+            spectra.degeneracy_to_csv, spectra.degeneracy_clusters(spec), header_comment=HEADER
+        ),
+    }
+
+
+WRITER_NAMES = [
+    "save_edge_list",
+    "degree_distribution_to_csv",
+    "dense_to_csv",
+    "sparse_to_csv",
+    "rank_to_csv",
+    "par_curve_to_csv",
+    "fidelity_grid_to_csv",
+    "spectrum_to_csv",
+    "eigenvector_pars_to_csv",
+    "dos_to_csv",
+    "degeneracy_to_csv",
+]
+
+
+def test_every_public_writer_is_covered():
+    public = {
+        name
+        for mod in (netcore, gmatrix, ranking, spectra)
+        for name in mod.__all__
+        if name.endswith("_to_csv") or name == "save_edge_list"
+    }
+    assert public == set(WRITER_NAMES)
+
+
+@pytest.mark.parametrize("name", WRITER_NAMES)
+def test_path_and_handle_give_identical_bytes(writers, name, tmp_path):
+    path = tmp_path / "out.txt"
+    writers[name](path)
+    buf = io.StringIO()
+    writers[name](buf)
+    data = path.read_bytes()
+    assert data == buf.getvalue().encode("utf-8")
+    assert data.endswith(b"\n") and b"\r" not in data
+    if name != "save_edge_list":
+        assert data.startswith(f"# {HEADER}\n".encode())
+
+
+@pytest.mark.parametrize("name", WRITER_NAMES)
+def test_caller_handle_left_open_and_writable(writers, name, tmp_path):
+    alone = tmp_path / "alone.txt"
+    writers[name](alone)
+    shared = tmp_path / "shared.txt"
+    with open(shared, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# first\n")
+        writers[name](fh)
+        assert not fh.closed
+        fh.write("# last\n")
+    assert shared.read_bytes() == b"# first\n" + alone.read_bytes() + b"# last\n"
