@@ -354,6 +354,14 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _loaded_class(module: str, name: str):
+    """``module.name`` if that submodule is already imported, else ``()``,
+    which matches nothing: a class from a module never imported cannot have
+    been raised, and importing ``spectra`` here would load scipy."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return getattr(mod, name) if mod is not None else ()
+
+
 def _classify_error(exc: Exception) -> int:
     """Report an expected failure on stderr and return its exit code;
     anything else is a bug and propagates as a traceback."""
@@ -363,13 +371,10 @@ def _classify_error(exc: Exception) -> int:
             file=sys.stderr,
         )
         return EXIT_SIZE
-    from .gmatrix import SizeLimitError
-    from .spectra import EigensolverError
-
     # SizeLimitError is a ValueError, so it must be matched first
     for kind, code in (
-        (SizeLimitError, EXIT_SIZE),
-        (EigensolverError, EXIT_NUMERIC),
+        (_loaded_class("gmatrix", "SizeLimitError"), EXIT_SIZE),
+        (_loaded_class("spectra", "EigensolverError"), EXIT_NUMERIC),
         ((OSError, ValueError), EXIT_IO),
     ):
         if isinstance(exc, kind):

@@ -33,6 +33,10 @@ __all__ = [
 ]
 
 _HEADER_RE = re.compile(r"^#\s*nodes\s*=\s*(\d+)\s*$")
+# a whole line whose first non-blank character is ``#``, newline excluded
+_COMMENT_LINE_RE = re.compile(r"^([^\S\n]*#[^\n]*)", re.MULTILINE)
+# largest n with (n - 1) * n + (n - 1) < 2**63, so pair keys cannot wrap
+_MAX_KEYED_NODES = 3_037_000_499
 
 
 class EdgeListParseError(ValueError):
@@ -155,13 +159,14 @@ class DegreeDistribution:
     n_nodes: int = 0
 
 
-def _open_source(source):
+def _read_text(source) -> str:
+    """The whole input as one string: a path is read as UTF-8 with universal
+    newlines; a stream is read as is (bytes are decoded as UTF-8)."""
     if hasattr(source, "read"):
         data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return io.StringIO(data)
-    return open(source, "r", encoding="utf-8")
+        return data.decode("utf-8") if isinstance(data, bytes) else data
+    with open(source, "r", encoding="utf-8") as fh:
+        return fh.read()
 
 
 def _write_table(target, header_comment, head: str, fmt: str, rows) -> None:
@@ -189,12 +194,18 @@ def load_edge_list(
 ) -> DirectedGraph:
     """Read a directed graph from edge-list text.
 
+    The grammar: lines are split at ``\\n`` (a path is read with universal
+    newlines).  A line that is blank, or whose first non-blank character is
+    ``#``, is skipped; ``#`` starts a comment only there, so ``1 2 # x`` is
+    an error.  A comment line of the form ``# nodes=N`` fixes the node count,
+    and the last such line wins.  Every other line holds exactly two
+    whitespace-separated tokens in Python ``int()`` syntax (``+5``, ``007``
+    and ``1_0`` are valid ids).
+
     Parameters
     ----------
     source : path or readable file object
-        Text (or UTF-8 bytes) with one ``src dst`` pair per line.  Lines
-        starting with ``#`` are comments; a ``# nodes=N`` line fixes the node
-        count.
+        Text (or UTF-8 bytes) in the grammar above.
     index_base : {0, 1}
         Subtracted from every id on input (use 1 for one-based files).
     dedupe : bool
@@ -214,53 +225,113 @@ def load_edge_list(
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
-    declared_n = None
-    pairs: list[tuple[int, int]] = []
-    with _open_source(source) as stream:
-        for line_no, raw in enumerate(stream, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = _HEADER_RE.match(line)
-                if m:
-                    declared_n = int(m.group(1))
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EdgeListParseError(
-                    f"expected two whitespace-separated integers, got {line!r}",
-                    line_no,
-                )
-            try:
-                src, dst = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise EdgeListParseError(f"non-integer token in {line!r}", line_no)
-            src -= index_base
-            dst -= index_base
-            if src < 0 or dst < 0:
-                raise NodeIdError("negative node id after base shift", line_no)
-            if src == dst and not allow_self_loops:
-                continue
-            pairs.append((src, dst))
+    text = _read_text(source)
+    parsed = _parse_fast(text, index_base) or _parse_lines(text, index_base)
+    return _build_graph(*parsed, dedupe=dedupe, allow_self_loops=allow_self_loops)
 
-    if dedupe:
-        pairs = list(dict.fromkeys(pairs))
-    max_id = max((max(s, t) for s, t in pairs), default=-1)
+
+def _build_graph(edges, declared_n, *, dedupe: bool, allow_self_loops: bool) -> DirectedGraph:
+    """The tail both parse paths share: drop self-loops, size the graph from
+    ``declared_n`` or the largest id and check ids against it, then dedupe."""
+    if not allow_self_loops:
+        edges = edges[edges[:, 0] != edges[:, 1]]
+    max_id = int(edges.max()) if edges.size else -1
     n_nodes = declared_n if declared_n is not None else max_id + 1
     if max_id >= n_nodes:
         raise NodeIdError(f"node id {max_id} exceeds declared nodes={n_nodes}")
-    return DirectedGraph(
-        n_nodes=n_nodes,
-        edges=np.array(pairs, dtype=np.int64).reshape(-1, 2),
-        multi_edges_allowed=not dedupe,
-    )
+    if dedupe and len(edges) > 1:
+        edges = edges[_first_occurrences(edges, n_nodes)]
+    return DirectedGraph(n_nodes=n_nodes, edges=edges, multi_edges_allowed=not dedupe)
+
+
+def _parse_fast(text: str, index_base: int):
+    """Parse ``text`` with one numpy pass into ``(edges, declared_n)``, the
+    ``(E, 2)`` int64 ids after the base shift and the last ``# nodes=N``
+    value (None without one).  Returns None, "not handled", for any input it
+    cannot take exactly as the line walker would: an inline ``#``, a token
+    ``loadtxt`` rejects but ``int()`` accepts (``1_0``, unicode digits), an
+    id beyond int64, a line without two tokens or a negative id.  Those
+    inputs go to :func:`_parse_lines`, which accepts or reports them."""
+    declared_n = None
+    # alternating body chunks and whole comment lines
+    pieces = _COMMENT_LINE_RE.split(text) if "#" in text else [text]
+    for comment in pieces[1::2]:
+        m = _HEADER_RE.match(comment.strip())
+        if m:
+            declared_n = int(m.group(1))
+    body = "".join(pieces[::2])
+    if not body.strip():
+        return np.zeros((0, 2), dtype=np.int64), declared_n
+    try:
+        edges = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # checked before the shift, which would wrap the int64 minimum around
+    if edges.shape[1] != 2 or edges.min() < index_base:
+        return None
+    return edges - index_base, declared_n
+
+
+def _parse_lines(text: str, index_base: int):
+    """Tokenize ``text`` line by line into ``(edges, declared_n)`` as
+    :func:`_parse_fast` does, raising on the first bad line with its 1-based
+    number.  Ids beyond int64 come back as an object array, so the checks
+    in :func:`_build_graph` still see their values."""
+    declared_n = None
+    pairs: list[tuple[int, int]] = []
+    for line_no, raw in enumerate(io.StringIO(text), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            m = _HEADER_RE.match(line)
+            if m:
+                declared_n = int(m.group(1))
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise EdgeListParseError(
+                f"expected two whitespace-separated integers, got {line!r}",
+                line_no,
+            )
+        try:
+            src, dst = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise EdgeListParseError(f"non-integer token in {line!r}", line_no)
+        src -= index_base
+        dst -= index_base
+        if src < 0 or dst < 0:
+            raise NodeIdError("negative node id after base shift", line_no)
+        pairs.append((src, dst))
+    try:
+        edges = np.array(pairs, dtype=np.int64)
+    except OverflowError:
+        edges = np.array(pairs, dtype=object)
+    return edges.reshape(-1, 2), declared_n
+
+
+def _first_occurrences(edges: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Mask of the first occurrence of each ``(src, dst)`` pair, found with
+    one stable sort.  The ``src * n_nodes + dst`` key is used while it fits
+    in int64; larger ids sort by both columns."""
+    if n_nodes <= _MAX_KEYED_NODES:
+        order = np.argsort(edges[:, 0] * np.int64(n_nodes) + edges[:, 1], kind="stable")
+    else:
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+    ranked = edges[order]
+    first = np.ones(len(edges), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    keep = np.zeros(len(edges), dtype=bool)
+    keep[order[first]] = True
+    return keep
 
 
 def save_edge_list(graph: DirectedGraph, target, colors=None) -> None:
     """Write the canonical edge-list form: ``# nodes=N`` header, optional
     ``# color <node> <color>`` lines, then one ``src dst`` line per edge in
-    stored order.  Loading and re-saving a canonical file is byte-identical.
+    stored order.  Loading and re-saving a canonical file without colours is
+    byte-identical; :func:`load_edge_list` skips ``# color`` lines as
+    comments, so colours are not read back.
     """
     head = f"# nodes={graph.n_nodes}\n"
     if colors is not None:
@@ -438,6 +509,7 @@ def reciprocity(graph: DirectedGraph) -> float:
     """
     if graph.n_edges == 0:
         raise EmptyGraphError("reciprocity of an edgeless graph")
-    present = graph.edge_set()
-    hits = sum(1 for s, t in graph.edges if (int(t), int(s)) in present)
-    return hits / graph.n_edges
+    src, dst = graph.edges.T
+    n = np.int64(graph.n_nodes)
+    hits = np.count_nonzero(np.isin(dst * n + src, src * n + dst))
+    return int(hits) / graph.n_edges

@@ -1,6 +1,10 @@
 import hashlib
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,24 @@ class TestDegreeDistCommand:
         for name in ("degree_in.csv", "degree_out.csv"):
             lines = (out / name).read_text().splitlines()
             assert "k,count,cumulative_fraction" in lines
+
+    def test_missing_file_exit_1_loads_no_scipy(self, tmp_path):
+        # a fresh interpreter, since this process has loaded scipy already
+        import netspectra
+
+        src = Path(netspectra.__file__).resolve().parents[1]
+        probe = (
+            "import sys; from netspectra.cli import main; "
+            "code = main(['degree-dist', 'nope.edges']); "
+            "print(code, 'scipy.linalg' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.split() == ["1", "False"], proc.stderr
+        assert "nope.edges" in proc.stderr
 
 
 class TestGenerateCommand:

@@ -1,8 +1,12 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netspectra import netcore
 from netspectra.netcore import (
     DegreeDistribution,
     DirectedGraph,
@@ -81,6 +85,59 @@ class TestLoadEdgeList:
         with pytest.raises(NodeIdError):
             load_text("# nodes=2\n0 5\n")
 
+    def test_inline_comment_rejected(self):
+        with pytest.raises(EdgeListParseError) as err:
+            load_text("0 1\n1 2 # note\n")
+        assert err.value.line_no == 2
+
+    def test_malformed_line_after_many_edges_reports_number(self):
+        text = "0 1\n" * 40_000 + "0 x\n"
+        with pytest.raises(EdgeListParseError, match="^line 40001: "):
+            load_text(text)
+
+    def test_header_without_edges(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g = load_text("# nodes=4\n\n")
+        assert g.n_nodes == 4 and g.n_edges == 0
+
+    def test_last_header_wins(self):
+        assert load_text("# nodes=9\n0 1\n  # nodes=5\n").n_nodes == 5
+
+    def test_python_int_tokens(self):
+        g = load_text("+5 1_0\n٣ 007\n")
+        assert g.edges.tolist() == [[5, 10], [3, 7]]
+
+    def test_id_beyond_int64_reported_against_header(self):
+        big = 2**70
+        with pytest.raises(NodeIdError, match=f"node id {big} exceeds declared nodes=5"):
+            load_text(f"# nodes=5\n0 {big}\n")
+
+    def test_dropped_self_loop_beyond_int64(self):
+        big = 2**70
+        g = load_text(f"{big} {big}\n0 1\n", allow_self_loops=False)
+        assert g.edges.tolist() == [[0, 1]]
+
+    # the header pushes n past the size where src * n + dst fits in int64
+    @pytest.mark.parametrize("header", ["", "# nodes=4000000000\n"])
+    def test_dedupe_keeps_first_occurrence_order(self, header):
+        pairs = [tuple(p) for p in np.random.default_rng(5).integers(0, 30, (3000, 2)).tolist()]
+        g = load_text(header + "".join(f"{s} {t}\n" for s, t in pairs))
+        assert g.edges.tolist() == [list(p) for p in dict.fromkeys(pairs)]
+
+    @pytest.mark.parametrize(
+        "text",
+        ["# nodes=3\n0 1\n1 2\n", "0 1\r\n 1\t2 \r\n", "\n  # note\n0 1\n\n", "#\n", ""],
+    )
+    def test_fast_pass_takes_plain_files(self, text):
+        assert netcore._parse_fast(text, 0) is not None
+
+    @pytest.mark.parametrize(
+        "text", ["0 1 # x\n", "1_0 2\n", "٣ 2\n", "0 1 2\n", "0\n", "0 -1\n", f"0 {2**63}\n"]
+    )
+    def test_fast_pass_leaves_other_input_to_line_walker(self, text):
+        assert netcore._parse_fast(text, 0) is None
+
     def test_bytes_stream(self):
         g = load_edge_list(io.BytesIO(b"0 1\n"))
         assert g.n_edges == 1
@@ -89,6 +146,60 @@ class TestLoadEdgeList:
         path = tmp_path / "g.edges"
         path.write_text("0 1\n1 0\n")
         assert load_edge_list(path).n_edges == 2
+
+
+_ID = st.integers(1, 9).map(str)
+_TOKEN = st.one_of(
+    _ID,
+    _ID,
+    _ID,
+    st.sampled_from(["0", "+5", "007", "-0", "-1", "1_0", "٣", "x", "#", f"{2**63}", f"-{2**63}"]),
+)
+_EDGE_LINE = st.builds(
+    lambda lead, tokens, sep: lead + sep.join(tokens),
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(_TOKEN, min_size=2, max_size=2),
+    st.sampled_from([" ", "\t", "  "]),
+)
+_OTHER_LINE = st.one_of(
+    st.sampled_from(["", "   ", "\t", "# note", "  # nodes=3", "#nodes = 12"]),
+    st.integers(0, 12).map("# nodes={}".format),
+    st.lists(_TOKEN, min_size=1, max_size=3).map(" ".join),
+    _EDGE_LINE.map(lambda line: line + " # inline"),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    lines = draw(st.lists(st.one_of(_EDGE_LINE, _EDGE_LINE, _EDGE_LINE, _OTHER_LINE), max_size=12))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text[: -len(ends[-1])] if lines and draw(st.booleans()) else text
+
+
+def _outcome(load):
+    try:
+        g = load()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc), getattr(exc, "line_no", None)
+    return g.n_nodes, g.edges.tolist(), g.multi_edges_allowed
+
+
+class TestParsePathsAgree:
+    @settings(max_examples=400, deadline=None)
+    @given(
+        text=edge_list_texts(),
+        index_base=st.sampled_from([0, 1]),
+        dedupe=st.booleans(),
+        allow_self_loops=st.booleans(),
+    )
+    def test_load_matches_line_walker(self, text, index_base, dedupe, allow_self_loops):
+        flags = dict(dedupe=dedupe, allow_self_loops=allow_self_loops)
+        got = _outcome(lambda: load_text(text, index_base=index_base, **flags))
+        want = _outcome(
+            lambda: netcore._build_graph(*netcore._parse_lines(text, index_base), **flags)
+        )
+        assert got == want
 
 
 class TestSaveRoundTrip:
@@ -321,3 +432,15 @@ class TestReciprocity:
     def test_self_loop_counts_as_reciprocal(self):
         g = DirectedGraph(n_nodes=2, edges=np.array([[0, 0], [0, 1]]))
         assert reciprocity(g) == pytest.approx(1 / 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), min_size=1, max_size=30),
+        multi=st.booleans(),
+    )
+    def test_matches_set_oracle(self, pairs, multi):
+        if not multi:
+            pairs = list(dict.fromkeys(pairs))
+        g = DirectedGraph(n_nodes=6, edges=np.array(pairs), multi_edges_allowed=multi)
+        present = set(pairs)
+        assert reciprocity(g) == sum((t, s) in present for s, t in pairs) / len(pairs)
