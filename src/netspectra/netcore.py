@@ -35,8 +35,11 @@ __all__ = [
 _HEADER_RE = re.compile(r"^#\s*nodes\s*=\s*(\d+)\s*$")
 # a whole line whose first non-blank character is ``#``, newline excluded
 _COMMENT_LINE_RE = re.compile(r"^([^\S\n]*#[^\n]*)", re.MULTILINE)
-# largest n with (n - 1) * n + (n - 1) < 2**63, so pair keys cannot wrap
-_MAX_KEYED_NODES = 3_037_000_499
+# a body numpy parses as the line walker would: digits, signs, blanks and
+# ``\n`` or ``\r\n`` line ends (numpy would also end a line at a lone ``\r``)
+_FAST_BODY_RE = re.compile(r"[0-9+\- \t\n]*(?:\r\n[0-9+\- \t\n]*)*")
+# largest m with m * m <= 2**63, so src * m + dst for ids below m fits int64
+_MAX_KEYED_IDS = 3_037_000_499
 
 
 class EdgeListParseError(ValueError):
@@ -103,12 +106,8 @@ class DirectedGraph:
                 raise NodeIdError(
                     f"node id {edges.max()} out of range for n_nodes={self.n_nodes}"
                 )
-        if not self.multi_edges_allowed and len(edges) > 1:
-            keys = edges[:, 0] * np.int64(self.n_nodes) + edges[:, 1]
-            if np.unique(keys).size != keys.size:
-                raise ValueError(
-                    "duplicate edges present but multi_edges_allowed is False"
-                )
+        if not self.multi_edges_allowed and not _first_occurrences(edges).all():
+            raise ValueError("duplicate edges present but multi_edges_allowed is False")
         if self.node_labels is not None and len(self.node_labels) != self.n_nodes:
             raise ValueError("node_labels length must equal n_nodes")
 
@@ -239,8 +238,8 @@ def _build_graph(edges, declared_n, *, dedupe: bool, allow_self_loops: bool) -> 
     n_nodes = declared_n if declared_n is not None else max_id + 1
     if max_id >= n_nodes:
         raise NodeIdError(f"node id {max_id} exceeds declared nodes={n_nodes}")
-    if dedupe and len(edges) > 1:
-        edges = edges[_first_occurrences(edges, n_nodes)]
+    if dedupe:
+        edges = edges[_first_occurrences(edges)]
     return DirectedGraph(n_nodes=n_nodes, edges=edges, multi_edges_allowed=not dedupe)
 
 
@@ -248,10 +247,11 @@ def _parse_fast(text: str, index_base: int):
     """Parse ``text`` with one numpy pass into ``(edges, declared_n)``, the
     ``(E, 2)`` int64 ids after the base shift and the last ``# nodes=N``
     value (None without one).  Returns None, "not handled", for any input it
-    cannot take exactly as the line walker would: an inline ``#``, a token
-    ``loadtxt`` rejects but ``int()`` accepts (``1_0``, unicode digits), an
-    id beyond int64, a line without two tokens or a negative id.  Those
-    inputs go to :func:`_parse_lines`, which accepts or reports them."""
+    cannot take exactly as the line walker would: a body that
+    :data:`_FAST_BODY_RE` does not match (an inline ``#``, ``1_0``, unicode
+    digits, ``1.0``, a lone ``\\r``), an id beyond int64, a line without two
+    tokens or a negative id.  Those inputs go to :func:`_parse_lines`, which
+    accepts or reports them."""
     declared_n = None
     # alternating body chunks and whole comment lines
     pieces = _COMMENT_LINE_RE.split(text) if "#" in text else [text]
@@ -262,6 +262,8 @@ def _parse_fast(text: str, index_base: int):
     body = "".join(pieces[::2])
     if not body.strip():
         return np.zeros((0, 2), dtype=np.int64), declared_n
+    if not _FAST_BODY_RE.fullmatch(body):
+        return None
     try:
         edges = np.loadtxt(io.StringIO(body), dtype=np.int64, comments=None, ndmin=2)
     except ValueError:
@@ -310,17 +312,27 @@ def _parse_lines(text: str, index_base: int):
     return edges.reshape(-1, 2), declared_n
 
 
-def _first_occurrences(edges: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Mask of the first occurrence of each ``(src, dst)`` pair, found with
-    one stable sort.  The ``src * n_nodes + dst`` key is used while it fits
-    in int64; larger ids sort by both columns."""
-    if n_nodes <= _MAX_KEYED_NODES:
-        order = np.argsort(edges[:, 0] * np.int64(n_nodes) + edges[:, 1], kind="stable")
-    else:
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-    ranked = edges[order]
+def _pair_keys(edges: np.ndarray) -> np.ndarray:
+    """One int64 key per ``(src, dst)`` row, equal exactly when the rows are
+    equal: ``src * m + dst`` with ``m`` the largest id + 1 while that fits,
+    else the same over each id's rank among the distinct ids in use (fewer
+    than 2E of them).  Keys depend only on the set of ids, so the keys of
+    ``edges[:, ::-1]`` compare with those of ``edges``."""
+    m = int(edges.max()) + 1 if edges.size else 0
+    if m > _MAX_KEYED_IDS:
+        ids, codes = np.unique(edges, return_inverse=True)
+        edges, m = codes.reshape(-1, 2), len(ids)
+    return edges[:, 0] * np.int64(m) + edges[:, 1]
+
+
+def _first_occurrences(edges: np.ndarray) -> np.ndarray:
+    """Mask of the first occurrence of each ``(src, dst)`` row, found with
+    one stable sort of the pair keys."""
+    keys = _pair_keys(edges)
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
     first = np.ones(len(edges), dtype=bool)
-    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    first[1:] = ranked[1:] != ranked[:-1]
     keep = np.zeros(len(edges), dtype=bool)
     keep[order[first]] = True
     return keep
@@ -509,7 +521,6 @@ def reciprocity(graph: DirectedGraph) -> float:
     """
     if graph.n_edges == 0:
         raise EmptyGraphError("reciprocity of an edgeless graph")
-    src, dst = graph.edges.T
-    n = np.int64(graph.n_nodes)
-    hits = np.count_nonzero(np.isin(dst * n + src, src * n + dst))
+    edges = graph.edges
+    hits = np.count_nonzero(np.isin(_pair_keys(edges[:, ::-1]), _pair_keys(edges)))
     return int(hits) / graph.n_edges
