@@ -13,8 +13,11 @@ Three growth processes over a shared preferential-attachment kernel
 
 All decisions are drawn from ``random.Random(seed)``, so outputs are
 bit-reproducible for a fixed seed and parameter set across platforms.
-Within one growth event, targets are drawn against the in-degrees as they
-were at the start of the event.
+Integer draws take words from ``getrandbits`` exactly as ``randrange``
+would, so they give the numbers ``randrange`` gives.  Within one growth
+event, targets are drawn against the in-degrees as they were at the start
+of the event.  A Fenwick tree over those in-degrees (:class:`_PrefSampler`)
+makes an event with m links cost O(m log N).
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netcore import DirectedGraph
+from .netcore import DirectedGraph, _randbelow
 
 __all__ = [
     "AbParams",
@@ -97,6 +100,53 @@ class AlParams:
             raise ValueError(f"n_target must be >= seed size m+1 = {self.m + 1}")
 
 
+class _PrefSampler:
+    """Preferential draws over integer weights from a Fenwick tree (Fenwick,
+    Softw. Pract. Exp. 24, 327 (1994)).
+
+    :meth:`draw` takes ``r = randrange(total)`` and descends the tree to the
+    smallest index whose prefix sum exceeds ``r``, the same index as
+    ``searchsorted(cumsum(weights), r, side="right")``, in O(log N).
+    :meth:`add` only buffers a weight change and :meth:`commit` applies the
+    buffer, so all draws between two commits see the same weights.
+    """
+
+    def __init__(self, size: int, getrandbits):
+        # padded to a power of two so the descent never leaves the tree; it
+        # starts below the root, whose sum is the total and always exceeds r
+        top = 1 << max(size - 1, 0).bit_length()
+        self._tree = [0] * (top + 1)
+        self._steps = [1 << b for b in range(top.bit_length() - 2, -1, -1)]
+        self._pending: list[tuple[int, int]] = []
+        self._getrandbits = getrandbits
+        self.total = 0
+
+    def add(self, i: int, delta: int) -> None:
+        self._pending.append((i, delta))
+
+    def commit(self) -> None:
+        tree = self._tree
+        end = len(tree)
+        for i, delta in self._pending:
+            self.total += delta
+            i += 1
+            while i < end:
+                tree[i] += delta
+                i += i & -i
+        self._pending.clear()
+
+    def draw(self) -> int:
+        r = _randbelow(self._getrandbits, self.total)
+        tree = self._tree
+        pos = 0
+        for step in self._steps:
+            w = tree[pos + step]
+            if w <= r:
+                pos += step
+                r -= w
+        return pos
+
+
 def _grow(params: AbParams, rng, color_cfg=None):
     """Shared growth engine; returns (edge list, colors or None).
 
@@ -106,11 +156,14 @@ def _grow(params: AbParams, rng, color_cfg=None):
     """
     m = params.m
     n_seed = m + 1
+    getrandbits = rng.getrandbits
     edges: list[tuple[int, int]] = []
     present: set[tuple[int, int]] = set()
     # preferential weight per node = in-degree + 1
-    weight = np.zeros(params.n_target, dtype=np.int64)
-    weight[:n_seed] = 1
+    pref = _PrefSampler(params.n_target, getrandbits)
+    draw_target = pref.draw
+    for i in range(n_seed):
+        pref.add(i, 1)
 
     colors = None
     n_colors = 0
@@ -129,7 +182,7 @@ def _grow(params: AbParams, rng, color_cfg=None):
     def add_edge(src, tgt):
         edges.append((src, tgt))
         present.add((src, tgt))
-        weight[tgt] += 1
+        pref.add(tgt, 1)
 
     if params.seed_bidirectional:
         seed_pairs = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
@@ -141,18 +194,14 @@ def _grow(params: AbParams, rng, color_cfg=None):
 
     n_now = n_seed
     while n_now < params.n_target:
-        cum = np.cumsum(weight[:n_now])
-        total = int(cum[-1])
-
-        def draw_target():
-            return int(np.searchsorted(cum, rng.randrange(total), side="right"))
-
+        # one growth event draws against the weights at its start
+        pref.commit()
         u = rng.random()
         if u < params.p:
             # add m links from uniform sources to preferential targets
             for _ in range(m):
                 for _ in range(_MAX_DRAW_RETRIES):
-                    src = rng.randrange(n_now)
+                    src = _randbelow(getrandbits, n_now)
                     tgt = draw_target()
                     if src == tgt and not params.allow_self_loops:
                         continue
@@ -167,7 +216,7 @@ def _grow(params: AbParams, rng, color_cfg=None):
                 if not edges:
                     break
                 for _ in range(_MAX_DRAW_RETRIES):
-                    e_idx = rng.randrange(len(edges))
+                    e_idx = _randbelow(getrandbits, len(edges))
                     src, old_tgt = edges[e_idx]
                     tgt = draw_target()
                     if src == tgt and not params.allow_self_loops:
@@ -176,10 +225,10 @@ def _grow(params: AbParams, rng, color_cfg=None):
                         continue
                     if keep_link(src, tgt):
                         present.discard((src, old_tgt))
-                        weight[old_tgt] -= 1
+                        pref.add(old_tgt, -1)
                         edges[e_idx] = (src, tgt)
                         present.add((src, tgt))
-                        weight[tgt] += 1
+                        pref.add(tgt, 1)
                     break
         else:
             # new node with m outgoing links
@@ -189,7 +238,7 @@ def _grow(params: AbParams, rng, color_cfg=None):
                     colors[node] = n_colors
                     n_colors += 1
                 else:
-                    colors[node] = colors[rng.randrange(n_now)]
+                    colors[node] = colors[_randbelow(getrandbits, n_now)]
             for _ in range(m):
                 for _ in range(_MAX_DRAW_RETRIES):
                     tgt = draw_target()
@@ -198,7 +247,7 @@ def _grow(params: AbParams, rng, color_cfg=None):
                     if keep_link(node, tgt):
                         add_edge(node, tgt)
                     break
-            weight[node] = 1
+            pref.add(node, 1)
             n_now += 1
 
     return edges, colors
@@ -245,19 +294,16 @@ def generate_al(params: AlParams) -> DirectedGraph:
     m = params.m
     n_seed = m + 1
     edges = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
-    weight = np.zeros(params.n_target, dtype=np.int64)
-    weight[:n_seed] = 1 + m  # baseline + seed-clique in-links
+    pref = _PrefSampler(params.n_target, rng.getrandbits)
+    for i in range(n_seed):
+        pref.add(i, 1 + m)  # baseline + seed-clique in-links
     for node in range(n_seed, params.n_target):
-        cum = np.cumsum(weight[:node])
-        total = int(cum[-1])
-        targets = [
-            int(np.searchsorted(cum, rng.randrange(total), side="right"))
-            for _ in range(m)
-        ]
-        for tgt in targets:
+        pref.commit()
+        for _ in range(m):
+            tgt = pref.draw()
             edges.append((node, tgt))
-            weight[tgt] += 1
-        weight[node] = 1
+            pref.add(tgt, 1)
+        pref.add(node, 1)
     return DirectedGraph(
         n_nodes=params.n_target,
         edges=np.array(edges, dtype=np.int64),

@@ -38,6 +38,7 @@ _COMMENT_LINE_RE = re.compile(r"^([^\S\n]*#[^\n]*)", re.MULTILINE)
 # a body numpy parses as the line walker would: digits, signs, blanks and
 # ``\n`` or ``\r\n`` line ends (numpy would also end a line at a lone ``\r``)
 _FAST_BODY_RE = re.compile(r"[0-9+\- \t\n]*(?:\r\n[0-9+\- \t\n]*)*")
+_MAX_INT64 = 2**63 - 1
 # largest m with m * m <= 2**63, so src * m + dst for ids below m fits int64
 _MAX_KEYED_IDS = 3_037_000_499
 
@@ -219,8 +220,8 @@ def load_edge_list(
     EdgeListParseError
         On a line that is not two integer tokens.
     NodeIdError
-        On a negative id after the base shift, or an id at or above a
-        declared ``# nodes=N`` count.
+        On a negative id after the base shift, an id at or above a declared
+        ``# nodes=N`` count, or a node count beyond int64.
     """
     if index_base not in (0, 1):
         raise ValueError("index_base must be 0 or 1")
@@ -238,6 +239,8 @@ def _build_graph(edges, declared_n, *, dedupe: bool, allow_self_loops: bool) -> 
     n_nodes = declared_n if declared_n is not None else max_id + 1
     if max_id >= n_nodes:
         raise NodeIdError(f"node id {max_id} exceeds declared nodes={n_nodes}")
+    if n_nodes > _MAX_INT64:
+        raise NodeIdError(f"{n_nodes} nodes exceed the int64 id range")
     if dedupe:
         edges = edges[_first_occurrences(edges)]
     return DirectedGraph(n_nodes=n_nodes, edges=edges, multi_edges_allowed=not dedupe)
@@ -393,6 +396,19 @@ def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, dict[int,
     )
 
 
+def _randbelow(getrandbits, n: int) -> int:
+    """A uniform int in ``[0, n)`` for ``n > 0``, drawn exactly as
+    ``random.Random.randrange(n)`` draws it: ``k = n.bit_length()`` random
+    bits from ``getrandbits``, redrawn while the value is ``>= n``.  So a
+    seeded stream gives the same numbers as ``randrange`` does, without its
+    argument checks."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def maslov_randomize(
     graph: DirectedGraph,
     n_swaps: int | None = None,
@@ -415,33 +431,36 @@ def maslov_randomize(
         raise ValueError("need at least two edges to swap")
     if n_swaps is None:
         n_swaps = 10 * n_edges
-    rng = random.Random(rng_seed)
-    edges = [(int(s), int(t)) for s, t in graph.edges]
-    present = set(edges)
+    getrandbits = random.Random(rng_seed).getrandbits
+    src = graph.edges[:, 0].tolist()
+    dst = graph.edges[:, 1].tolist()
+    # edge (a, b) is the Python int a * n + b: exact for any n, no tuples
+    n = graph.n_nodes
+    present = {a * n + b for a, b in zip(src, dst)}
     for _ in range(n_swaps):
-        i = rng.randrange(n_edges)
-        j = rng.randrange(n_edges)
+        i = _randbelow(getrandbits, n_edges)
+        j = _randbelow(getrandbits, n_edges)
         while j == i:
-            j = rng.randrange(n_edges)
-        a, b = edges[i]
-        c, d = edges[j]
-        e1 = (c, b)
-        e2 = (a, d)
+            j = _randbelow(getrandbits, n_edges)
+        a, b = src[i], dst[i]
+        c, d = src[j], dst[j]
         if not allow_self_loops and (c == b or a == d):
             continue
-        present.discard((a, b))
-        present.discard((c, d))
+        ab, cd = a * n + b, c * n + d
+        e1, e2 = c * n + b, a * n + d
+        present.discard(ab)
+        present.discard(cd)
         if e1 in present or e2 in present or e1 == e2:
-            present.add((a, b))
-            present.add((c, d))
+            present.add(ab)
+            present.add(cd)
             continue
-        edges[i] = e1
-        edges[j] = e2
+        src[i] = c
+        src[j] = a
         present.add(e1)
         present.add(e2)
     return DirectedGraph(
         n_nodes=graph.n_nodes,
-        edges=np.array(edges, dtype=np.int64),
+        edges=np.column_stack((np.array(src, dtype=np.int64), graph.edges[:, 1])),
         multi_edges_allowed=False,
         node_labels=graph.node_labels,
     )

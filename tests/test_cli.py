@@ -156,6 +156,12 @@ class TestDegreeDistCommand:
             lines = (out / name).read_text().splitlines()
             assert "k,count,cumulative_fraction" in lines
 
+    def test_id_beyond_int64_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "big.edges"
+        src.write_text("0 99999999999999999999\n")
+        assert main(["degree-dist", str(src), "--out-dir", str(tmp_path / "o")]) == 1
+        assert "int64" in capsys.readouterr().err
+
     def test_missing_file_exit_1_loads_no_scipy(self, tmp_path):
         # a fresh interpreter, since this process has loaded scipy already
         import netspectra

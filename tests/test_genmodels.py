@@ -1,15 +1,19 @@
+import random
+
 import numpy as np
 import pytest
 
 from netspectra.genmodels import (
+    _MAX_DRAW_RETRIES,
     AbParams,
     AlParams,
     ColorParams,
+    _PrefSampler,
     generate_ab,
     generate_al,
     generate_color,
 )
-from netspectra.netcore import degree_distribution, fit_loglog_slope
+from netspectra.netcore import DirectedGraph, degree_distribution, fit_loglog_slope
 
 # frozen outputs of the growth processes for fixed seeds; these pin the
 # exact drawing order so refactors cannot silently change the streams
@@ -175,3 +179,210 @@ class TestAlModel:
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             AlParams(n_target=3, m=5)
+
+
+class TestPrefSampler:
+    def test_descent_is_searchsorted_right(self):
+        rng = np.random.default_rng(3)
+        for size in (1, 2, 3, 7, 8, 9, 100):
+            weights = rng.integers(0, 4, size)
+            weights[rng.integers(size)] += 1  # a positive total
+            cum = np.cumsum(weights)
+            for r in range(int(cum[-1])):
+                pref = _PrefSampler(size, lambda k: r)
+                for i, w in enumerate(weights.tolist()):
+                    pref.add(i, w)
+                pref.commit()
+                assert pref.draw() == np.searchsorted(cum, r, side="right")
+
+    def test_added_weight_waits_for_commit(self):
+        pref = _PrefSampler(4, lambda k: 1)
+        pref.add(0, 1)
+        pref.add(1, 1)
+        pref.commit()
+        pref.add(0, 5)
+        assert (pref.total, pref.draw()) == (2, 1)
+        pref.commit()
+        assert (pref.total, pref.draw()) == (7, 0)
+
+
+def _ab_cases():
+    for m, p, q in [(1, 0.2, 0.1), (2, 0.0, 0.0), (3, 0.45, 0.45), (5, 0.2, 0.1), (2, 0.0, 0.7)]:
+        for loops, bidir in [(False, True), (True, False)]:
+            yield m, p, q, loops, bidir
+
+
+class TestMatchesReference:
+    """Every seeded output equals that of the generators as first written."""
+
+    @pytest.mark.parametrize("seed", [0, 9])
+    @pytest.mark.parametrize("m,p,q,loops,bidir", list(_ab_cases()))
+    def test_ab(self, m, p, q, loops, bidir, seed):
+        params = AbParams(
+            n_target=150, m=m, p=p, q=q, seed=seed,
+            seed_bidirectional=bidir, allow_self_loops=loops,
+        )
+        edges, _ = reference_grow(params, random.Random(seed))
+        assert generate_ab(params).edges.tolist() == [list(e) for e in edges]
+
+    @pytest.mark.parametrize("seed", [1, 4])
+    @pytest.mark.parametrize(
+        "eta,epsilon,initial_colors", [(1e-2, 1e-3, 3), (0.3, 0.0, 1), (1.0, 1.0, 2), (0.0, 0.5, 4)]
+    )
+    @pytest.mark.parametrize("m,p,q,loops,bidir", [(1, 0.2, 0.1, False, True), (3, 0.3, 0.5, True, False)])
+    def test_color(self, m, p, q, loops, bidir, eta, epsilon, initial_colors, seed):
+        ab = AbParams(
+            n_target=150, m=m, p=p, q=q, seed=seed,
+            seed_bidirectional=bidir, allow_self_loops=loops,
+        )
+        edges, colors = reference_grow(
+            ab, random.Random(seed), color_cfg=(eta, epsilon, initial_colors)
+        )
+        g, got_colors = generate_color(ColorParams(ab, eta, epsilon, initial_colors))
+        assert g.edges.tolist() == [list(e) for e in edges]
+        assert got_colors.tolist() == colors.tolist()
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**70])
+    @pytest.mark.parametrize("m,n_target", [(1, 2), (1, 300), (3, 300), (8, 200)])
+    def test_al(self, m, n_target, seed):
+        params = AlParams(n_target=n_target, m=m, seed=seed)
+        assert generate_al(params) == reference_generate_al(params)
+
+
+def reference_grow(params: AbParams, rng, color_cfg=None):
+    """The growth engine as first written (``randrange`` draws, a ``cumsum``
+    rebuilt per event), kept as the oracle for ``genmodels._grow``; returns
+    (edge list, colors or None).
+
+    ``color_cfg`` is a (eta, epsilon, initial_colors) triple; when present,
+    every candidate link is passed through the color rule (cross-color links
+    kept with probability epsilon, never redrawn when omitted).
+    """
+    m = params.m
+    n_seed = m + 1
+    edges: list[tuple[int, int]] = []
+    present: set[tuple[int, int]] = set()
+    # preferential weight per node = in-degree + 1
+    weight = np.zeros(params.n_target, dtype=np.int64)
+    weight[:n_seed] = 1
+
+    colors = None
+    n_colors = 0
+    if color_cfg is not None:
+        eta, epsilon, initial_colors = color_cfg
+        colors = np.zeros(params.n_target, dtype=np.int64)
+        n_colors = initial_colors
+        for i in range(n_seed):
+            colors[i] = i % initial_colors
+
+    def keep_link(src, tgt):
+        if colors is None or colors[src] == colors[tgt]:
+            return True
+        return rng.random() < epsilon
+
+    def add_edge(src, tgt):
+        edges.append((src, tgt))
+        present.add((src, tgt))
+        weight[tgt] += 1
+
+    if params.seed_bidirectional:
+        seed_pairs = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
+    else:
+        seed_pairs = [(i, j) for i in range(n_seed) for j in range(i + 1, n_seed)]
+    for i, j in seed_pairs:
+        if keep_link(i, j):
+            add_edge(i, j)
+
+    n_now = n_seed
+    while n_now < params.n_target:
+        cum = np.cumsum(weight[:n_now])
+        total = int(cum[-1])
+
+        def draw_target():
+            return int(np.searchsorted(cum, rng.randrange(total), side="right"))
+
+        u = rng.random()
+        if u < params.p:
+            # add m links from uniform sources to preferential targets
+            for _ in range(m):
+                for _ in range(_MAX_DRAW_RETRIES):
+                    src = rng.randrange(n_now)
+                    tgt = draw_target()
+                    if src == tgt and not params.allow_self_loops:
+                        continue
+                    if (src, tgt) in present:
+                        continue
+                    if keep_link(src, tgt):
+                        add_edge(src, tgt)
+                    break
+        elif u < params.p + params.q:
+            # re-target the head of m uniformly chosen existing links
+            for _ in range(m):
+                if not edges:
+                    break
+                for _ in range(_MAX_DRAW_RETRIES):
+                    e_idx = rng.randrange(len(edges))
+                    src, old_tgt = edges[e_idx]
+                    tgt = draw_target()
+                    if src == tgt and not params.allow_self_loops:
+                        continue
+                    if (src, tgt) in present:
+                        continue
+                    if keep_link(src, tgt):
+                        present.discard((src, old_tgt))
+                        weight[old_tgt] -= 1
+                        edges[e_idx] = (src, tgt)
+                        present.add((src, tgt))
+                        weight[tgt] += 1
+                    break
+        else:
+            # new node with m outgoing links
+            node = n_now
+            if colors is not None:
+                if rng.random() < eta:
+                    colors[node] = n_colors
+                    n_colors += 1
+                else:
+                    colors[node] = colors[rng.randrange(n_now)]
+            for _ in range(m):
+                for _ in range(_MAX_DRAW_RETRIES):
+                    tgt = draw_target()
+                    if (node, tgt) in present:
+                        continue
+                    if keep_link(node, tgt):
+                        add_edge(node, tgt)
+                    break
+            weight[node] = 1
+            n_now += 1
+
+    return edges, colors
+
+
+def reference_generate_al(params: AlParams) -> DirectedGraph:
+    """``generate_al`` as first written, kept as its oracle.
+
+    Multigraph growth: every non-seed node has out-degree exactly ``m``
+    counting multiplicity; targets are drawn independently with probability
+    proportional to in-degree + 1 at the node's arrival time."""
+    rng = random.Random(params.seed)
+    m = params.m
+    n_seed = m + 1
+    edges = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
+    weight = np.zeros(params.n_target, dtype=np.int64)
+    weight[:n_seed] = 1 + m  # baseline + seed-clique in-links
+    for node in range(n_seed, params.n_target):
+        cum = np.cumsum(weight[:node])
+        total = int(cum[-1])
+        targets = [
+            int(np.searchsorted(cum, rng.randrange(total), side="right"))
+            for _ in range(m)
+        ]
+        for tgt in targets:
+            edges.append((node, tgt))
+            weight[tgt] += 1
+        weight[node] = 1
+    return DirectedGraph(
+        n_nodes=params.n_target,
+        edges=np.array(edges, dtype=np.int64),
+        multi_edges_allowed=True,
+    )

@@ -1,4 +1,5 @@
 import io
+import random
 import warnings
 
 import numpy as np
@@ -116,6 +117,13 @@ class TestLoadEdgeList:
         big = 2**70
         with pytest.raises(NodeIdError, match=f"node id {big} exceeds declared nodes=5"):
             load_text(f"# nodes=5\n0 {big}\n")
+
+    @pytest.mark.parametrize(
+        "text", ["0 99999999999999999999\n", f"0 {2**63 - 1}\n", "# nodes=99999999999999999999\n0 1\n"]
+    )
+    def test_node_count_beyond_int64(self, text):
+        with pytest.raises(NodeIdError, match="exceed the int64 id range"):
+            load_text(text)
 
     def test_dropped_self_loop_beyond_int64(self):
         big = 2**70
@@ -320,7 +328,99 @@ class TestFilterMinOutdegree:
         assert set(mapping) == {int(u) for u in np.nonzero(original_out > 0)[0]}
 
 
+def reference_maslov_randomize(
+    graph: DirectedGraph,
+    n_swaps: int | None = None,
+    rng_seed: int = 0,
+    allow_self_loops: bool = True,
+) -> DirectedGraph:
+    """The rewiring loop as first written (``randrange`` draws, tuple sets),
+    kept as the oracle for :func:`maslov_randomize`."""
+    if graph.multi_edges_allowed:
+        raise ValueError("rewiring requires a simple graph (no parallel edges)")
+    n_edges = graph.n_edges
+    if n_edges < 2:
+        raise ValueError("need at least two edges to swap")
+    if n_swaps is None:
+        n_swaps = 10 * n_edges
+    rng = random.Random(rng_seed)
+    edges = [(int(s), int(t)) for s, t in graph.edges]
+    present = set(edges)
+    for _ in range(n_swaps):
+        i = rng.randrange(n_edges)
+        j = rng.randrange(n_edges)
+        while j == i:
+            j = rng.randrange(n_edges)
+        a, b = edges[i]
+        c, d = edges[j]
+        e1 = (c, b)
+        e2 = (a, d)
+        if not allow_self_loops and (c == b or a == d):
+            continue
+        present.discard((a, b))
+        present.discard((c, d))
+        if e1 in present or e2 in present or e1 == e2:
+            present.add((a, b))
+            present.add((c, d))
+            continue
+        edges[i] = e1
+        edges[j] = e2
+        present.add(e1)
+        present.add(e2)
+    return DirectedGraph(
+        n_nodes=graph.n_nodes,
+        edges=np.array(edges, dtype=np.int64),
+        multi_edges_allowed=False,
+        node_labels=graph.node_labels,
+    )
+
+
+@st.composite
+def simple_graphs(draw):
+    n = draw(st.integers(2, 12))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pair, min_size=2, max_size=n * n, unique=True))
+    return DirectedGraph(n_nodes=n, edges=np.array(edges))
+
+
+# n = 1, 2, 3 and 2**k - 1, 2**k, 2**k + 1 up to past 2**64
+_RANDBELOW_NS = [1, 2, 3] + [
+    2**k + d for k in (2, 3, 7, 16, 31, 32, 33, 53, 63, 64, 65, 100) for d in (-1, 0, 1)
+]
+
+
+class TestRandbelow:
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 7])
+    def test_same_stream_as_randrange(self, seed):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for n in _RANDBELOW_NS * 2:
+            assert ours.random() == ref.random()
+            got = [netcore._randbelow(ours.getrandbits, n) for _ in range(7)]
+            assert got == [ref.randrange(n) for _ in range(7)]
+        assert ours.getstate() == ref.getstate()
+
+
 class TestMaslovRandomize:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graph=simple_graphs(),
+        n_swaps=st.one_of(st.none(), st.integers(0, 200)),
+        seed=st.integers(0, 2**64),
+        allow_self_loops=st.booleans(),
+    )
+    def test_matches_reference_loop(self, graph, n_swaps, seed, allow_self_loops):
+        kw = dict(n_swaps=n_swaps, rng_seed=seed, allow_self_loops=allow_self_loops)
+        want = reference_maslov_randomize(graph, **kw)
+        assert maslov_randomize(graph, **kw) == want
+
+    @pytest.mark.parametrize("n_nodes", [60, 2**62])
+    def test_matches_reference_on_larger_graph(self, n_nodes):
+        edges = sparse_random(60, seed=3).edges
+        g = DirectedGraph(n_nodes=n_nodes, edges=edges * (n_nodes // 60))
+        for seed, loops in [(1, True), (2, False)]:
+            kw = dict(rng_seed=seed, allow_self_loops=loops)
+            assert maslov_randomize(g, **kw) == reference_maslov_randomize(g, **kw)
+
     def test_zero_swaps_identity(self):
         g = sparse_random(30, seed=0)
         assert maslov_randomize(g, n_swaps=0, rng_seed=1) == g

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from netspectra.genmodels import AbParams, ColorParams, generate_ab, generate_color
 from netspectra.gmatrix import GoogleMatrix, build_stochastic
 from netspectra.netcore import DirectedGraph, FitError
 from netspectra.ranking import (
@@ -88,6 +89,36 @@ class TestDenseOracle:
     def test_alpha_one_rejected(self):
         with pytest.raises(ValueError):
             pagerank_dense_solve(GoogleMatrix.from_graph(two_cycle(), 1.0))
+
+
+class TestPagerankOracles:
+    @pytest.mark.parametrize("alpha", [0.85, 0.99])
+    def test_matches_networkx(self, alpha):
+        nx = pytest.importorskip("networkx")
+        graph = generate_ab(AbParams(n_target=3000, seed=21))
+        ours = pagerank_power(GoogleMatrix.from_graph(graph, alpha))
+        g = nx.DiGraph()
+        g.add_nodes_from(range(graph.n_nodes))
+        g.add_edges_from(graph.edges.tolist())
+        # networkx stops once the L1 change is below n * tol
+        ref = nx.pagerank(g, alpha=alpha, tol=1e-17, max_iter=100_000)
+        ref = np.array([ref[u] for u in range(graph.n_nodes)])
+        assert np.abs(ours.values - ref).sum() <= 1e-9
+
+    @pytest.mark.parametrize("tol", [1e-4, 1e-7, 1e-10])
+    @pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99])
+    def test_stop_rule_error_bound(self, alpha, tol):
+        # a last L1 step below tol leaves the iterate within
+        # alpha * tol / (1 - alpha) of the fixed point in L1; closed colour
+        # communities give S a degenerate lambda = 1, the slowest case
+        graph, _ = generate_color(
+            ColorParams(ab=AbParams(n_target=400, seed=2), eta=0.03, epsilon=0.0)
+        )
+        gm = GoogleMatrix.from_graph(graph, alpha)
+        power = pagerank_power(gm, tol=tol)
+        error = np.abs(power.values - pagerank_dense_solve(gm).values).sum()
+        assert power.converged and power.residual < tol
+        assert error <= alpha * power.residual / (1 - alpha) + 1e-12
 
 
 class TestParticipationRatio:

@@ -3,7 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
+from netspectra.genmodels import AbParams, ColorParams, generate_color
 from netspectra.gmatrix import GoogleMatrix
+from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power
 from netspectra.spectra import (
     EigensolverError,
@@ -27,6 +32,30 @@ from helpers import complete_graph, directed_cycle, ring_plus_random, sparse_ran
 
 def spectrum_of(graph, alpha):
     return eigendecompose(GoogleMatrix.from_graph(graph, alpha).to_dense())
+
+
+def closed_class_count(graph):
+    """Number of strongly connected classes with no link leaving them, where
+    a dangling node links to every node (its column of S is uniform)."""
+    n = graph.n_nodes
+    dangling = np.nonzero(graph.out_degrees() == 0)[0]
+    src = np.concatenate([graph.edges[:, 0], np.repeat(dangling, n)])
+    dst = np.concatenate([graph.edges[:, 1], np.tile(np.arange(n), dangling.size)])
+    adjacency = coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    n_classes, label = connected_components(adjacency, directed=True, connection="strong")
+    leaks = np.zeros(n_classes, dtype=bool)
+    leaks[label[src[label[src] != label[dst]]]] = True
+    return n_classes - int(leaks.sum())
+
+
+def random_small_graph(seed):
+    """One random out-link per node, about 5% of nodes dangling: often
+    several closed cycles, and classes that leak only through a dangling
+    node."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    edges = {(u, int(rng.integers(n))) for u in range(n) if rng.random() >= 0.05}
+    return DirectedGraph(n_nodes=n, edges=np.array(sorted(edges)).reshape(-1, 2))
 
 
 class TestEigendecompose:
@@ -247,6 +276,44 @@ class TestDegeneracyClusters:
         assert abs(report.clusters[0].representative - 0.25) <= 1e-9
         assert report.clusters[1].multiplicity == 800
         assert sum(c.multiplicity for c in report.clusters) == lam.size
+
+
+class TestUnitEigenvalueMultiplicity:
+    """At alpha = 1 the multiplicity of lambda = 1 equals the number of closed
+    strongly connected classes of S."""
+
+    @staticmethod
+    def unit_multiplicity(graph):
+        report = degeneracy_clusters(spectrum_of(graph, 1.0))
+        near = [c for c in report.clusters if abs(c.representative - 1.0) <= 1e-8]
+        return sum(c.multiplicity for c in near)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_color_graphs_without_cross_links(self, seed):
+        graph, colors = generate_color(
+            ColorParams(ab=AbParams(n_target=240, seed=seed), eta=0.03, epsilon=0.0)
+        )
+        assert np.unique(colors).size > 3
+        classes = closed_class_count(graph)
+        assert classes >= 1
+        assert self.unit_multiplicity(graph) == classes
+
+    def test_random_small_graphs(self):
+        counts = []
+        for seed in range(60):
+            graph = random_small_graph(seed)
+            classes = closed_class_count(graph)
+            assert self.unit_multiplicity(graph) == classes, seed
+            counts.append(classes)
+        assert max(counts) >= 4  # the sample holds degenerate cases
+
+    def test_class_reaching_a_dangling_node_is_not_closed(self):
+        # 0 <-> 1 is closed; 2 <-> 3 leaks to the dangling node 4
+        graph = DirectedGraph(
+            n_nodes=5, edges=np.array([[0, 1], [1, 0], [2, 3], [3, 2], [3, 4]])
+        )
+        assert closed_class_count(graph) == 1
+        assert self.unit_multiplicity(graph) == 1
 
 
 class TestEigenvectorPars:
