@@ -44,18 +44,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
-def _parse_floats(text):
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
+def _parse_list(kind, noun):
+    """argparse type for a nonempty comma-separated list of ``kind``."""
 
+    def parse(text):
+        try:
+            values = [kind(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {noun}, got {text!r}")
+        return values
 
-def _parse_ints(text):
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return parse
 
 
 def _sha256(path) -> str:
@@ -299,13 +300,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_pagerank)
 
     p = sub.add_parser("fidelity", parents=[common, ingest, outdir], help="rank overlap grid over damping values")
-    p.add_argument("--alphas", type=_parse_floats, required=True, help='e.g. "0.49,0.59,0.69"')
+    p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True, help='e.g. "0.49,0.59,0.69"')
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("par-curve", parents=[common, ingest, outdir], help="rank participation ratio vs damping")
-    p.add_argument("--alphas", type=_parse_floats, required=True)
+    p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_par_curve)
@@ -346,7 +347,7 @@ def build_parser() -> _Parser:
         help="spectra of rank-truncated operators vs the full one",
     )
     p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--sizes", type=_parse_ints, required=True, help='e.g. "8192,4096"')
+    p.add_argument("--sizes", type=_parse_list(int, "integers"), required=True, help='e.g. "8192,4096"')
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--dense-limit", type=int, default=30000)
     p.set_defaults(func=cmd_truncate_spectrum)

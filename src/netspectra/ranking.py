@@ -140,19 +140,34 @@ def pagerank_dense_solve(g: GoogleMatrix) -> RankVector:
     return RankVector(values=p, alpha=g.alpha, iterations=0, residual=0.0)
 
 
-def participation_ratio(v) -> float:
+def participation_ratio(v):
     """Effective number of entries supporting a vector:
-    ``(sum |v|^2)^2 / sum |v|^4``.
+    ``(sum |v|^2)^2 / sum |v|^4``; for a 2-D array, one ratio per column.
 
     Invariant under multiplication by any nonzero scalar; 1 for a single
-    nonzero entry, n for a uniform-magnitude vector of length n.
+    nonzero entry, n for a uniform-magnitude vector of length n.  Each
+    column is summed as one contiguous row, so a column's ratio is bitwise
+    the ratio of that column on its own.
     """
     v = np.asarray(v)
-    a2 = np.abs(v) ** 2
-    s2 = float(a2.sum())
-    if s2 == 0.0:
+    a2 = np.abs(v.T, order="C") ** 2
+    s2 = a2.sum(axis=-1)
+    if np.any(s2 == 0.0):
         raise ValueError("participation ratio of the zero vector")
-    return s2 * s2 / float((a2 * a2).sum())
+    xi = s2 * s2 / (a2 * a2).sum(axis=-1)
+    return xi if v.ndim == 2 else float(xi)
+
+
+def _rank_sweep(graph: DirectedGraph, alphas, tol: float, max_iter: int):
+    """Check every damping value, build S once, then yield the rank vector
+    at each value in order."""
+    alphas = [float(a) for a in alphas]
+    for alpha in alphas:
+        if not 0.0 < alpha < 1.0:
+            raise ValueError(f"alpha values must lie in (0, 1), got {alpha}")
+    s = build_stochastic(graph)
+    for alpha in alphas:
+        yield pagerank_power(GoogleMatrix(s, alpha), tol=tol, max_iter=max_iter)
 
 
 def par_vs_alpha(
@@ -165,14 +180,10 @@ def par_vs_alpha(
 
     Each point carries the convergence flag of its power iteration.
     """
-    s = build_stochastic(graph)
-    points = []
-    for alpha in alphas:
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha values must lie in (0, 1), got {alpha}")
-        r = pagerank_power(GoogleMatrix(s, float(alpha)), tol=tol, max_iter=max_iter)
-        points.append(ParPoint(float(alpha), participation_ratio(r.values), r.converged))
-    return points
+    return [
+        ParPoint(r.alpha, participation_ratio(r.values), r.converged)
+        for r in _rank_sweep(graph, alphas, tol, max_iter)
+    ]
 
 
 def decay_exponent(
@@ -229,20 +240,13 @@ def fidelity_grid(
     Each rank vector is computed once; the matrix is filled pairwise and
     mirrored, so symmetry is exact.
     """
-    alphas = np.asarray(list(alphas), dtype=np.float64)
-    if np.any((alphas <= 0.0) | (alphas >= 1.0)):
-        raise ValueError("alpha values must lie in (0, 1)")
-    s = build_stochastic(graph)
-    ranks = [
-        pagerank_power(GoogleMatrix(s, float(a)), tol=tol, max_iter=max_iter)
-        for a in alphas
-    ]
+    ranks = list(_rank_sweep(graph, alphas, tol, max_iter))
     k = len(ranks)
     f = np.empty((k, k))
     for i in range(k):
         for j in range(i, k):
             f[i, j] = f[j, i] = fidelity(ranks[i], ranks[j])
-    return FidelityGrid(alphas=alphas, f=f)
+    return FidelityGrid(alphas=np.array([r.alpha for r in ranks]), f=f)
 
 
 def rank_to_csv(r: RankVector, target, header_comment=None) -> None:

@@ -282,44 +282,34 @@ def degeneracy_clusters(spec: Spectrum, tol: float = DEGENERACY_TOL) -> Degenera
 
     Two eigenvalues land in the same cluster whenever a chain of pairwise
     distances <= ``tol`` connects them; the representative is the cluster
-    centroid.  Numerically exact degeneracies have spreads far below any
-    sensible ``tol``, so reported multiplicities match the exact ones; the
-    tolerance is carried in the report because counts depend on it.  For
-    n > 4000, coincident values are pre-merged on a tol/4 grid before
-    linkage to bound the pair search.
+    centroid and the members are listed in ascending index order.
+    Numerically exact degeneracies have spreads far below any sensible
+    ``tol``, so reported multiplicities match the exact ones; the tolerance
+    is carried in the report because counts depend on it.  Time and memory
+    grow with the number of eigenvalue pairs within ``tol`` of each other,
+    at worst n^2/2 when every eigenvalue is within ``tol`` of every other.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     lam = spec.eigenvalues
     n = lam.size
-    pts = np.column_stack([lam.real, lam.imag])
-    if n > 4000:
-        cells, inverse = np.unique(
-            np.round(pts / (tol / 4.0)).astype(np.int64), axis=0, return_inverse=True
-        )
-        rep_pts = np.empty((cells.shape[0], 2))
-        for d in range(2):
-            rep_pts[:, d] = np.bincount(inverse, weights=pts[:, d]) / np.bincount(inverse)
-    else:
-        rep_pts = pts
-        inverse = np.arange(n)
-    pairs = cKDTree(rep_pts).query_pairs(r=tol, output_type="ndarray")
-    m = rep_pts.shape[0]
-    adjacency = coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(m, m)
+    pairs = cKDTree(np.column_stack([lam.real, lam.imag])).query_pairs(
+        r=tol, output_type="ndarray"
     )
-    n_comp, cell_labels = connected_components(adjacency, directed=False)
-    labels = cell_labels[inverse]
-    clusters = []
-    for comp in range(n_comp):
-        members = np.nonzero(labels == comp)[0]
-        clusters.append(
-            DegeneracyCluster(
-                representative=complex(lam[members].mean()),
-                multiplicity=members.size,
-                members=members,
-            )
+    adjacency = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    n_comp, labels = connected_components(adjacency, directed=False)
+    # members by one stable sort of the labels; splitting at every group end
+    # leaves one empty tail, also when there are no eigenvalues at all
+    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
+    groups = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
+    clusters = [
+        DegeneracyCluster(
+            representative=complex(lam[members].mean()),
+            multiplicity=members.size,
+            members=members,
         )
+        for members in groups
+    ]
     clusters.sort(key=lambda c: (-c.multiplicity, -abs(c.representative)))
     return DegeneracyReport(clusters=clusters, tolerance=tol)
 
@@ -333,10 +323,7 @@ def eigenvector_pars(
     cluster the returned values depend on the solver's basis choice.
     """
     gammas, finite = _rates(spec, lambda_cutoff)
-    pars = np.array(
-        [participation_ratio(spec.eigenvectors[:, i]) for i in np.flatnonzero(finite)]
-    )
-    return gammas[finite], pars
+    return gammas[finite], participation_ratio(spec.eigenvectors)[finite]
 
 
 @dataclass(frozen=True)
@@ -402,10 +389,9 @@ def spectrum_to_csv(
     zero modes)."""
     lam = spec.eigenvalues
     gammas, _ = _rates(spec, lambda_cutoff)
-    pars = [participation_ratio(spec.eigenvectors[:, i]) for i in range(spec.n)]
     rows = zip(
-        lam.real.tolist(), lam.imag.tolist(), np.abs(lam).tolist(), gammas.tolist(), pars,
-        spec.residuals.tolist(),
+        lam.real.tolist(), lam.imag.tolist(), np.abs(lam).tolist(), gammas.tolist(),
+        participation_ratio(spec.eigenvectors).tolist(), spec.residuals.tolist(),
     )
     fmt = ",".join(["%.17g"] * 6) + "\n"
     _write_table(target, header_comment, "re,im,abs,gamma,par,residual\n", fmt, rows)

@@ -138,6 +138,13 @@ class TestFidelityCommand:
         rows = read_csv_floats(out / "fidelity.csv")
         assert len(rows) == 6 and len(rows[0]) == 7
 
+    @pytest.mark.parametrize("alphas", ["", ",", " , "])
+    def test_empty_alphas_usage_error(self, k5_file, tmp_path, capsys, alphas):
+        out = tmp_path / "out"
+        assert main(["fidelity", k5_file, "--alphas", alphas, "--out-dir", str(out)]) == 1
+        assert "expected comma-separated floats" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParCurveCommand:
     def test_k5_par_equals_n(self, k5_file, tmp_path):
@@ -146,6 +153,26 @@ class TestParCurveCommand:
         rows = read_csv_floats(out / "par_curve.csv")
         for alpha, xi in rows:
             assert xi == pytest.approx(5.0, abs=1e-9)
+
+    @pytest.mark.parametrize("alphas", ["", ","])
+    def test_empty_alphas_usage_error(self, k5_file, tmp_path, capsys, alphas):
+        out = tmp_path / "out"
+        assert main(["par-curve", k5_file, "--alphas", alphas, "--out-dir", str(out)]) == 1
+        assert "expected comma-separated floats" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "0", "1"])
+def test_alpha_sweeps_reject_bad_alpha_alike(k5_file, tmp_path, capsys, alpha):
+    errors = []
+    for command in ("fidelity", "par-curve"):
+        out = tmp_path / command
+        assert main([command, k5_file, "--alphas", f"0.5,{alpha}", "--out-dir", str(out)]) == 1
+        errors.append(capsys.readouterr().err)
+        assert not out.exists()
+    assert errors[0] == errors[1] == (
+        f"netspectra: alpha values must lie in (0, 1), got {float(alpha)}\n"
+    )
 
 
 class TestDegreeDistCommand:
@@ -251,6 +278,14 @@ class TestTruncateSpectrumCommand:
         assert (out / "eigenvalues_m10.csv").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["hausdorff"]) == {"20", "10"}
+
+    @pytest.mark.parametrize("sizes", ["", ","])
+    def test_empty_sizes_usage_error(self, k5_file, tmp_path, capsys, sizes):
+        out = tmp_path / "out"
+        code = main(["truncate-spectrum", k5_file, "--sizes", sizes, "--out-dir", str(out)])
+        assert code == 1
+        assert "expected comma-separated integers" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproducibility:

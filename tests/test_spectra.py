@@ -3,16 +3,22 @@ import io
 import numpy as np
 import pytest
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
+from scipy.spatial.distance import pdist
 
 from netspectra.genmodels import AbParams, ColorParams, generate_color
 from netspectra.gmatrix import GoogleMatrix
 from netspectra.netcore import DirectedGraph
-from netspectra.ranking import pagerank_power
+from netspectra.ranking import pagerank_power, participation_ratio
 from netspectra.spectra import (
+    ZERO_MODE_CUTOFF,
     EigensolverError,
     ScalingCheckError,
+    Spectrum,
     alpha_scaling_check,
     cloud_hausdorff,
     degeneracy_clusters,
@@ -46,6 +52,34 @@ def closed_class_count(graph):
     leaks = np.zeros(n_classes, dtype=bool)
     leaks[label[src[label[src] != label[dst]]]] = True
     return n_classes - int(leaks.sum())
+
+
+def eigenvalues_only(lam):
+    """A Spectrum carrying only eigenvalues, for the clustering tests."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    return Spectrum(
+        eigenvalues=lam, eigenvectors=np.zeros((1, lam.size)), residuals=np.zeros(lam.size)
+    )
+
+
+def partition(groups):
+    return {frozenset(int(i) for i in g) for g in groups}
+
+
+@st.composite
+def near_tol_chains(draw):
+    """2-12 points in units of the tolerance, each placed from an earlier
+    point by a step of zero (an exact degeneracy), under 0.3, just below one
+    unit or above it, so chains of near-tol gaps decide the clusters."""
+    pts = [0j]
+    for _ in range(draw(st.integers(1, 11))):
+        anchor = pts[draw(st.integers(0, len(pts) - 1))]
+        step = draw(
+            st.just(0.0) | st.floats(0.0, 0.3) | st.floats(0.9, 0.98) | st.floats(1.02, 3.0)
+        )
+        angle = draw(st.sampled_from([0.0, np.pi / 2, np.pi]) | st.floats(0.0, 2 * np.pi))
+        pts.append(anchor + step * np.exp(1j * angle))
+    return np.array(pts)
 
 
 def random_small_graph(seed):
@@ -277,6 +311,54 @@ class TestDegeneracyClusters:
         assert report.clusters[1].multiplicity == 800
         assert sum(c.multiplicity for c in report.clusters) == lam.size
 
+    def test_empty_spectrum_has_no_clusters(self):
+        assert degeneracy_clusters(eigenvalues_only([])).clusters == []
+
+    def test_chain_past_4000_eigenvalues_stays_one_cluster(self):
+        # consecutive gaps 0.24, 0.99 and 0.014 (units of tol) chain all four
+        tol = 1e-8
+        core = 0.5 + np.array([-0.12, 0.12, 1.11, 1.124]) * tol
+        report = degeneracy_clusters(eigenvalues_only(core), tol)
+        assert [c.multiplicity for c in report.clusters] == [4]
+        padded = np.concatenate([core, 10.0 + np.arange(4001)])
+        report = degeneracy_clusters(eigenvalues_only(padded), tol)
+        assert report.clusters[0].multiplicity == 4
+        assert report.clusters[0].members.tolist() == [0, 1, 2, 3]
+        assert len(report.clusters) == 4002
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        chain=near_tol_chains(),
+        base=st.sampled_from([0.0, 0.5, -0.3 + 0.2j, 1.0]),
+        pad=st.sampled_from([0, 4001]),
+        pad_before=st.floats(0.0, 1.0),
+    )
+    def test_partition_matches_scipy_single_linkage(self, chain, base, pad, pad_before):
+        tol = 1e-8
+        core = base + chain * tol
+        gaps = pdist(np.column_stack([core.real, core.imag]))
+        assume(np.all(np.abs(gaps - tol) > 1e-6 * tol))  # no pair on the rounding edge
+        oracle = fcluster(linkage(gaps, "single"), t=tol, criterion="distance")
+        expected = partition(np.flatnonzero(oracle == label) for label in np.unique(oracle))
+
+        # far-apart singletons around the core push n past 4000
+        k = int(pad_before * pad)
+        far = 10.0 + np.arange(pad) + 1j
+        lam = np.concatenate([far[:k], core, far[k:]])
+        report = degeneracy_clusters(eigenvalues_only(lam), tol)
+
+        # a cluster mixing core and padding would drop core points here
+        core_clusters = [c for c in report.clusters if k <= c.members[0] < k + core.size]
+        assert partition(c.members - k for c in core_clusters) == expected
+        assert len(report.clusters) == len(expected) + pad
+        assert sum(c.multiplicity for c in report.clusters) == lam.size
+        for c in core_clusters:
+            assert c.multiplicity == c.members.size
+            assert np.all(np.diff(c.members) > 0)
+            assert c.representative == complex(lam[c.members].mean())
+        keys = [(-c.multiplicity, -abs(c.representative)) for c in report.clusters]
+        assert keys == sorted(keys)
+
 
 class TestUnitEigenvalueMultiplicity:
     """At alpha = 1 the multiplicity of lambda = 1 equals the number of closed
@@ -338,6 +420,48 @@ class TestEigenvectorPars:
         spec = spectrum_of(sparse_random(30, seed=16), 0.0)
         gammas, pars = eigenvector_pars(spec)
         assert gammas.size == pars.size == 1
+
+
+class TestParColumnPass:
+    """One participation-ratio pass over all eigenvectors gives exactly the
+    ratio of each column taken on its own."""
+
+    @staticmethod
+    def spectra():
+        color, _ = generate_color(ColorParams(ab=AbParams(n_target=300, seed=1)))
+        return [
+            spectrum_of(color, 0.85),
+            spectrum_of(color, 1.0),
+            spectrum_of(sparse_random(40, seed=3), 0.0),
+        ]
+
+    def test_equals_scalar_ratio_per_column(self):
+        specs = self.spectra()
+        for spec in specs[:2]:  # conjugate pairs
+            assert np.sum(spec.eigenvalues.imag > 0) == np.sum(spec.eigenvalues.imag < 0) > 0
+        for spec in specs:
+            finite = np.abs(spec.eigenvalues) >= ZERO_MODE_CUTOFF
+            assert not finite.all()  # zero modes
+            vecs = spec.eigenvectors
+            scalar = np.array([participation_ratio(vecs[:, i]) for i in range(spec.n)])
+            assert np.array_equal(participation_ratio(vecs), scalar)
+            # the solver's columns are contiguous; the row-major copy's are strided
+            assert np.array_equal(participation_ratio(np.ascontiguousarray(vecs)), scalar)
+            assert np.array_equal(eigenvector_pars(spec)[1], scalar[finite])
+            buf = io.StringIO()
+            spectrum_to_csv(spec, buf)
+            column = [line.split(",")[4] for line in buf.getvalue().splitlines()[1:]]
+            assert column == ["%.17g" % x for x in scalar]
+
+    def test_one_dimensional_input_returns_float(self):
+        assert isinstance(participation_ratio(np.ones(3)), float)
+        assert participation_ratio(np.ones((3, 2))).tolist() == [3.0, 3.0]
+
+    def test_zero_column_rejected(self):
+        vecs = np.eye(4, dtype=np.complex128)
+        vecs[:, 2] = 0
+        with pytest.raises(ValueError, match="zero vector"):
+            participation_ratio(vecs)
 
 
 class TestTruncatedSpectrumCompare:
