@@ -17,7 +17,7 @@ from netspectra.ranking import (
     decay_exponent,
     fidelity_grid,
     fidelity_grid_to_csv,
-    pagerank_power,
+    pagerank,
     par_curve_to_csv,
     par_vs_alpha,
 )
@@ -38,7 +38,7 @@ for p in points:
 print("as damping -> 0 the vector delocalizes toward the full network size;")
 print("for moderate damping it stays localized on a small set of nodes")
 
-rank = pagerank_power(GoogleMatrix.from_graph(graph, 0.85))
+rank = pagerank(GoogleMatrix.from_graph(graph, 0.85))
 beta = decay_exponent(rank)
 print(f"\nordered scores decay algebraically: p_j ~ 1/j^beta with "
       f"beta = {beta:.3f} (fit over ranks [10, N/10])")

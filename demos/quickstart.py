@@ -8,7 +8,7 @@ import numpy as np
 
 from netspectra.gmatrix import GoogleMatrix
 from netspectra.netcore import load_edge_list, reciprocity
-from netspectra.ranking import pagerank_power, participation_ratio
+from netspectra.ranking import pagerank, participation_ratio
 from netspectra.spectra import eigendecompose
 
 # a 7-page site: a mutually linked core, a few one-way references, and one
@@ -33,9 +33,9 @@ print(f"{graph.n_nodes} nodes, {graph.n_edges} links, "
 print(f"out-degrees: {graph.out_degrees().tolist()}  (node 6 is dangling)")
 
 g = GoogleMatrix.from_graph(graph, alpha=0.85)
-rank = pagerank_power(g)
-print(f"\nPageRank (alpha=0.85, {rank.iterations} iterations, "
-      f"residual {rank.residual:.1e}):")
+rank = pagerank(g)
+print(f"\nPageRank (alpha=0.85, {rank.iterations} operator applications, "
+      f"certified ||Gx - x||_1 = {rank.residual:.1e}):")
 for position, node in enumerate(rank.order, 1):
     print(f"  #{position}  node {node}  score {rank.values[node]:.4f}")
 print(f"participation ratio of the rank vector: "

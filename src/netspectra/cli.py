@@ -151,12 +151,19 @@ def cmd_pagerank(args, graph) -> _Result:
     from . import gmatrix, ranking
 
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
-    rank = ranking.pagerank_power(g, tol=args.tol, max_iter=args.max_iter)
+    rank = ranking.pagerank(g, tol=args.tol, max_iter=args.max_iter)
+    # the certificate's L1 error bound; power iteration at alpha = 1 has none
+    error_bound = rank.residual / (1.0 - rank.alpha) if rank.alpha < 1.0 else None
     return _Result(
         {"pagerank.csv": partial(ranking.rank_to_csv, rank)},
         f"n={graph.n_nodes} alpha={args.alpha} iterations={rank.iterations} "
         f"residual={rank.residual:.3e}",
-        extra={"iterations": rank.iterations, "residual": rank.residual, "converged": rank.converged},
+        extra={
+            "iterations": rank.iterations,
+            "residual": rank.residual,
+            "error_bound": error_bound,
+            "converged": rank.converged,
+        },
         failure=None if rank.converged else "iteration did not reach tolerance",
     )
 
@@ -168,6 +175,7 @@ def cmd_fidelity(args, graph) -> _Result:
     return _Result(
         {"fidelity.csv": partial(ranking.fidelity_grid_to_csv, grid)},
         f"n={graph.n_nodes} grid {len(args.alphas)}x{len(args.alphas)}",
+        failure=None if grid.converged.all() else "some alpha values did not converge",
     )
 
 
@@ -293,7 +301,10 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-cutoff", type=float, default=1e-8, help="zero-mode magnitude cutoff")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("pagerank", parents=[common, ingest, outdir], help="rank vector by power iteration")
+    p = sub.add_parser(
+        "pagerank", parents=[common, ingest, outdir],
+        help="certified rank vector: BiCGSTAB below alpha 1, power iteration at 1",
+    )
     p.add_argument("--alpha", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)

@@ -186,7 +186,7 @@ def dense_to_csv(matrix: np.ndarray, target, header_comment=None) -> None:
     """Row-major CSV at full float precision, no header row."""
     matrix = np.asarray(matrix)
     fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    _write_table(target, header_comment, "", fmt, map(tuple, matrix.tolist()))
+    _write_table(target, header_comment, "", fmt, matrix.T)
 
 
 def sparse_to_csv(s: StochasticMatrix, target, header_comment=None) -> None:
@@ -196,5 +196,5 @@ def sparse_to_csv(s: StochasticMatrix, target, header_comment=None) -> None:
     """
     mat = s.matrix
     cols = np.repeat(np.arange(s.n), np.diff(mat.indptr))
-    rows = zip(cols.tolist(), mat.indices.tolist(), mat.data.tolist())
-    _write_table(target, header_comment, "j,i,value\n", "%d,%d,%.17g\n", rows)
+    columns = (cols, mat.indices, mat.data)
+    _write_table(target, header_comment, "j,i,value\n", "%d,%d,%.17g\n", columns)

@@ -169,15 +169,23 @@ def _read_text(source) -> str:
         return fh.read()
 
 
-def _write_table(target, header_comment, head: str, fmt: str, rows) -> None:
+def _write_table(target, header_comment, head: str, fmt: str, columns) -> None:
     """Write a text table in one piece: an optional ``# <header_comment>``
-    line, ``head`` verbatim, then ``fmt % row`` for each row tuple.
+    line, ``head`` verbatim, then one ``fmt`` line per row, where row i holds
+    the i-th entry of each of the equal-length ``columns``.
 
-    ``target`` is a path (opened as UTF-8 with ``\\n`` newlines, then closed)
-    or an open text handle, which is written to and left open.
+    One ``%`` formats all rows over the interleaved values: the bytes of
+    formatting each row on its own, several times faster on long tables.
+    ``target`` is a path (opened as UTF-8 with ``\\n`` newlines, then
+    closed) or an open text handle, which is written to and left open.
     """
+    columns = [np.asarray(col).tolist() for col in columns]
+    n_rows = len(columns[0])
+    values = [None] * (n_rows * len(columns))
+    for k, col in enumerate(columns):
+        values[k :: len(columns)] = col
     comment = f"# {header_comment}\n" if header_comment else ""
-    text = comment + head + "".join(map(fmt.__mod__, rows))
+    text = comment + head + (fmt * n_rows) % tuple(values)
     if hasattr(target, "write"):
         target.write(text)
         return
@@ -354,7 +362,7 @@ def save_edge_list(graph: DirectedGraph, target, colors=None) -> None:
         if len(colors) != graph.n_nodes:
             raise ValueError("colors length must equal n_nodes")
         head += "".join(f"# color {node} {int(col)}\n" for node, col in enumerate(colors))
-    _write_table(target, None, head, "%d %d\n", map(tuple, graph.edges.tolist()))
+    _write_table(target, None, head, "%d %d\n", graph.edges.T)
 
 
 def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, dict[int, int]]:
@@ -494,13 +502,9 @@ def degree_distribution(graph: DirectedGraph, direction: str) -> DegreeDistribut
 
 def degree_distribution_to_csv(dist: DegreeDistribution, target, header_comment=None) -> None:
     """Write ``k,count,cumulative_fraction`` rows sorted by degree."""
-    _write_table(
-        target,
-        header_comment,
-        "k,count,cumulative_fraction\n",
-        "%d,%d,%.17g\n",
-        ((k, dist.counts[k], dist.cumulative[k]) for k in sorted(dist.counts)),
-    )
+    ks = sorted(dist.counts)
+    columns = (ks, [dist.counts[k] for k in ks], [dist.cumulative[k] for k in ks])
+    _write_table(target, header_comment, "k,count,cumulative_fraction\n", "%d,%d,%.17g\n", columns)
 
 
 def fit_loglog_slope(

@@ -19,6 +19,7 @@ __all__ = [
     "RankVector",
     "FidelityGrid",
     "ParPoint",
+    "pagerank",
     "pagerank_power",
     "pagerank_dense_solve",
     "participation_ratio",
@@ -36,13 +37,22 @@ PAGERANK_MAX_ITER = 10_000
 
 _DENSE_SOLVE_LIMIT = 2000
 
+# Rounding level of the computed certificate ||Gx - x||_1 for an exact
+# fixed point (measured up to 2.3 eps for the uniform vector at alpha = 0,
+# n up to 3e6); ``pagerank`` accepts it when alpha * tol asks for less.
+_RESIDUAL_FLOOR = 8 * float(np.finfo(np.float64).eps)
+
 
 @dataclass(frozen=True)
 class RankVector:
-    """L1-normalized nonnegative rank scores with iteration metadata.
+    """L1-normalized nonnegative rank scores with solver metadata.
 
     ``order`` lists node ids by decreasing score, ties broken toward the
-    lower id; ``residual`` is the last L1 change of the iteration (0 for a
+    lower id.  ``iterations`` counts applications of the operator (0 for a
+    direct solve).  ``residual`` is ``||Gx - x||_1`` of the returned vector
+    for :func:`pagerank` below alpha = 1, so ``residual / (1 - alpha)``
+    bounds its L1 distance to the exact rank vector; power iteration
+    reports its last L1 step, an upper bound on that residual (0 for a
     direct solve).
     """
 
@@ -59,7 +69,7 @@ class RankVector:
         object.__setattr__(self, "values", values)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("rank values must be a nonempty vector")
-        if values.min() < 0:
+        if not values.min() >= 0.0:  # also rejects nan
             raise ValueError("rank values must be nonnegative")
         if abs(values.sum() - 1.0) > 1e-12:
             raise ValueError("rank values must sum to 1")
@@ -75,16 +85,115 @@ class RankVector:
 @dataclass(frozen=True)
 class FidelityGrid:
     """Symmetric matrix of pairwise rank-vector fidelities over a set of
-    damping values; the diagonal is 1."""
+    damping values; the diagonal is 1.  ``converged[i]`` is the convergence
+    flag of the rank vector at ``alphas[i]``."""
 
     alphas: np.ndarray
     f: np.ndarray
+    converged: np.ndarray
 
 
 class ParPoint(NamedTuple):
     alpha: float
     xi: float
     converged: bool
+
+
+def pagerank(
+    g: GoogleMatrix,
+    tol: float = PAGERANK_TOL,
+    max_iter: int = PAGERANK_MAX_ITER,
+) -> RankVector:
+    """Certified rank vector.
+
+    Below alpha = 1, solves ``(I - alpha*S') x = (1-alpha)/N * ones`` by
+    BiCGSTAB from the uniform vector, then clips negative entries,
+    L1-normalizes and certifies the result with one more application of
+    ``g``: it is returned as converged only when ``||Gx - x||_1 <= alpha *
+    tol`` (or at the rounding level of that sum, when alpha * tol asks for
+    less).  Since ``||(I - alpha*S')^-1||_1 = 1/(1-alpha)``, the L1 error is
+    then at most ``alpha * tol / (1 - alpha)``, the bound the power
+    iteration's stop rule gives.  A vector that fails the check, or a
+    breakdown of the recurrence, restarts the solve from the certified
+    iterate.  ``max_iter`` caps the operator applications, except that the
+    start vector's certificate is always computed.  At alpha = 1 the system
+    is singular and :func:`pagerank_power` runs instead.
+    """
+    if g.alpha >= 1.0:
+        return pagerank_power(g, tol=tol, max_iter=max_iter)
+    target = max(g.alpha * tol, _RESIDUAL_FLOOR)
+    x = np.full(g.n, 1.0 / g.n)
+    matvecs = 0
+    while True:
+        x = np.maximum(x, 0.0)
+        x /= x.sum()
+        # for sum(x) = 1 this is also b - (I - alpha*S') x
+        r = g.apply(x) - x
+        matvecs += 1
+        residual = float(np.abs(r).sum())
+        if residual <= target or matvecs >= max_iter:
+            break
+        # keep one application for the certificate of the sweep's result
+        x_next, used = _bicgstab(g, x, r, target, max_iter - matvecs - 1)
+        matvecs += used
+        # a sweep that broke down before its first update, or that left
+        # non-finite entries, is replaced by one power step x -> Gx
+        x = x_next if x_next is not x and np.isfinite(x_next).all() else x + r
+    return RankVector(
+        values=x,
+        alpha=g.alpha,
+        iterations=matvecs,
+        residual=residual,
+        converged=residual <= target,
+    )
+
+
+def _bicgstab(g: GoogleMatrix, x, r, stop: float, budget: int):
+    """BiCGSTAB steps on ``(I - alpha*S') x = (1-alpha)/N * ones`` from the
+    iterate ``x`` with residual ``r``, until the updated residual is at most
+    ``stop`` in L1, the recurrence breaks down, or another step would exceed
+    ``budget`` operator applications.  Returns the iterate and the
+    applications used.
+
+    Dot products are numpy pairwise sums, not BLAS calls, so the result
+    does not depend on the BLAS thread count.
+    """
+    link, dangling, alpha = g.s.matrix, g.s.dangling, g.alpha
+    spread = alpha / g.n
+
+    def op(v):
+        # (I - alpha*S') v from S and the uniform dangling columns; going
+        # through g.apply costs a sum and two vector passes more per product
+        return v - alpha * (link @ v) - spread * v[dangling].sum()
+
+    r_hat = p = r
+    rho = (r_hat * r).sum()
+    used = 0
+    while used + 2 <= budget:
+        v = op(p)
+        used += 1
+        rv = (r_hat * v).sum()
+        if not abs(rv) > 0.0:
+            break
+        a = rho / rv
+        s = r - a * v
+        t = op(s)
+        used += 1
+        tt = (t * t).sum()
+        if not tt > 0.0:
+            # t = 0 means s = 0: the half step solves the system
+            return x + a * p, used
+        w = (t * s).sum() / tt
+        x = x + a * p + w * s
+        r = s - w * t
+        if np.abs(r).sum() <= stop:
+            break
+        rho_next = (r_hat * r).sum()
+        if not (abs(rho_next) > 0.0 and abs(w) > 0.0):
+            break
+        p = r + (rho_next / rho) * (a / w) * (p - w * v)
+        rho = rho_next
+    return x, used
 
 
 def pagerank_power(
@@ -167,7 +276,7 @@ def _rank_sweep(graph: DirectedGraph, alphas, tol: float, max_iter: int):
             raise ValueError(f"alpha values must lie in (0, 1), got {alpha}")
     s = build_stochastic(graph)
     for alpha in alphas:
-        yield pagerank_power(GoogleMatrix(s, alpha), tol=tol, max_iter=max_iter)
+        yield pagerank(GoogleMatrix(s, alpha), tol=tol, max_iter=max_iter)
 
 
 def par_vs_alpha(
@@ -178,7 +287,7 @@ def par_vs_alpha(
 ) -> list[ParPoint]:
     """Participation ratio of the rank vector at each damping value.
 
-    Each point carries the convergence flag of its power iteration.
+    Each point carries the convergence flag of its rank vector.
     """
     return [
         ParPoint(r.alpha, participation_ratio(r.values), r.converged)
@@ -246,7 +355,11 @@ def fidelity_grid(
     for i in range(k):
         for j in range(i, k):
             f[i, j] = f[j, i] = fidelity(ranks[i], ranks[j])
-    return FidelityGrid(alphas=np.array([r.alpha for r in ranks]), f=f)
+    return FidelityGrid(
+        alphas=np.array([r.alpha for r in ranks]),
+        f=f,
+        converged=np.array([r.converged for r in ranks]),
+    )
 
 
 def rank_to_csv(r: RankVector, target, header_comment=None) -> None:
@@ -254,18 +367,17 @@ def rank_to_csv(r: RankVector, target, header_comment=None) -> None:
     positions)."""
     position = np.empty(r.n, dtype=np.int64)
     position[r.order] = np.arange(1, r.n + 1)
-    rows = zip(range(r.n), r.values.tolist(), position.tolist())
-    _write_table(target, header_comment, "node_id,score,rank_position\n", "%d,%.17g,%d\n", rows)
+    columns = (np.arange(r.n), r.values, position)
+    _write_table(target, header_comment, "node_id,score,rank_position\n", "%d,%.17g,%d\n", columns)
 
 
 def par_curve_to_csv(points: list[ParPoint], target, header_comment=None) -> None:
-    rows = ((p.alpha, p.xi) for p in points)
-    _write_table(target, header_comment, "alpha,xi\n", "%.17g,%.17g\n", rows)
+    columns = ([p.alpha for p in points], [p.xi for p in points])
+    _write_table(target, header_comment, "alpha,xi\n", "%.17g,%.17g\n", columns)
 
 
 def fidelity_grid_to_csv(grid: FidelityGrid, target, header_comment=None) -> None:
     """Square table with a leading header row/column of the damping values."""
     fmt = ",".join(["%.17g"] * (len(grid.alphas) + 1)) + "\n"
     head = "alpha," + ",".join("%.17g" % a for a in grid.alphas) + "\n"
-    rows = ((a, *row) for a, row in zip(grid.alphas, grid.f.tolist()))
-    _write_table(target, header_comment, head, fmt, rows)
+    _write_table(target, header_comment, head, fmt, (grid.alphas, *grid.f.T))

@@ -9,6 +9,7 @@ no finite rate (they are bucketed separately as "zero modes").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -19,7 +20,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .gmatrix import DENSE_LIMIT_DEFAULT, GoogleMatrix, truncate_by_rank
 from .netcore import DirectedGraph, _write_table
-from .ranking import pagerank_power, participation_ratio
+from .ranking import pagerank, participation_ratio
 
 __all__ = [
     "EIG_TOL",
@@ -81,6 +82,14 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.eigenvalues.size
+
+    @cached_property
+    def pars(self) -> np.ndarray:
+        """Participation ratio of each eigenvector column (read-only),
+        computed on first use and shared by every reader."""
+        pars = participation_ratio(self.eigenvectors)
+        pars.setflags(write=False)
+        return pars
 
 
 def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
@@ -323,7 +332,7 @@ def eigenvector_pars(
     cluster the returned values depend on the solver's basis choice.
     """
     gammas, finite = _rates(spec, lambda_cutoff)
-    return gammas[finite], participation_ratio(spec.eigenvectors)[finite]
+    return gammas[finite], spec.pars[finite]
 
 
 @dataclass(frozen=True)
@@ -363,7 +372,7 @@ def truncated_spectrum_compare(
     """
     g = GoogleMatrix.from_graph(graph, alpha)
     full = eigendecompose(g.to_dense(dense_limit), tol)
-    rank = pagerank_power(g)
+    rank = pagerank(g)
     results = []
     for m in m_list:
         truncated, kept = truncate_by_rank(g, rank, int(m))
@@ -389,17 +398,14 @@ def spectrum_to_csv(
     zero modes)."""
     lam = spec.eigenvalues
     gammas, _ = _rates(spec, lambda_cutoff)
-    rows = zip(
-        lam.real.tolist(), lam.imag.tolist(), np.abs(lam).tolist(), gammas.tolist(),
-        participation_ratio(spec.eigenvectors).tolist(), spec.residuals.tolist(),
-    )
+    columns = (lam.real, lam.imag, np.abs(lam), gammas, spec.pars, spec.residuals)
     fmt = ",".join(["%.17g"] * 6) + "\n"
-    _write_table(target, header_comment, "re,im,abs,gamma,par,residual\n", fmt, rows)
+    _write_table(target, header_comment, "re,im,abs,gamma,par,residual\n", fmt, columns)
 
 
 def eigenvector_pars_to_csv(gammas, pars, target, header_comment=None) -> None:
     """``gamma,par`` rows, one per non-zero-mode eigenvector."""
-    _write_table(target, header_comment, "gamma,par\n", "%.17g,%.17g\n", zip(gammas, pars))
+    _write_table(target, header_comment, "gamma,par\n", "%.17g,%.17g\n", (gammas, pars))
 
 
 def dos_to_csv(hist: DosHistogram, target, header_comment=None) -> None:
@@ -410,14 +416,13 @@ def dos_to_csv(hist: DosHistogram, target, header_comment=None) -> None:
         f"# smoothing_window={hist.smoothing_window:.17g}\n"
         "gamma_bin_center,W,integrated\n"
     )
-    rows = zip(hist.bin_centers, hist.density, hist.integrated)
-    _write_table(target, header_comment, head, "%.17g,%.17g,%.17g\n", rows)
+    columns = (hist.bin_centers, hist.density, hist.integrated)
+    _write_table(target, header_comment, head, "%.17g,%.17g,%.17g\n", columns)
 
 
 def degeneracy_to_csv(report: DegeneracyReport, target, header_comment=None) -> None:
     """``re,im,multiplicity`` per cluster in the report's order."""
     head = f"# tolerance={report.tolerance:.17g}\nre,im,multiplicity\n"
-    rows = (
-        (c.representative.real, c.representative.imag, c.multiplicity) for c in report.clusters
-    )
-    _write_table(target, header_comment, head, "%.17g,%.17g,%d\n", rows)
+    reps = np.array([c.representative for c in report.clusters], dtype=np.complex128)
+    columns = (reps.real, reps.imag, [c.multiplicity for c in report.clusters])
+    _write_table(target, header_comment, head, "%.17g,%.17g,%d\n", columns)

@@ -116,6 +116,71 @@ class TestPagerankCommand:
         assert code == 3
 
 
+    def test_k5_exact_uniform_from_start_vector(self, k5_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["pagerank", k5_file, "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert [row[1] for row in read_csv_floats(out / "pagerank.csv")] == [0.2] * 5
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["iterations"] == 1
+        assert manifest["error_bound"] == manifest["residual"] / (1 - 0.85)
+
+    def test_alpha_zero_exact_uniform(self, tmp_path, capsys):
+        # seven copies of 1/7 do not sum to exactly 1
+        path = tmp_path / "g.edges"
+        path.write_text("# nodes=7\n0 1\n1 2\n2 0\n3 0\n4 4\n")
+        out = tmp_path / "out"
+        assert main(["pagerank", str(path), "--alpha", "0", "--out-dir", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        scores = [row[1] for row in read_csv_floats(out / "pagerank.csv")]
+        assert len(set(scores)) == 1 and abs(scores[0] - 1 / 7) <= np.spacing(1 / 7)
+
+    def test_alpha_one_has_no_error_bound(self, tmp_path):
+        path = tmp_path / "chain.edges"
+        path.write_text("0 1\n1 2\n2 0\n0 2\n")
+        out = tmp_path / "out"
+        assert main(["pagerank", str(path), "--alpha", "1", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is True and manifest["error_bound"] is None
+
+    def test_absorbing_pages_converge_near_alpha_one(self, tmp_path):
+        # two pages that link only to themselves make lambda_2 = alpha, so
+        # power iteration needs more than the default 10,000 steps at 0.999
+        rng = np.random.default_rng(1)
+        src, dst = rng.integers(0, 800, 2998), rng.integers(0, 2000, 2998)
+        lines = [f"{a} {b}\n" for a, b in zip(src.tolist(), dst.tolist())]
+        path = tmp_path / "absorbing.edges"
+        path.write_text("# nodes=2000\n" + "".join(lines) + "1998 1998\n1999 1999\n")
+        out = tmp_path / "out"
+        assert main(["pagerank", str(path), "--alpha", "0.999", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["converged"] is True and manifest["residual"] <= 0.999e-12
+        assert manifest["iterations"] < 200
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # the thread count takes effect only before numpy loads: subprocesses
+        import netspectra
+
+        src = Path(netspectra.__file__).resolve().parents[1]
+        rng = np.random.default_rng(3)
+        n = 12_000
+        edges = np.unique(np.column_stack([rng.integers(0, n, 6 * n), rng.integers(0, n, 6 * n)]), axis=0)
+        path = tmp_path / "big.edges"
+        path.write_text(f"# nodes={n}\n" + "".join(f"{a} {b}\n" for a, b in edges.tolist()))
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}"
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-m", "netspectra.cli", "pagerank", str(path), "--alpha", "0.99",
+                 "--out-dir", str(out)],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((out / "pagerank.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
+
 class TestFidelityCommand:
     def test_single_alpha_grid(self, k5_file, tmp_path):
         out = tmp_path / "out"
@@ -144,6 +209,19 @@ class TestFidelityCommand:
         assert main(["fidelity", k5_file, "--alphas", alphas, "--out-dir", str(out)]) == 1
         assert "expected comma-separated floats" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, output", [("fidelity", "fidelity.csv"), ("par-curve", "par_curve.csv")]
+)
+def test_alpha_sweep_non_convergence_exit_3_after_writing(command, output, tmp_path, capsys):
+    path = tmp_path / "chain.edges"
+    path.write_text("0 1\n1 2\n2 0\n0 2\n")
+    out = tmp_path / "out"
+    argv = [command, str(path), "--alphas", "0.5,0.85", "--max-iter", "1", "--out-dir", str(out)]
+    assert main(argv) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert (out / output).exists() and (out / "manifest.json").exists()
 
 
 class TestParCurveCommand:
@@ -334,7 +412,7 @@ MANIFEST_CASES = {
     "spectrum": (["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES, set()),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
-        {"iterations", "residual", "converged"},
+        {"iterations", "residual", "error_bound", "converged"},
     ),
     "fidelity": (
         ["fidelity", "GRAPH", "--alphas", "0.5,0.85", "--out-dir", "OUT"], "manifest.json",

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from netspectra import ranking
 from netspectra.genmodels import AbParams, ColorParams, generate_ab, generate_color
 from netspectra.gmatrix import GoogleMatrix, build_stochastic
 from netspectra.netcore import DirectedGraph, FitError
@@ -12,6 +13,7 @@ from netspectra.ranking import (
     fidelity,
     fidelity_grid,
     fidelity_grid_to_csv,
+    pagerank,
     pagerank_dense_solve,
     pagerank_power,
     par_curve_to_csv,
@@ -119,6 +121,94 @@ class TestPagerankOracles:
         error = np.abs(power.values - pagerank_dense_solve(gm).values).sum()
         assert power.converged and power.residual < tol
         assert error <= alpha * power.residual / (1 - alpha) + 1e-12
+
+
+def closed_classes_graph():
+    """Random links from 200 of 300 nodes, plus two closed 3-cycles and a
+    page that links only to itself; with one more closed class among the
+    random links, S' has a fourfold unit eigenvalue."""
+    rng = np.random.default_rng(8)
+    edges = [np.column_stack([rng.integers(0, 200, 600), rng.integers(0, 307, 600)])]
+    edges.append(np.array([[300, 301], [301, 302], [302, 300], [303, 304], [304, 305], [305, 303], [306, 306]]))
+    edges = np.unique(np.concatenate(edges), axis=0)
+    return DirectedGraph(n_nodes=307, edges=edges)
+
+
+ORACLE_GRAPHS = {
+    "ab": lambda: generate_ab(AbParams(n_target=400, seed=5)),
+    "color_eps0": lambda: generate_color(
+        ColorParams(ab=AbParams(n_target=400, seed=2), eta=0.03, epsilon=0.0)
+    )[0],
+    "dangling_heavy": lambda: sparse_random(400, seed=6, dangling_frac=0.7),
+    "closed_classes": closed_classes_graph,
+}
+
+
+class TestPagerank:
+    @pytest.mark.parametrize("alpha", [0.3, 0.85, 0.99, 0.999])
+    @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
+    def test_certificate_bounds_error_against_dense_solve(self, name, alpha):
+        gm = GoogleMatrix.from_graph(ORACLE_GRAPHS[name](), alpha)
+        tol = 1e-12
+        r = pagerank(gm, tol=tol)
+        assert r.converged and r.residual <= alpha * tol
+        assert r.residual == np.abs(gm.apply(r.values) - r.values).sum()
+        error = np.abs(r.values - pagerank_dense_solve(gm).values).sum()
+        assert error <= r.residual / (1 - alpha) + 1e-12
+
+    def test_alpha_one_is_power_iteration(self):
+        gm = GoogleMatrix.from_graph(sparse_random(60, seed=3), 1.0)
+        r, power = pagerank(gm, max_iter=500), pagerank_power(gm, max_iter=500)
+        assert np.array_equal(r.values, power.values)
+        assert (r.iterations, r.residual, r.converged) == (
+            power.iterations, power.residual, power.converged,
+        )
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 13])
+    def test_uniform_start_certified_at_once(self, n):
+        # alpha = 0 on any graph, and K_n at any alpha, have the uniform
+        # fixed point; 6, 7 and 13 copies of 1/n do not sum to exactly 1
+        for gm in (
+            GoogleMatrix.from_graph(sparse_random(n, seed=n), 0.0),
+            GoogleMatrix.from_graph(complete_graph(n), 0.85),
+        ):
+            r = pagerank(gm)
+            assert r.converged and r.iterations == 1
+            assert np.all(r.values == r.values[0])
+            assert abs(r.values[0] - 1 / n) <= np.spacing(1 / n)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
+    def test_budget_exhausted_flags_non_convergence(self, max_iter):
+        gm = GoogleMatrix.from_graph(sparse_random(300, seed=2), 0.99)
+        r = pagerank(gm, max_iter=max_iter)
+        assert not r.converged and r.iterations <= max_iter
+        assert r.residual == np.abs(gm.apply(r.values) - r.values).sum()
+
+    @pytest.mark.parametrize("failure", ["no_step", "nan"])
+    def test_failed_sweep_falls_back_to_power_steps(self, failure, monkeypatch):
+        # a sweep that takes no step, or leaves nan, must not stop the solve
+        def broken(g, x, r, stop, budget):
+            return (x, 0) if failure == "no_step" else (np.full_like(x, np.nan), 2)
+
+        monkeypatch.setattr(ranking, "_bicgstab", broken)
+        gm = GoogleMatrix.from_graph(sparse_random(200, seed=4), 0.85)
+        r = pagerank(gm)
+        assert r.converged and r.residual <= 0.85 * 1e-12
+        assert np.abs(r.values - pagerank_dense_solve(gm).values).sum() <= 1e-11
+
+    def test_far_fewer_matvecs_than_power_on_gapless_graph(self):
+        # the colour model at epsilon = 0 has lambda_2 = alpha
+        graph, _ = generate_color(
+            ColorParams(ab=AbParams(n_target=2000, seed=3), eta=0.02, epsilon=0.0)
+        )
+        gm = GoogleMatrix.from_graph(graph, 0.99)
+        r, power = pagerank(gm), pagerank_power(gm)
+        assert r.converged and power.converged
+        assert r.iterations < power.iterations / 4
+
+    def test_rank_vector_rejects_nan(self):
+        with pytest.raises(ValueError):
+            RankVector(np.array([np.nan, 1.0]), alpha=0.85, iterations=0, residual=0.0)
 
 
 class TestParticipationRatio:

@@ -453,6 +453,24 @@ class TestParColumnPass:
             column = [line.split(",")[4] for line in buf.getvalue().splitlines()[1:]]
             assert column == ["%.17g" % x for x in scalar]
 
+    def test_spectrum_command_computes_pars_once(self, tmp_path, monkeypatch):
+        from netspectra import spectra
+        from netspectra.cli import main
+
+        calls = []
+
+        def counted(v):
+            calls.append(np.shape(v))
+            return participation_ratio(v)
+
+        monkeypatch.setattr(spectra, "participation_ratio", counted)
+        path = tmp_path / "g.edges"
+        path.write_text("".join(f"{i} {(i + k) % 12}\n" for i in range(12) for k in (1, 5)))
+        assert main(["spectrum", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert calls == [(12, 12)]
+        spec = spectrum_of(sparse_random(30, seed=2), 0.85)
+        assert spec.pars is spec.pars and not spec.pars.flags.writeable
+
     def test_one_dimensional_input_returns_float(self):
         assert isinstance(participation_ratio(np.ones(3)), float)
         assert participation_ratio(np.ones((3, 2))).tolist() == [3.0, 3.0]

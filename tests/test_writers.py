@@ -101,3 +101,30 @@ def test_caller_handle_left_open_and_writable(writers, name, tmp_path):
         assert not fh.closed
         fh.write("# last\n")
     assert shared.read_bytes() == b"# first\n" + alone.read_bytes() + b"# last\n"
+
+
+SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 5e-324, 2.2250738585072014e-308 / 3]
+
+
+@pytest.mark.parametrize(
+    "fmt, columns",
+    [
+        ("%d %d\n", (np.array([0, 7, 2**62]), np.array([-3, 1, 5]))),
+        ("%.17g,%.17g\n", (np.linspace(-1, 1, 9), np.exp(np.arange(9.0)))),
+        ("%d,%.17g,%d\n", (np.arange(8), np.array(SPECIAL), np.arange(8)[::-1])),
+        ("%.17g,%.17g,%d\n", ([], [], [])),
+    ],
+    ids=["int", "float", "special", "empty"],
+)
+@pytest.mark.parametrize("to_path", [True, False], ids=["path", "handle"])
+def test_table_bytes_equal_per_row_formatting(fmt, columns, to_path, tmp_path):
+    rows = zip(*(np.asarray(col).tolist() for col in columns))
+    expected = "# c\nhead\n" + "".join(fmt % row for row in rows)
+    if to_path:
+        netcore._write_table(tmp_path / "t.csv", "c", "head\n", fmt, columns)
+        data = (tmp_path / "t.csv").read_bytes()
+    else:
+        buf = io.StringIO()
+        netcore._write_table(buf, "c", "head\n", fmt, columns)
+        data = buf.getvalue().encode("utf-8")
+    assert data == expected.encode("utf-8")
