@@ -127,10 +127,55 @@ class _Result(NamedTuple):
     failure: str | None = None
 
 
+# where the memory preflight reads what the dense path may use
+_MEMINFO = "/proc/meminfo"
+_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+
+
+def _available_memory() -> int | None:
+    """``MemAvailable`` in bytes, capped by a cgroup memory limit (v2 or v1);
+    ``None`` when no figure is readable."""
+    figures = []
+    try:
+        with open(_MEMINFO, encoding="ascii") as fh:
+            kb = [line.split()[1] for line in fh if line.startswith("MemAvailable:")]
+        figures += [int(k) * 1024 for k in kb]
+    except (OSError, ValueError, IndexError):
+        pass
+    for path in _CGROUP_LIMITS:
+        try:
+            figures.append(int(Path(path).read_text()))
+        except (OSError, ValueError):  # absent, or "max" for no limit
+            pass
+    return min(figures) if figures else None
+
+
+def _check_dense_memory(n: int, sizes=()) -> None:
+    """Refuse (exit 2) before densifying an n-node operator when the dense
+    path cannot fit in the available memory.  ``truncate-spectrum`` keeps
+    the packed eigenvectors of every spectrum it has computed while it
+    diagonalizes the next ``sizes`` operator.  No check without a figure."""
+    from . import gmatrix, spectra
+
+    peak = spectra.dense_memory_bytes(n)
+    held = 8 * n * n
+    for m in sizes:
+        if 1 <= m <= n:  # other sizes fail later with their own message
+            peak = max(peak, held + spectra.dense_memory_bytes(m))
+            held += 8 * m * m
+    available = _available_memory()
+    if available is not None and peak > available:
+        raise gmatrix.SizeLimitError(
+            f"the dense path needs about {peak / 2**30:.3g} GiB but {available / 2**30:.3g} GiB "
+            "are available; truncate by rank to diagonalize a smaller operator"
+        )
+
+
 def cmd_spectrum(args, graph) -> _Result:
     from . import gmatrix, spectra
 
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
+    _check_dense_memory(g.n)
     spec = spectra.eigendecompose(g.to_dense(args.dense_limit), args.tol)
     gammas, zero_modes = spectra.relaxation_rates(spec, args.lambda_cutoff)
     hist = spectra.density_of_states(
@@ -168,14 +213,32 @@ def cmd_pagerank(args, graph) -> _Result:
     )
 
 
+def _sweep_result(outputs, summary, solves) -> _Result:
+    """Result of an alpha sweep from ``(alpha, converged, iterations,
+    residual)`` per alpha: the manifest lists each solve, and the failure
+    message names every alpha that did not converge."""
+    alphas, converged, iterations, residuals = zip(*solves)
+    failed = [repr(float(a)) for a, ok in zip(alphas, converged) if not ok]
+    return _Result(
+        outputs,
+        summary,
+        extra={
+            "converged": [bool(c) for c in converged],
+            "iterations": [int(i) for i in iterations],
+            "residual": [float(r) for r in residuals],
+        },
+        failure=f"alpha {', '.join(failed)} did not converge" if failed else None,
+    )
+
+
 def cmd_fidelity(args, graph) -> _Result:
     from . import ranking
 
     grid = ranking.fidelity_grid(graph, args.alphas, tol=args.tol, max_iter=args.max_iter)
-    return _Result(
+    return _sweep_result(
         {"fidelity.csv": partial(ranking.fidelity_grid_to_csv, grid)},
         f"n={graph.n_nodes} grid {len(args.alphas)}x{len(args.alphas)}",
-        failure=None if grid.converged.all() else "some alpha values did not converge",
+        zip(grid.alphas, grid.converged, grid.iterations, grid.residuals),
     )
 
 
@@ -183,10 +246,10 @@ def cmd_par_curve(args, graph) -> _Result:
     from . import ranking
 
     points = ranking.par_vs_alpha(graph, args.alphas, tol=args.tol, max_iter=args.max_iter)
-    return _Result(
+    return _sweep_result(
         {"par_curve.csv": partial(ranking.par_curve_to_csv, points)},
         f"n={graph.n_nodes} {len(points)} alpha values",
-        failure=None if all(p.converged for p in points) else "some alpha values did not converge",
+        [(p.alpha, p.converged, p.iterations, p.residual) for p in points],
     )
 
 
@@ -246,6 +309,7 @@ def cmd_generate(args, _graph) -> _Result:
 def cmd_truncate_spectrum(args, graph) -> _Result:
     from . import spectra
 
+    _check_dense_memory(graph.n_nodes, args.sizes)
     cmp = spectra.truncated_spectrum_compare(
         graph, args.alpha, args.sizes, tol=args.tol, dense_limit=args.dense_limit
     )

@@ -85,18 +85,23 @@ class RankVector:
 @dataclass(frozen=True)
 class FidelityGrid:
     """Symmetric matrix of pairwise rank-vector fidelities over a set of
-    damping values; the diagonal is 1.  ``converged[i]`` is the convergence
-    flag of the rank vector at ``alphas[i]``."""
+    damping values; the diagonal is 1.  ``converged[i]``, ``iterations[i]``
+    and ``residuals[i]`` describe the solve of the rank vector at
+    ``alphas[i]`` (see :class:`RankVector`)."""
 
     alphas: np.ndarray
     f: np.ndarray
     converged: np.ndarray
+    iterations: np.ndarray
+    residuals: np.ndarray
 
 
 class ParPoint(NamedTuple):
     alpha: float
     xi: float
     converged: bool
+    iterations: int
+    residual: float
 
 
 def pagerank(
@@ -287,10 +292,11 @@ def par_vs_alpha(
 ) -> list[ParPoint]:
     """Participation ratio of the rank vector at each damping value.
 
-    Each point carries the convergence flag of its rank vector.
+    Each point carries the convergence flag, iteration count and residual
+    of its rank vector.
     """
     return [
-        ParPoint(r.alpha, participation_ratio(r.values), r.converged)
+        ParPoint(r.alpha, participation_ratio(r.values), r.converged, r.iterations, r.residual)
         for r in _rank_sweep(graph, alphas, tol, max_iter)
     ]
 
@@ -359,6 +365,8 @@ def fidelity_grid(
         alphas=np.array([r.alpha for r in ranks]),
         f=f,
         converged=np.array([r.converged for r in ranks]),
+        iterations=np.array([r.iterations for r in ranks]),
+        residuals=np.array([r.residual for r in ranks]),
     )
 
 

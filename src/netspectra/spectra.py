@@ -12,15 +12,15 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy import sparse
+from scipy.linalg import blas, lapack
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import directed_hausdorff
-from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .gmatrix import DENSE_LIMIT_DEFAULT, GoogleMatrix, truncate_by_rank
 from .netcore import DirectedGraph, _write_table
-from .ranking import pagerank, participation_ratio
+from .ranking import pagerank
 
 __all__ = [
     "EIG_TOL",
@@ -37,6 +37,7 @@ __all__ = [
     "TruncationResult",
     "TruncationComparison",
     "eigendecompose",
+    "dense_memory_bytes",
     "alpha_scaling_check",
     "relaxation_rates",
     "density_of_states",
@@ -67,55 +68,173 @@ class ScalingCheckError(ValueError):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """All eigenvalues and right eigenvectors of one matrix.
+    """All eigenvalues of one matrix, with the residual and participation
+    ratio of each right eigenvector.
 
     Sorted by decreasing ``|lambda|``, ties by decreasing real part then
     increasing imaginary part, so output files are deterministic.
-    Eigenvector columns are unit L2 norm and aligned with ``eigenvalues``;
-    ``residuals[i]`` is ``||M psi_i - lambda_i psi_i||_2``.
+    ``residuals[i]`` is ``||M psi_i - lambda_i psi_i||_2`` for the unit-norm
+    eigenvector ``psi_i`` and ``pars[i]`` its participation ratio (both
+    read-only).
+
+    The eigenvectors are kept as LAPACK ``dgeev`` returns them (8 bytes per
+    entry): ``packed`` is the real N x N matrix in solver order, where a real
+    eigenvalue's column is its eigenvector and a conjugate pair ``a +- ib``
+    takes two columns u, v (``pair_first`` marks u) with eigenvectors
+    ``u +- iv``; ``eigenvalues[i]`` belongs to packed column ``order[i]``.
+    :attr:`eigenvectors` unpacks them on first use.  A spectrum built by
+    :meth:`from_eigenvalues` carries no eigenvectors.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
     residuals: np.ndarray
+    pars: np.ndarray
+    packed: np.ndarray | None = None
+    order: np.ndarray | None = None
+    pair_first: np.ndarray | None = None
+
+    @classmethod
+    def from_eigenvalues(cls, eigenvalues) -> "Spectrum":
+        """Eigenvalues alone, in the given order; residuals and PARs are nan."""
+        lam = np.asarray(eigenvalues, dtype=np.complex128)
+        unknown = np.full(lam.size, np.nan)
+        return cls(eigenvalues=lam, residuals=unknown, pars=unknown)
 
     @property
     def n(self) -> int:
         return self.eigenvalues.size
 
     @cached_property
-    def pars(self) -> np.ndarray:
-        """Participation ratio of each eigenvector column (read-only),
-        computed on first use and shared by every reader."""
-        pars = participation_ratio(self.eigenvectors)
-        pars.setflags(write=False)
-        return pars
+    def eigenvectors(self) -> np.ndarray:
+        """Unit-norm right eigenvectors as columns aligned with
+        ``eigenvalues`` (read-only), built from the packed matrix on first
+        use: complex unless every eigenvalue is real, bitwise the columns of
+        ``scipy.linalg.eig`` divided by their norms.  The result holds 16
+        bytes per entry, twice the packed storage (32 while it is built)."""
+        if self.packed is None:
+            raise ValueError("spectrum carries no eigenvectors")
+        first = np.flatnonzero(self.pair_first)
+        if first.size:
+            vecs = self.packed.astype(np.complex128)
+            vecs.imag[:, first] = self.packed[:, first + 1]
+            vecs[:, first + 1] = vecs[:, first].conj()
+        else:
+            vecs = self.packed.copy(order="F")  # column sums as scipy's layout takes them
+        vecs /= np.linalg.norm(vecs, axis=0)
+        vecs = vecs[:, self.order]
+        vecs.setflags(write=False)
+        return vecs
+
+
+# Bytes of one block of residual columns: an operator up to N = 2,048 is
+# checked with one GEMM, a larger one in blocks of about 2^22 / N columns.
+_BLOCK_BYTES = 1 << 25
+
+
+def _block_columns(n: int) -> int:
+    return min(n, max(2, _BLOCK_BYTES // (8 * n)))
+
+
+def dense_memory_bytes(n: int) -> int:
+    """Bytes the dense path holds at its peak for an n x n operator: the
+    operator, dgeev's copy of it, the packed eigenvectors and one residual
+    block (the O(n) vectors aside)."""
+    return 8 * n * (3 * n + _block_columns(n))
+
+
+def _power_sums(mod2):
+    """Row sums of ``|psi|^2`` and of ``|psi|^4``, given ``|psi|^2`` with one
+    eigenvector per contiguous row (overwritten)."""
+    s2 = mod2.sum(axis=1)
+    return s2, np.square(mod2, out=mod2).sum(axis=1)
+
+
+def _certify_block(a, trans: int, vb, wr, wi, first):
+    """Squared norm, sum of fourth powers of the entry moduli, and squared
+    residual norm of the eigenvectors in one block of packed columns that
+    splits no conjugate pair; a pair's two columns both get the values of
+    ``u + iv``.
+
+    ``M VR = VR D`` holds with D block diagonal: ``a`` on the diagonal for
+    a real eigenvalue, and ``[[a, b], [-b, a]]`` for a pair, so that
+    ``M u = a u - b v`` and ``M v = b u + a v``.  The residual block
+    ``M VR - VR D`` is one real GEMM accumulated into ``VR D``.  Every sum
+    runs along one contiguous row of a transposed block, so a column's
+    norm and PAR do not depend on the blocking.
+    """
+    k = vb.shape[1]
+    f = np.flatnonzero(first)
+    diag = np.arange(k)
+    d = sparse.csr_matrix(
+        (np.concatenate([wr, wi[f], wi[f + 1]]),
+         (np.concatenate([diag, f, f + 1]), np.concatenate([diag, f + 1, f]))),
+        shape=(k, k),
+    )
+    r = (d.T @ vb.T).T  # VR D in Fortran order, the layout dgemm overwrites
+    r = blas.dgemm(1.0, a, vb, beta=-1.0, c=r, trans_a=trans, overwrite_c=1)
+    r2 = np.square(r, out=r).T.sum(axis=1)
+    del r
+    rows = vb.T  # one packed column per contiguous row
+    s2, s4 = np.empty(k), np.empty(k)
+    real = wi == 0
+    mod2 = rows[real]
+    s2[real], s4[real] = _power_sums(np.square(mod2, out=mod2))
+    mod2 = rows[f]
+    np.square(mod2, out=mod2)
+    v = rows[f + 1]
+    mod2 += np.square(v, out=v)  # |u + iv|^2 = u^2 + v^2 entry by entry
+    del v
+    s2[f], s4[f] = _power_sums(mod2)
+    s2[f + 1], s4[f + 1] = s2[f], s4[f]
+    r2[f] = r2[f + 1] = r2[f] + r2[f + 1]
+    return s2, s4, r2
 
 
 def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
     """Full eigendecomposition of a dense real nonsymmetric matrix.
 
     Any method is acceptable as long as every pair satisfies
-    ``||M psi - lambda psi||_2 <= tol * ||M||_F``; this uses the standard
-    balanced Hessenberg/QR path (LAPACK dgeev via scipy) and then checks
-    that contract explicitly.
+    ``||M psi - lambda psi||_2 <= tol * ||M||_F``; this calls LAPACK
+    ``dgeev`` (balanced Hessenberg/QR, the routine behind
+    ``scipy.linalg.eig``, so the eigenvalues are bitwise the same) and
+    keeps its packed real eigenvectors.  The contract is then checked in
+    real arithmetic, column block by column block (see
+    :func:`_certify_block`), and each eigenvector's participation ratio is
+    taken in the same pass.  The traced peak is about 18 bytes per matrix
+    entry beyond the input: dgeev's copy of the matrix and the packed
+    eigenvectors.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
-    if matrix.shape[0] == 0:
+    n = matrix.shape[0]
+    if n == 0:
         raise ValueError("matrix must be at least 1x1")
-    try:
-        lam, vecs = scipy.linalg.eig(matrix)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigensolverError(f"QR iteration failed to converge: {exc}") from exc
-    norms = np.linalg.norm(vecs, axis=0)
-    if np.any(norms == 0):
-        raise EigensolverError(
-            f"solver returned a zero eigenvector at index {int(np.argmin(norms))}"
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    work, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=1)
+    wr, wi, _, vr, info = lapack.dgeev(matrix, compute_vl=0, compute_vr=1, lwork=int(work))
+    if info != 0:
+        raise EigensolverError(f"QR iteration failed to converge (dgeev info {info})")
+    first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
+    # dgemm reads M in Fortran order: a C-ordered M as its transpose, any
+    # other layout copied once rather than by f2py for every block
+    a, trans = (matrix.T, 1) if matrix.flags.c_contiguous else (np.asfortranarray(matrix), 0)
+    s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
+    step = _block_columns(n)
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + step)
+        hi += bool(first[hi - 1])  # never split a pair
+        s2[lo:hi], s4[lo:hi], r2[lo:hi] = _certify_block(
+            a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi]
         )
-    vecs = vecs / norms
-    residuals = np.linalg.norm(matrix @ vecs - vecs * lam, axis=0)
+        lo = hi
+    if np.any(s2 == 0):
+        raise EigensolverError(
+            f"solver returned a zero eigenvector at index {int(np.argmin(s2))}"
+        )
+    residuals = np.sqrt(r2 / s2)
     fro = np.linalg.norm(matrix, "fro")
     bad = residuals > tol * fro
     if np.any(bad):
@@ -124,11 +243,18 @@ def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
             f"residual {residuals[i]:.3e} at index {i} exceeds "
             f"{tol:.1e} * ||M||_F = {tol * fro:.3e}"
         )
+    lam = wr + 1j * wi
     order = np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
+    residuals, pars = residuals[order], (s2 * s2 / s4)[order]
+    for arr in (residuals, pars, vr, order, first):
+        arr.setflags(write=False)
     return Spectrum(
         eigenvalues=lam[order],
-        eigenvectors=vecs[:, order],
-        residuals=residuals[order],
+        residuals=residuals,
+        pars=pars,
+        packed=vr,
+        order=order,
+        pair_first=first,
     )
 
 
@@ -304,8 +430,12 @@ def degeneracy_clusters(spec: Spectrum, tol: float = DEGENERACY_TOL) -> Degenera
     n = lam.size
     pairs = cKDTree(np.column_stack([lam.real, lam.imag])).query_pairs(
         r=tol, output_type="ndarray"
+    ).astype(np.int32)
+    # one adjacency, with int32 indices and boolean data, from the pair list
+    adjacency = sparse.csr_matrix(
+        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
     )
-    adjacency = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    del pairs
     n_comp, labels = connected_components(adjacency, directed=False)
     # members by one stable sort of the labels; splitting at every group end
     # leaves one empty tail, also when there are no eigenvalues at all

@@ -1,0 +1,57 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / "bench_record.py")
+bench_record = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_record)
+
+DECLARED = {
+    "spectrum_s": {"name": "spectrum_s", "unit": "s", "better": "lower", "bound": 0.25},
+    "rate": {"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.25},
+}
+
+
+def side(spectrum_s, rate, columns, correct=True):
+    metrics = {"spectrum_s": {"value": spectrum_s}, "rate": {"value": rate}}
+    return {"result": {"metrics": metrics, "correct": correct, "failed": 0}, "columns": columns}
+
+
+def test_parse_seeds():
+    assert bench_record.parse_seeds("901-903") == [901, 902, 903]
+    assert bench_record.parse_seeds("1,5,9") == [1, 5, 9]
+
+
+def test_summarize_counts_wins_by_direction_and_column_equality():
+    same = {"j1/e.csv:re": "a", "j1/e.csv:par": "p"}
+    pairs = [
+        {"parent": side(1.0, 10.0, same), "change": side(0.5, 12.0, same)},
+        {"parent": side(1.2, 10.0, same), "change": side(0.6, 10.0, {**same, "j1/e.csv:par": "q"})},
+        {"parent": side(1.1, 11.0, same), "change": side(1.3, 9.0, same)},
+    ]
+    out = bench_record.summarize(pairs, DECLARED)
+    t = out["metrics"]["spectrum_s"]
+    assert (t["wins"], t["losses"], t["ties"]) == (2, 1, 0)
+    assert t["parent"]["median"] == 1.1 and t["change"]["median"] == 0.6
+    assert t["ratio"] == pytest.approx(0.6 / 1.1)
+    assert t["parent"]["q1"] == pytest.approx(1.05) and t["parent"]["q3"] == pytest.approx(1.15)
+    assert t["gap_exceeds_parent_iqr"] is True
+    r = out["metrics"]["rate"]  # higher is better: a rise wins, equal ties
+    assert (r["wins"], r["losses"], r["ties"]) == (1, 1, 1)
+    assert out["digests_equal"] == {"e.csv:par": False, "e.csv:re": True}
+    assert out["correct"] == {"parent": True, "change": True}
+
+
+def test_column_digests_split_csv_columns(tmp_path):
+    job = tmp_path / "job"
+    job.mkdir()
+    (job / "e.csv").write_text("# manifest: manifest.json\nre,par\n1,2\n3,4\n")
+    (job / "g.edges").write_text("# nodes=2\n0 1\n")
+    (job / "manifest.json").write_text(json.dumps({"outputs": {}}))
+    digests = bench_record.column_digests([{"id": "j", "dir": str(job)}])
+    assert sorted(digests) == ["j/e.csv:par", "j/e.csv:re", "j/g.edges"]
+    assert digests["j/e.csv:re"] == bench_record._sha("1\n3")
+    assert digests["j/g.edges"] == bench_record._sha("0 1")

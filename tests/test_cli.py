@@ -82,6 +82,55 @@ class TestSpectrumCommand:
         assert code == 2
         assert "truncate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv", [["spectrum"], ["truncate-spectrum", "--sizes", "3"]], ids=["spectrum", "truncate"]
+    )
+    def test_memory_preflight_exit_2_with_hint(self, k5_file, tmp_path, capsys, monkeypatch, argv):
+        from netspectra import cli, spectra
+
+        def never(*args, **kwargs):
+            raise AssertionError("densified after the preflight refused")
+
+        monkeypatch.setattr(spectra, "eigendecompose", never)
+        # K5 needs 8 * 5 * (3 * 5 + 5) = 800 bytes for its own decomposition
+        monkeypatch.setattr(cli, "_available_memory", lambda: 799)
+        out = tmp_path / "o"
+        assert main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "truncate by rank" in err and "available" in err
+        assert not out.exists()
+
+    def test_memory_preflight_counts_spectra_held_by_truncation(self, k5_file, tmp_path, monkeypatch):
+        from netspectra import cli
+
+        # the full spectrum's 200-byte packed eigenvectors stay while m = 5 runs
+        for available, code in ((999, 2), (1000, 0)):
+            monkeypatch.setattr(cli, "_available_memory", lambda: available)
+            argv = ["truncate-spectrum", k5_file, "--sizes", "5", "--out-dir", str(tmp_path / "o")]
+            assert main(argv) == code
+
+    def test_memory_preflight_skipped_without_a_figure(self, k5_file, tmp_path, monkeypatch):
+        from netspectra import cli
+
+        monkeypatch.setattr(cli, "_MEMINFO", str(tmp_path / "absent"))
+        monkeypatch.setattr(cli, "_CGROUP_LIMITS", (str(tmp_path / "absent"),))
+        assert cli._available_memory() is None
+        assert main(["spectrum", k5_file, "--out-dir", str(tmp_path / "o")]) == 0
+
+    def test_available_memory_capped_by_cgroup_limit(self, tmp_path, monkeypatch):
+        from netspectra import cli
+
+        meminfo = tmp_path / "meminfo"
+        meminfo.write_text("MemTotal:  8000 kB\nMemFree:  100 kB\nMemAvailable:  2048 kB\n")
+        unlimited, limit = tmp_path / "memory.max", tmp_path / "limit_in_bytes"
+        unlimited.write_text("max\n")
+        limit.write_text("1000000\n")
+        monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
+        monkeypatch.setattr(cli, "_CGROUP_LIMITS", (str(unlimited),))
+        assert cli._available_memory() == 2048 * 1024
+        monkeypatch.setattr(cli, "_CGROUP_LIMITS", (str(unlimited), str(limit)))
+        assert cli._available_memory() == 1000000
+
     def test_malformed_input_exit_1(self, tmp_path):
         bad = tmp_path / "bad.edges"
         bad.write_text("0 x\n")
@@ -220,8 +269,33 @@ def test_alpha_sweep_non_convergence_exit_3_after_writing(command, output, tmp_p
     out = tmp_path / "out"
     argv = [command, str(path), "--alphas", "0.5,0.85", "--max-iter", "1", "--out-dir", str(out)]
     assert main(argv) == 3
-    assert "did not converge" in capsys.readouterr().err
+    # one operator application certifies neither alpha on this irregular graph
+    assert capsys.readouterr().err == f"{command}: alpha 0.5, 0.85 did not converge\n"
     assert (out / output).exists() and (out / "manifest.json").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["converged"] == [False, False]
+    assert manifest["iterations"] == [1, 1]
+    assert all(res > alpha * 1e-12 for res, alpha in zip(manifest["residual"], [0.5, 0.85]))
+
+
+@pytest.mark.parametrize("command", ["fidelity", "par-curve"])
+def test_alpha_sweep_manifest_records_each_solve(command, tmp_path):
+    from netspectra.ranking import pagerank
+    from netspectra.gmatrix import GoogleMatrix
+    from netspectra.netcore import load_edge_list
+
+    path = tmp_path / "g.edges"
+    path.write_text("".join(f"{i} {(i * 7 + 3) % 40}\n{i} {(i + 1) % 40}\n" for i in range(40)))
+    out = tmp_path / "out"
+    alphas = [0.3, 0.85, 0.99]
+    assert main([command, str(path), "--alphas", "0.3,0.85,0.99", "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    graph = load_edge_list(str(path))
+    ranks = [pagerank(GoogleMatrix.from_graph(graph, a)) for a in alphas]
+    assert manifest["converged"] == [True] * 3
+    assert manifest["iterations"] == [r.iterations for r in ranks]
+    assert manifest["residual"] == [r.residual for r in ranks]
+    assert all(res <= a * 1e-12 for res, a in zip(manifest["residual"], alphas))
 
 
 class TestParCurveCommand:
@@ -408,6 +482,8 @@ SPECTRUM_FILES = ["eigenvalues.csv", "dos.csv", "degeneracy.csv", "eigenvector_p
 
 # command -> (argv with GRAPH / OUT placeholders, manifest name, output files,
 # extra top-level manifest keys)
+# per-alpha solve records of the alpha sweeps
+SWEEP_KEYS = {"converged", "iterations", "residual"}
 MANIFEST_CASES = {
     "spectrum": (["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES, set()),
     "pagerank": (
@@ -416,11 +492,11 @@ MANIFEST_CASES = {
     ),
     "fidelity": (
         ["fidelity", "GRAPH", "--alphas", "0.5,0.85", "--out-dir", "OUT"], "manifest.json",
-        ["fidelity.csv"], set(),
+        ["fidelity.csv"], SWEEP_KEYS,
     ),
     "par-curve": (
         ["par-curve", "GRAPH", "--alphas", "0.5,0.85", "--out-dir", "OUT"], "manifest.json",
-        ["par_curve.csv"], set(),
+        ["par_curve.csv"], SWEEP_KEYS,
     ),
     "degree-dist": (
         ["degree-dist", "GRAPH", "--out-dir", "OUT"], "manifest.json",

@@ -1,7 +1,9 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from netspectra.gmatrix import GoogleMatrix
 from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power, participation_ratio
 from netspectra.spectra import (
+    EIG_TOL,
     ZERO_MODE_CUTOFF,
     EigensolverError,
     ScalingCheckError,
@@ -23,6 +26,7 @@ from netspectra.spectra import (
     cloud_hausdorff,
     degeneracy_clusters,
     degeneracy_to_csv,
+    dense_memory_bytes,
     density_of_states,
     dos_to_csv,
     eigendecompose,
@@ -56,10 +60,7 @@ def closed_class_count(graph):
 
 def eigenvalues_only(lam):
     """A Spectrum carrying only eigenvalues, for the clustering tests."""
-    lam = np.asarray(lam, dtype=np.complex128)
-    return Spectrum(
-        eigenvalues=lam, eigenvectors=np.zeros((1, lam.size)), residuals=np.zeros(lam.size)
-    )
+    return Spectrum.from_eigenvalues(lam)
 
 
 def partition(groups):
@@ -300,11 +301,7 @@ class TestDegeneracyClusters:
             np.full(800, 0.5 + 0j) + rng.normal(0, 1e-12, 800),
             (rng.random(3000) - 0.5) * 0.1 + 1j * (rng.random(3000) - 0.5) * 0.1,
         ])
-        spec = Spectrum(
-            eigenvalues=lam,
-            eigenvectors=np.zeros((1, lam.size)),
-            residuals=np.zeros(lam.size),
-        )
+        spec = Spectrum.from_eigenvalues(lam)
         report = degeneracy_clusters(spec, tol=1e-8)
         assert report.clusters[0].multiplicity == 1200
         assert abs(report.clusters[0].representative - 0.25) <= 1e-9
@@ -422,6 +419,186 @@ class TestEigenvectorPars:
         assert gammas.size == pars.size == 1
 
 
+def similar_to(diagonal_blocks, seed):
+    """``Q B Q^-1`` for the block-diagonal B and a random well-conditioned
+    Q: a non-normal matrix with B's eigenvalues, multiplicities included."""
+    b = scipy.linalg.block_diag(*diagonal_blocks)
+    rng = np.random.default_rng(seed)
+    q = np.eye(b.shape[0]) + 0.3 * rng.standard_normal(b.shape)
+    return q @ b @ np.linalg.inv(q)
+
+
+def rotation(a, b):
+    return np.array([[a, -b], [b, a]])
+
+
+def packed_core_cases():
+    """Real, complex, repeated and zero eigenvalues."""
+    color, _ = generate_color(ColorParams(ab=AbParams(n_target=200, seed=4)))
+    return {
+        "random 0.85": GoogleMatrix.from_graph(sparse_random(120, seed=8), 0.85).to_dense(),
+        "colour 1.0": GoogleMatrix.from_graph(color, 1.0).to_dense(),
+        "rank one": GoogleMatrix.from_graph(sparse_random(40, seed=9), 0.0).to_dense(),
+        "real repeated and zero": similar_to([np.diag([2.0, 2.0, 0.0, 0.0, -1.0, 0.5])], 1),
+        "complex repeated and zero": similar_to(
+            [rotation(0.3, 0.8), rotation(0.3, 0.8), np.zeros((2, 2)), np.diag([0.9])], 2
+        ),
+    }
+
+
+def scipy_sorted(matrix):
+    """scipy's eigenvalues and column-normalized eigenvectors in the
+    Spectrum order."""
+    lam, vecs = scipy.linalg.eig(matrix)
+    order = np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
+    return lam[order], (vecs / np.linalg.norm(vecs, axis=0))[:, order]
+
+
+def complex_residuals(matrix, spec):
+    vecs = spec.eigenvectors
+    return np.linalg.norm(matrix @ vecs - vecs * spec.eigenvalues, axis=0)
+
+
+class TestPackedCore:
+    """The packed real eigenvectors against complex arithmetic on scipy's
+    unpacked ones."""
+
+    @pytest.mark.parametrize("name", list(packed_core_cases()))
+    def test_against_scipy_and_complex_residual(self, name):
+        matrix = packed_core_cases()[name]
+        spec = eigendecompose(matrix)
+        lam, vecs = scipy_sorted(matrix)
+        assert spec.eigenvalues.tobytes() == lam.tobytes()
+        assert spec.eigenvectors.dtype == vecs.dtype
+        assert spec.eigenvectors.tobytes() == vecs.tobytes()
+        fro = np.linalg.norm(matrix, "fro")
+        eps = np.finfo(float).eps
+        oracle = complex_residuals(matrix, spec)
+        assert np.max(np.abs(spec.residuals - oracle)) <= 4 * eps * fro
+        assert spec.residuals.max() <= EIG_TOL * fro
+
+    def test_cases_cover_each_kind_of_eigenvalue(self):
+        lam = np.concatenate([eigendecompose(m).eigenvalues for m in packed_core_cases().values()])
+        assert np.any(lam.imag != 0) and np.any(lam.imag == 0)
+        assert np.any(np.abs(lam) < ZERO_MODE_CUTOFF)
+        spec = eigendecompose(packed_core_cases()["complex repeated and zero"])
+        assert np.sum(np.abs(spec.eigenvalues - (0.3 + 0.8j)) < 1e-6) == 2
+
+    def test_pair_on_a_block_boundary(self, monkeypatch):
+        from netspectra import spectra
+
+        matrix = packed_core_cases()["random 0.85"]
+        n = matrix.shape[0]
+        whole = eigendecompose(matrix)
+        j = int(np.flatnonzero(whole.pair_first)[3])  # first column of a pair
+        blocks = []
+        certify = spectra._certify_block
+
+        def recorded(a, trans, vb, wr, wi, first):
+            blocks.append(first)
+            return certify(a, trans, vb, wr, wi, first)
+
+        monkeypatch.setattr(spectra, "_certify_block", recorded)
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", 8 * n * (j + 1))
+        spec = eigendecompose(matrix)
+        assert blocks[0].size == j + 2  # widened by one column to keep the pair
+        assert sum(b.size for b in blocks) == n and len(blocks) > 2
+        assert not any(b[-1] for b in blocks)
+        assert spec.eigenvalues.tobytes() == whole.eigenvalues.tobytes()
+        # every norm and PAR sum runs along one column, whatever the blocking
+        assert spec.pars.tobytes() == whole.pars.tobytes()
+        eps = np.finfo(float).eps
+        fro = np.linalg.norm(matrix, "fro")
+        assert np.max(np.abs(spec.residuals - complex_residuals(matrix, spec))) <= 4 * eps * fro
+
+    @staticmethod
+    def patched_dgeev(monkeypatch, change):
+        from netspectra import spectra
+
+        dgeev = spectra.lapack.dgeev
+
+        def patched(*args, **kwargs):
+            return change(*dgeev(*args, **kwargs))
+
+        monkeypatch.setattr(spectra.lapack, "dgeev", patched)
+
+    def test_input_layouts_agree(self):
+        matrix = packed_core_cases()["random 0.85"]
+        strided = np.repeat(np.repeat(matrix, 2, axis=0), 2, axis=1)[::2, ::2]
+        specs = [eigendecompose(m) for m in (matrix, np.asfortranarray(matrix), strided)]
+        fro = np.linalg.norm(matrix, "fro")
+        for spec in specs:
+            assert spec.eigenvalues.tobytes() == specs[0].eigenvalues.tobytes()
+            assert spec.pars.tobytes() == specs[0].pars.tobytes()
+            assert spec.residuals.max() <= 8 * np.finfo(float).eps * fro
+
+    @pytest.mark.parametrize("name", ["random 0.85", "complex repeated and zero"])
+    def test_residual_formula_off_rounding_level(self, name, monkeypatch):
+        # perturbed vectors give residuals far above rounding, where the
+        # packed formula must match complex arithmetic to many digits
+        rng = np.random.default_rng(5)
+
+        def perturbed(wr, wi, vl, vr, info):
+            return wr, wi, vl, vr + 1e-6 * rng.standard_normal(vr.shape), info
+
+        self.patched_dgeev(monkeypatch, perturbed)
+        matrix = packed_core_cases()[name]
+        spec = eigendecompose(matrix, tol=1.0)
+        oracle = complex_residuals(matrix, spec)
+        assert oracle.min() > 1e-8
+        np.testing.assert_allclose(spec.residuals, oracle, rtol=1e-8)
+
+    def test_zero_eigenvector_raises(self, monkeypatch):
+        def zero_column(wr, wi, vl, vr, info):
+            vr[:, 3] = 0.0
+            return wr, wi, vl, vr, info
+
+        self.patched_dgeev(monkeypatch, zero_column)
+        with pytest.raises(EigensolverError, match="zero eigenvector at index 3"):
+            eigendecompose(packed_core_cases()["random 0.85"])
+
+    def test_wrong_eigenvector_fails_the_contract(self, monkeypatch):
+        def swapped(wr, wi, vl, vr, info):
+            real = np.flatnonzero(wi == 0)[:2]
+            vr[:, real] = vr[:, real[::-1]]
+            return wr, wi, vl, vr, info
+
+        self.patched_dgeev(monkeypatch, swapped)
+        with pytest.raises(EigensolverError, match="residual .* exceeds"):
+            eigendecompose(packed_core_cases()["random 0.85"])
+
+    def test_qr_failure_raises(self, monkeypatch):
+        self.patched_dgeev(monkeypatch, lambda wr, wi, vl, vr, info: (wr, wi, vl, vr, 7))
+        with pytest.raises(EigensolverError, match="failed to converge"):
+            eigendecompose(np.eye(3))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            eigendecompose(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    def test_eigenvalues_only_spectrum_has_no_vectors(self):
+        spec = Spectrum.from_eigenvalues([0.5, 0.25j])
+        assert spec.n == 2 and np.isnan(spec.pars).all()
+        with pytest.raises(ValueError, match="no eigenvectors"):
+            spec.eigenvectors
+
+    def test_traced_peak_bytes_per_entry(self):
+        # dgeev's copy of the matrix and the packed eigenvectors are 16 B/N^2;
+        # the complex path this replaced peaked at 48.5
+        n = 256
+        matrix = GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense()
+        tracemalloc.start()
+        try:
+            spec = eigendecompose(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.n == n
+        assert peak <= 26 * n * n
+        # the preflight's estimate covers the input as well
+        assert peak + matrix.nbytes <= dense_memory_bytes(n)
+
+
 class TestParColumnPass:
     """One participation-ratio pass over all eigenvectors gives exactly the
     ratio of each column taken on its own."""
@@ -436,6 +613,10 @@ class TestParColumnPass:
         ]
 
     def test_equals_scalar_ratio_per_column(self):
+        # the packed pass sums |u|^2 + |v|^2 of unnormalized columns, the
+        # oracle |psi|^2 of normalized complex ones: both sums are pairwise,
+        # so they agree to a few ulps (measured at most 4 eps)
+        rtol = 64 * np.finfo(float).eps
         specs = self.spectra()
         for spec in specs[:2]:  # conjugate pairs
             assert np.sum(spec.eigenvalues.imag > 0) == np.sum(spec.eigenvalues.imag < 0) > 0
@@ -447,27 +628,30 @@ class TestParColumnPass:
             assert np.array_equal(participation_ratio(vecs), scalar)
             # the solver's columns are contiguous; the row-major copy's are strided
             assert np.array_equal(participation_ratio(np.ascontiguousarray(vecs)), scalar)
-            assert np.array_equal(eigenvector_pars(spec)[1], scalar[finite])
+            np.testing.assert_allclose(spec.pars, scalar, rtol=rtol, atol=0)
+            # every reader shares the one pass exactly
+            assert np.array_equal(eigenvector_pars(spec)[1], spec.pars[finite])
             buf = io.StringIO()
             spectrum_to_csv(spec, buf)
             column = [line.split(",")[4] for line in buf.getvalue().splitlines()[1:]]
-            assert column == ["%.17g" % x for x in scalar]
+            assert column == ["%.17g" % x for x in spec.pars]
 
     def test_spectrum_command_computes_pars_once(self, tmp_path, monkeypatch):
         from netspectra import spectra
         from netspectra.cli import main
 
-        calls = []
+        blocks = []
+        certify = spectra._certify_block
 
-        def counted(v):
-            calls.append(np.shape(v))
-            return participation_ratio(v)
+        def counted(a, trans, vb, *rest):
+            blocks.append(vb.shape[1])
+            return certify(a, trans, vb, *rest)
 
-        monkeypatch.setattr(spectra, "participation_ratio", counted)
+        monkeypatch.setattr(spectra, "_certify_block", counted)
         path = tmp_path / "g.edges"
         path.write_text("".join(f"{i} {(i + k) % 12}\n" for i in range(12) for k in (1, 5)))
         assert main(["spectrum", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-        assert calls == [(12, 12)]
+        assert blocks == [12]  # one pass over the 12 columns, inside eigendecompose
         spec = spectrum_of(sparse_random(30, seed=2), 0.85)
         assert spec.pars is spec.pars and not spec.pars.flags.writeable
 

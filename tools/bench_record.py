@@ -1,0 +1,195 @@
+"""Record alternating parent/change pairs of the benchmark into one JSON file.
+
+Run from the repository root::
+
+    python3 tools/bench_record.py --parent HEAD --seeds 901-910 --out BENCH_<n>.json
+
+Each pair runs ``perfbench/run.py --trace 0`` once on the parent commit and
+once on the working tree, for every workload in ``--workloads``; odd pairs
+run the parent first, even pairs the change.  The parent is checked out in a
+temporary ``git worktree`` (removed afterwards) unless ``--parent-dir``
+names an existing checkout of it.  Both sides run the same benchmark
+settings from ``BENCHMARK.json``.
+
+The output holds, per workload: the seeds and the side that ran first in
+each pair; per end-to-end metric, each side's runs, median and quartiles,
+the ratio of the medians (change over parent), the pairs the change won,
+lost and tied, and whether the gap between the medians exceeds the
+parent's interquartile range; whether every run was correct; and, per
+output column (``<file>:<column>`` for a CSV file with a header row, the
+file name for any other non-JSON output), whether the bytes were equal on
+both sides in every pair.  The environment block of the first change run
+is copied in.  Workloads already recorded in ``--out`` against the same
+parent are kept, so workloads can be recorded one run at a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"901-910"`` or ``"1,5,9"``."""
+    if "-" in text:
+        lo, hi = (int(x) for x in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(x) for x in text.split(",")]
+
+
+def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run; returns its two JSON lines and the column digests
+    of every output it wrote."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    )
+    detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    work = checkout / ".bench_work" / f"{workload}-trace0"
+    jobs = json.loads((work / "config.json").read_text())["jobs"]
+    return {"detail": detail, "result": result, "columns": column_digests(jobs)}
+
+
+def column_digests(jobs) -> dict[str, str]:
+    """``{<job id>/<class>: sha256}`` over the non-JSON outputs of each job."""
+    digests = {}
+    for job in jobs:
+        for path in sorted(Path(job["dir"]).iterdir()):
+            if path.suffix == ".json" or not path.is_file():
+                continue
+            lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+            if path.suffix == ".csv" and lines:
+                header = lines[0].split(",")
+                cells = [ln.split(",") for ln in lines[1:]]
+                for k, name in enumerate(header):
+                    body = "\n".join(row[k] for row in cells)
+                    digests[f"{job['id']}/{path.name}:{name}"] = _sha(body)
+            else:
+                digests[f"{job['id']}/{path.name}"] = _sha("\n".join(lines))
+    return digests
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def side_stats(values: list[float]) -> dict:
+    q1, _, q3 = (
+        statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    )
+    return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def summarize(pairs: list[dict], declared: dict) -> dict:
+    """Per-metric statistics and per-column equality of one workload."""
+    metrics = {}
+    for name, spec in declared.items():
+        par = [p["parent"]["result"]["metrics"][name]["value"] for p in pairs]
+        chg = [p["change"]["result"]["metrics"][name]["value"] for p in pairs]
+        sign = 1.0 if spec["better"] == "lower" else -1.0
+        wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
+        losses = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
+        ps, cs = side_stats(par), side_stats(chg)
+        metrics[name] = {
+            "unit": spec["unit"],
+            "better": spec["better"],
+            "bound": spec["bound"],
+            "parent": ps,
+            "change": cs,
+            "ratio": cs["median"] / ps["median"] if ps["median"] else None,
+            "wins": wins,
+            "losses": losses,
+            "ties": len(pairs) - wins - losses,
+            "gap_exceeds_parent_iqr": abs(cs["median"] - ps["median"]) > ps["iqr"],
+        }
+    classes: dict[str, bool] = {}
+    for p in pairs:
+        a, b = p["parent"]["columns"], p["change"]["columns"]
+        for key in a.keys() | b.keys():
+            cls = key.split("/", 1)[1]
+            classes[cls] = classes.get(cls, True) and a.get(key) == b.get(key)
+    return {
+        "metrics": metrics,
+        "correct": {
+            side: all(p[side]["result"]["correct"] for p in pairs) for side in ("parent", "change")
+        },
+        "failed": {
+            side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
+        },
+        "digests_equal": dict(sorted(classes.items())),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
+    parser.add_argument("--parent-dir", help="existing checkout of the parent commit")
+    parser.add_argument("--seeds", type=parse_seeds, required=True, help='"901-910" or "1,5,9"')
+    parser.add_argument("--workloads", default=None, help="comma-separated (default: all)")
+    parser.add_argument("--out", required=True, help="output JSON file")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {m["name"]: m for m in bench["end_to_end"]}
+    names = args.workloads.split(",") if args.workloads else [w["name"] for w in bench["workloads"]]
+    rev = subprocess.run(
+        ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.parent_dir:
+            parent = Path(args.parent_dir).resolve()
+        else:
+            parent = Path(tmp) / "parent"
+            subprocess.run(["git", "worktree", "add", "--detach", str(parent), rev], cwd=ROOT,
+                           check=True, capture_output=True)
+        try:
+            record = {
+                "parent": rev,
+                "change": "working tree",
+                "command": bench["command"],
+                "seconds": bench["run_seconds"],
+                "workloads": {},
+            }
+            out = Path(args.out)
+            if out.exists():  # keep the other workloads recorded against the same parent
+                kept = json.loads(out.read_text())
+                if kept.get("parent") == rev:
+                    record["workloads"] = kept["workloads"]
+                    record["environment"] = kept["environment"]
+            for name in names:
+                pairs, order = [], []
+                for i, seed in enumerate(args.seeds):
+                    sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                    pair = {}
+                    for side in sides:
+                        pair[side] = run_bench(
+                            parent if side == "parent" else ROOT, name, seed, bench["run_seconds"]
+                        )
+                        rss = pair[side]["result"]["metrics"]["peak_rss_mb"]["value"]
+                        print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
+                    pairs.append(pair)
+                    order.append(sides[0])
+                    record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
+                    # rewritten after every pair, so a cut run keeps what it measured
+                    record["workloads"][name] = {
+                        "seeds": args.seeds[: i + 1], "first": order
+                    } | summarize(pairs, declared)
+                    out.write_text(json.dumps(record, indent=1) + "\n")
+        finally:
+            if not args.parent_dir:
+                subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT,
+                               check=False, capture_output=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
