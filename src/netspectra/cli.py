@@ -152,17 +152,12 @@ def _available_memory() -> int | None:
 
 def _check_dense_memory(n: int, sizes=()) -> None:
     """Refuse (exit 2) before densifying an n-node operator when the dense
-    path cannot fit in the available memory.  ``truncate-spectrum`` keeps
-    the packed eigenvectors of every spectrum it has computed while it
-    diagonalizes the next ``sizes`` operator.  No check without a figure."""
+    path, with the truncations to ``sizes`` (see
+    :func:`spectra.dense_memory_bytes`), cannot fit in the available memory.
+    No check without a figure."""
     from . import gmatrix, spectra
 
-    peak = spectra.dense_memory_bytes(n)
-    held = 8 * n * n
-    for m in sizes:
-        if 1 <= m <= n:  # other sizes fail later with their own message
-            peak = max(peak, held + spectra.dense_memory_bytes(m))
-            held += 8 * m * m
+    peak = spectra.dense_memory_bytes(n, sizes)
     available = _available_memory()
     if available is not None and peak > available:
         raise gmatrix.SizeLimitError(
@@ -256,13 +251,12 @@ def cmd_par_curve(args, graph) -> _Result:
 def cmd_degree_dist(args, graph) -> _Result:
     from . import netcore
 
+    dists = {d: netcore.degree_distribution(graph, d) for d in ("in", "out")}
     outputs = {
-        f"degree_{direction}.csv": partial(
-            netcore.degree_distribution_to_csv, netcore.degree_distribution(graph, direction)
-        )
-        for direction in ("in", "out")
+        f"degree_{d}.csv": partial(netcore.degree_distribution_to_csv, dist)
+        for d, dist in dists.items()
     }
-    mean_degree = graph.n_edges / max(graph.n_nodes, 1)
+    mean_degree = dists["in"].mean_degree
     return _Result(
         outputs, f"n={graph.n_nodes} <k>={mean_degree:.6g}", extra={"mean_degree": mean_degree}
     )
@@ -395,7 +389,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True, help="output edge-list file")
     p.set_defaults(func=cmd_randomize)
 
-    p = sub.add_parser("generate", parents=[common], help="random-network generators")
+    p = sub.add_parser("generate", help="random-network generators")
     gsub = p.add_subparsers(dest="model", required=True, metavar="MODEL")
     for model, desc in (
         ("ab", "scale-free growth with link addition and rewiring"),

@@ -46,15 +46,13 @@ _MAX_DRAW_RETRIES = 50
 class AbParams:
     """Growth parameters: ``p`` link addition, ``q`` rewiring, ``1-p-q`` node
     addition, ``m`` links per event.  The process starts from an
-    ``m+1``-node seed clique (bidirectional unless disabled)."""
+    ``m+1``-node bidirectional seed clique and never makes a self-loop."""
 
     n_target: int
     m: int = 5
     p: float = 0.2
     q: float = 0.1
     seed: int = 0
-    seed_bidirectional: bool = True
-    allow_self_loops: bool = False
 
     def __post_init__(self):
         if self.m < 1:
@@ -184,13 +182,10 @@ def _grow(params: AbParams, rng, color_cfg=None):
         present.add((src, tgt))
         pref.add(tgt, 1)
 
-    if params.seed_bidirectional:
-        seed_pairs = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
-    else:
-        seed_pairs = [(i, j) for i in range(n_seed) for j in range(i + 1, n_seed)]
-    for i, j in seed_pairs:
-        if keep_link(i, j):
-            add_edge(i, j)
+    for i in range(n_seed):
+        for j in range(n_seed):
+            if i != j and keep_link(i, j):
+                add_edge(i, j)
 
     n_now = n_seed
     while n_now < params.n_target:
@@ -203,9 +198,7 @@ def _grow(params: AbParams, rng, color_cfg=None):
                 for _ in range(_MAX_DRAW_RETRIES):
                     src = _randbelow(getrandbits, n_now)
                     tgt = draw_target()
-                    if src == tgt and not params.allow_self_loops:
-                        continue
-                    if (src, tgt) in present:
+                    if src == tgt or (src, tgt) in present:
                         continue
                     if keep_link(src, tgt):
                         add_edge(src, tgt)
@@ -219,9 +212,7 @@ def _grow(params: AbParams, rng, color_cfg=None):
                     e_idx = _randbelow(getrandbits, len(edges))
                     src, old_tgt = edges[e_idx]
                     tgt = draw_target()
-                    if src == tgt and not params.allow_self_loops:
-                        continue
-                    if (src, tgt) in present:
+                    if src == tgt or (src, tgt) in present:
                         continue
                     if keep_link(src, tgt):
                         present.discard((src, old_tgt))

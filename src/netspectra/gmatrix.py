@@ -182,14 +182,14 @@ def truncate_by_rank(
     return GoogleMatrix(StochasticMatrix(sub, new_dangling), g.alpha), kept
 
 
-def dense_to_csv(matrix: np.ndarray, target, header_comment=None) -> None:
+def dense_to_csv(matrix: np.ndarray, target) -> None:
     """Row-major CSV at full float precision, no header row."""
     matrix = np.asarray(matrix)
     fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    _write_table(target, header_comment, "", fmt, matrix.T)
+    _write_table(target, "", fmt, matrix.T)
 
 
-def sparse_to_csv(s: StochasticMatrix, target, header_comment=None) -> None:
+def sparse_to_csv(s: StochasticMatrix, target) -> None:
     """Explicit entries as ``j,i,value`` triplets, column-major order.
 
     Dangling columns have no rows here; they are implicitly uniform.
@@ -197,4 +197,4 @@ def sparse_to_csv(s: StochasticMatrix, target, header_comment=None) -> None:
     mat = s.matrix
     cols = np.repeat(np.arange(s.n), np.diff(mat.indptr))
     columns = (cols, mat.indices, mat.data)
-    _write_table(target, header_comment, "j,i,value\n", "%d,%d,%.17g\n", columns)
+    _write_table(target, "j,i,value\n", "%d,%d,%.17g\n", columns)

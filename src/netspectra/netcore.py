@@ -85,14 +85,11 @@ class DirectedGraph:
         its multiplicity.
     multi_edges_allowed : bool
         Whether parallel edges are permitted.
-    node_labels : tuple of str, optional
-        Opaque per-node labels (e.g. URLs), length ``n_nodes``.
     """
 
     n_nodes: int
     edges: np.ndarray
     multi_edges_allowed: bool = False
-    node_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2).copy()
@@ -109,8 +106,6 @@ class DirectedGraph:
                 )
         if not self.multi_edges_allowed and not _first_occurrences(edges).all():
             raise ValueError("duplicate edges present but multi_edges_allowed is False")
-        if self.node_labels is not None and len(self.node_labels) != self.n_nodes:
-            raise ValueError("node_labels length must equal n_nodes")
 
     @property
     def n_edges(self) -> int:
@@ -138,13 +133,13 @@ class DirectedGraph:
             self.n_nodes == other.n_nodes
             and self.multi_edges_allowed == other.multi_edges_allowed
             and np.array_equal(self.edges, other.edges)
-            and self.node_labels == other.node_labels
         )
 
 
 @dataclass(frozen=True)
 class DegreeDistribution:
-    """Degree statistics in one direction.
+    """Degree statistics in one direction (in or out, as requested from
+    :func:`degree_distribution`).
 
     ``counts`` maps every observed degree k to the number of nodes with that
     degree; ``cumulative`` maps k to the fraction of nodes with degree >= k,
@@ -152,11 +147,9 @@ class DegreeDistribution:
     ``mean_degree`` is edges / nodes (identical for both directions).
     """
 
-    direction: str
     counts: dict[int, int]
     cumulative: dict[int, float]
     mean_degree: float
-    n_nodes: int = 0
 
 
 def _read_text(source) -> str:
@@ -169,10 +162,10 @@ def _read_text(source) -> str:
         return fh.read()
 
 
-def _write_table(target, header_comment, head: str, fmt: str, columns) -> None:
-    """Write a text table in one piece: an optional ``# <header_comment>``
-    line, ``head`` verbatim, then one ``fmt`` line per row, where row i holds
-    the i-th entry of each of the equal-length ``columns``.
+def _write_table(target, head: str, fmt: str, columns) -> None:
+    """Write a text table in one piece: ``head`` verbatim, then one ``fmt``
+    line per row, where row i holds the i-th entry of each of the
+    equal-length ``columns``.
 
     One ``%`` formats all rows over the interleaved values: the bytes of
     formatting each row on its own, several times faster on long tables.
@@ -184,8 +177,7 @@ def _write_table(target, header_comment, head: str, fmt: str, columns) -> None:
     values = [None] * (n_rows * len(columns))
     for k, col in enumerate(columns):
         values[k :: len(columns)] = col
-    comment = f"# {header_comment}\n" if header_comment else ""
-    text = comment + head + (fmt * n_rows) % tuple(values)
+    text = head + (fmt * n_rows) % tuple(values)
     if hasattr(target, "write"):
         target.write(text)
         return
@@ -362,46 +354,34 @@ def save_edge_list(graph: DirectedGraph, target, colors=None) -> None:
         if len(colors) != graph.n_nodes:
             raise ValueError("colors length must equal n_nodes")
         head += "".join(f"# color {node} {int(col)}\n" for node, col in enumerate(colors))
-    _write_table(target, None, head, "%d %d\n", graph.edges.T)
+    _write_table(target, head, "%d %d\n", graph.edges.T)
 
 
-def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, dict[int, int]]:
+def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
     """Drop nodes with zero out-degree, compacting the surviving ids.
 
     A single pass only: nodes whose out-links all pointed at dropped nodes
     keep their (now dangling) status in the result rather than being removed
-    in turn.  Returns the filtered graph and the old-id -> new-id mapping.
+    in turn.  Returns the filtered graph and the kept old ids in ascending
+    order, so new id i is old id ``kept[i]``.
 
     Raises
     ------
     EmptyGraphError
         If no node has an out-link.
     """
-    out_deg = graph.out_degrees()
-    keep = out_deg > 0
-    n_new = int(keep.sum())
-    if n_new == 0:
+    keep = graph.out_degrees() > 0
+    kept = np.flatnonzero(keep).astype(np.int64)
+    if kept.size == 0:
         raise EmptyGraphError("every node has out-degree zero")
-    new_id = -np.ones(graph.n_nodes, dtype=np.int64)
-    new_id[keep] = np.arange(n_new)
+    new_id = np.full(graph.n_nodes, -1, dtype=np.int64)
+    new_id[kept] = np.arange(kept.size)
     edges = graph.edges
-    mask = keep[edges[:, 0]] & keep[edges[:, 1]]
-    remapped = new_id[edges[mask]]
-    labels = None
-    if graph.node_labels is not None:
-        labels = tuple(
-            lbl for lbl, k in zip(graph.node_labels, keep) if k
-        )
-    mapping = {int(old): int(new_id[old]) for old in np.nonzero(keep)[0]}
-    return (
-        DirectedGraph(
-            n_nodes=n_new,
-            edges=remapped,
-            multi_edges_allowed=graph.multi_edges_allowed,
-            node_labels=labels,
-        ),
-        mapping,
+    remapped = new_id[edges[keep[edges[:, 0]] & keep[edges[:, 1]]]]
+    filtered = DirectedGraph(
+        n_nodes=kept.size, edges=remapped, multi_edges_allowed=graph.multi_edges_allowed
     )
+    return filtered, kept
 
 
 def _randbelow(getrandbits, n: int) -> int:
@@ -470,7 +450,6 @@ def maslov_randomize(
         n_nodes=graph.n_nodes,
         edges=np.column_stack((np.array(src, dtype=np.int64), graph.edges[:, 1])),
         multi_edges_allowed=False,
-        node_labels=graph.node_labels,
     )
 
 
@@ -492,19 +471,15 @@ def degree_distribution(graph: DirectedGraph, direction: str) -> DegreeDistribut
     tail = np.cumsum(binned[::-1])[::-1]
     cumulative = {int(k): float(tail[k] / graph.n_nodes) for k in observed}
     return DegreeDistribution(
-        direction=direction,
-        counts=counts,
-        cumulative=cumulative,
-        mean_degree=graph.n_edges / graph.n_nodes,
-        n_nodes=graph.n_nodes,
+        counts=counts, cumulative=cumulative, mean_degree=graph.n_edges / graph.n_nodes
     )
 
 
-def degree_distribution_to_csv(dist: DegreeDistribution, target, header_comment=None) -> None:
+def degree_distribution_to_csv(dist: DegreeDistribution, target) -> None:
     """Write ``k,count,cumulative_fraction`` rows sorted by degree."""
     ks = sorted(dist.counts)
     columns = (ks, [dist.counts[k] for k in ks], [dist.cumulative[k] for k in ks])
-    _write_table(target, header_comment, "k,count,cumulative_fraction\n", "%d,%d,%.17g\n", columns)
+    _write_table(target, "k,count,cumulative_fraction\n", "%d,%d,%.17g\n", columns)
 
 
 def fit_loglog_slope(

@@ -370,22 +370,22 @@ def fidelity_grid(
     )
 
 
-def rank_to_csv(r: RankVector, target, header_comment=None) -> None:
+def rank_to_csv(r: RankVector, target) -> None:
     """``node_id,score,rank_position`` rows in node-id order (1-based
     positions)."""
     position = np.empty(r.n, dtype=np.int64)
     position[r.order] = np.arange(1, r.n + 1)
     columns = (np.arange(r.n), r.values, position)
-    _write_table(target, header_comment, "node_id,score,rank_position\n", "%d,%.17g,%d\n", columns)
+    _write_table(target, "node_id,score,rank_position\n", "%d,%.17g,%d\n", columns)
 
 
-def par_curve_to_csv(points: list[ParPoint], target, header_comment=None) -> None:
+def par_curve_to_csv(points: list[ParPoint], target) -> None:
     columns = ([p.alpha for p in points], [p.xi for p in points])
-    _write_table(target, header_comment, "alpha,xi\n", "%.17g,%.17g\n", columns)
+    _write_table(target, "alpha,xi\n", "%.17g,%.17g\n", columns)
 
 
-def fidelity_grid_to_csv(grid: FidelityGrid, target, header_comment=None) -> None:
+def fidelity_grid_to_csv(grid: FidelityGrid, target) -> None:
     """Square table with a leading header row/column of the damping values."""
     fmt = ",".join(["%.17g"] * (len(grid.alphas) + 1)) + "\n"
     head = "alpha," + ",".join("%.17g" % a for a in grid.alphas) + "\n"
-    _write_table(target, header_comment, head, fmt, (grid.alphas, *grid.f.T))
+    _write_table(target, head, fmt, (grid.alphas, *grid.f.T))

@@ -28,6 +28,7 @@ __all__ = [
     "DEGENERACY_TOL",
     "DOS_WINDOW",
     "DOS_GAMMA_MAX",
+    "DOS_BINS",
     "EigensolverError",
     "ScalingCheckError",
     "Spectrum",
@@ -56,6 +57,7 @@ ZERO_MODE_CUTOFF = 1e-8
 DEGENERACY_TOL = 1e-8
 DOS_WINDOW = 0.1
 DOS_GAMMA_MAX = 10.0
+DOS_BINS = 500
 
 
 class EigensolverError(RuntimeError):
@@ -110,18 +112,32 @@ class Spectrum:
         ``eigenvalues`` (read-only), built from the packed matrix on first
         use: complex unless every eigenvalue is real, bitwise the columns of
         ``scipy.linalg.eig`` divided by their norms.  The result holds 16
-        bytes per entry, twice the packed storage (32 while it is built)."""
+        bytes per entry, twice the packed storage; it is filled in sorted
+        order and normalized one column block at a time, so building it
+        takes only block-sized temporaries beyond that."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
-        first = np.flatnonzero(self.pair_first)
-        if first.size:
-            vecs = self.packed.astype(np.complex128)
-            vecs.imag[:, first] = self.packed[:, first + 1]
-            vecs[:, first + 1] = vecs[:, first].conj()
-        else:
-            vecs = self.packed.copy(order="F")  # column sums as scipy's layout takes them
-        vecs /= np.linalg.norm(vecs, axis=0)
-        vecs = vecs[:, self.order]
+        n, packed, first = self.n, self.packed, self.pair_first
+        second = np.zeros(n, dtype=bool)
+        second[1:] = first[:-1]
+        pairs = bool(first.any())
+        # Fortran order: each column's norm sums along it as scipy's layout does
+        vecs = np.zeros((n, n), np.complex128 if pairs else np.float64, order="F")
+        step = _block_columns(n)
+        for lo in range(0, n, step):
+            cols = self.order[lo : lo + step]
+            block = vecs[:, lo : lo + step]
+            block.real = packed[:, cols - second[cols]]  # u of a pair u +- iv
+            if pairs:
+                f, s = np.flatnonzero(first[cols]), np.flatnonzero(second[cols])
+                block.imag[:, f] = packed[:, cols[f] + 1]
+                block.imag[:, s] = -packed[:, cols[s]]  # the pair's u - iv
+            # np.linalg.norm's arithmetic: sqrt of the sum of (conj(x) x).real
+            mod2 = np.conjugate(block)  # a copy, also of a real block
+            mod2 *= block
+            norms = np.sqrt(np.add.reduce(mod2.real, axis=0))
+            del mod2  # before the next block's
+            block /= norms
         vecs.setflags(write=False)
         return vecs
 
@@ -135,11 +151,19 @@ def _block_columns(n: int) -> int:
     return min(n, max(2, _BLOCK_BYTES // (8 * n)))
 
 
-def dense_memory_bytes(n: int) -> int:
+def dense_memory_bytes(n: int, sizes=()) -> int:
     """Bytes the dense path holds at its peak for an n x n operator: the
     operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside)."""
-    return 8 * n * (3 * n + _block_columns(n))
+    block (the O(n) vectors aside).  With ``sizes``, the peak of also
+    diagonalizing the m x m truncation for each m in turn, while every
+    spectrum already computed keeps its packed eigenvectors; sizes outside
+    ``[1, n]`` are skipped, as they fail later with their own message."""
+    peak, held = 8 * n * (3 * n + _block_columns(n)), 8 * n * n
+    for m in sizes:
+        if 1 <= m <= n:
+            peak = max(peak, held + dense_memory_bytes(m))
+            held += 8 * m * m
+    return peak
 
 
 def _power_sums(mod2):
@@ -359,26 +383,26 @@ def density_of_states(
     zero_mode_count: int = 0,
     window: float = DOS_WINDOW,
     gamma_max: float = DOS_GAMMA_MAX,
-    n_bins: int = 500,
 ) -> DosHistogram:
     """Histogram the relaxation rates and smooth with a moving average.
 
-    The staircase of rates is binned on ``[0, gamma_max]``, each bin's mass
-    is spread over a window of ``window`` in gamma (reflected at the
-    boundaries so no mass is lost), and the density is the per-bin mass over
-    the bin width; the integrated curve is its cumulative sum.  Zero modes
-    enter the normalization but not the histogram.
+    The staircase of rates is binned into :data:`DOS_BINS` bins on
+    ``[0, gamma_max]``, each bin's mass is spread over a window of
+    ``window`` in gamma (reflected at the boundaries so no mass is lost),
+    and the density is the per-bin mass over the bin width; the integrated
+    curve is its cumulative sum.  Zero modes enter the normalization but not
+    the histogram.
     """
     if window <= 0:
         raise ValueError("smoothing window must be positive")
-    if gamma_max <= 0 or n_bins < 1:
-        raise ValueError("gamma_max and n_bins must be positive")
+    if gamma_max <= 0:
+        raise ValueError("gamma_max must be positive")
     gammas = np.asarray(gammas, dtype=np.float64)
     total = gammas.size + zero_mode_count
     if total == 0:
         raise ValueError("no eigenvalues to histogram")
     clipped = np.clip(gammas, 0.0, gamma_max)
-    counts, edges = np.histogram(clipped, bins=n_bins, range=(0.0, gamma_max))
+    counts, edges = np.histogram(clipped, bins=DOS_BINS, range=(0.0, gamma_max))
     mass = counts / total
     h = edges[1] - edges[0]
     w_bins = max(1, int(round(window / h)))
@@ -518,27 +542,22 @@ def truncated_spectrum_compare(
     return TruncationComparison(alpha=alpha, full=full, results=results)
 
 
-def spectrum_to_csv(
-    spec: Spectrum,
-    target,
-    lambda_cutoff: float = ZERO_MODE_CUTOFF,
-    header_comment=None,
-) -> None:
+def spectrum_to_csv(spec: Spectrum, target, lambda_cutoff: float = ZERO_MODE_CUTOFF) -> None:
     """``re,im,abs,gamma,par,residual`` per eigenvalue (gamma is ``inf`` for
     zero modes)."""
     lam = spec.eigenvalues
     gammas, _ = _rates(spec, lambda_cutoff)
     columns = (lam.real, lam.imag, np.abs(lam), gammas, spec.pars, spec.residuals)
     fmt = ",".join(["%.17g"] * 6) + "\n"
-    _write_table(target, header_comment, "re,im,abs,gamma,par,residual\n", fmt, columns)
+    _write_table(target, "re,im,abs,gamma,par,residual\n", fmt, columns)
 
 
-def eigenvector_pars_to_csv(gammas, pars, target, header_comment=None) -> None:
+def eigenvector_pars_to_csv(gammas, pars, target) -> None:
     """``gamma,par`` rows, one per non-zero-mode eigenvector."""
-    _write_table(target, header_comment, "gamma,par\n", "%.17g,%.17g\n", (gammas, pars))
+    _write_table(target, "gamma,par\n", "%.17g,%.17g\n", (gammas, pars))
 
 
-def dos_to_csv(hist: DosHistogram, target, header_comment=None) -> None:
+def dos_to_csv(hist: DosHistogram, target) -> None:
     """``gamma_bin_center,W,integrated`` rows; zero-mode fraction and the
     effective smoothing window go into leading comment lines."""
     head = (
@@ -547,12 +566,12 @@ def dos_to_csv(hist: DosHistogram, target, header_comment=None) -> None:
         "gamma_bin_center,W,integrated\n"
     )
     columns = (hist.bin_centers, hist.density, hist.integrated)
-    _write_table(target, header_comment, head, "%.17g,%.17g,%.17g\n", columns)
+    _write_table(target, head, "%.17g,%.17g,%.17g\n", columns)
 
 
-def degeneracy_to_csv(report: DegeneracyReport, target, header_comment=None) -> None:
+def degeneracy_to_csv(report: DegeneracyReport, target) -> None:
     """``re,im,multiplicity`` per cluster in the report's order."""
     head = f"# tolerance={report.tolerance:.17g}\nre,im,multiplicity\n"
     reps = np.array([c.representative for c in report.clusters], dtype=np.complex128)
     columns = (reps.real, reps.imag, [c.multiplicity for c in report.clusters])
-    _write_table(target, header_comment, head, "%.17g,%.17g,%d\n", columns)
+    _write_table(target, head, "%.17g,%.17g,%d\n", columns)

@@ -473,6 +473,20 @@ class TestIngestionFlags:
         assert main(["spectrum", two_cycle_file, "--threads", "1",
                      "--out-dir", str(out)]) == 0
 
+    def test_generate_threads_declared_on_the_model(self, tmp_path, capsys):
+        from netspectra.cli import build_parser
+
+        out = str(tmp_path / "g.edges")
+        args = build_parser().parse_args(
+            ["generate", "ab", "--threads", "2", "--n", "10", "--seed", "1", "--out", out]
+        )
+        assert args.threads == 2
+        # before the model it is no option of ``generate`` and must not be dropped silently
+        assert main(["generate", "--threads", "2", "ab", "--n", "10", "--seed", "1",
+                     "--out", out]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not Path(out).exists()
+
 
 BASE_MANIFEST_KEYS = {
     "schema_version", "tool", "tool_version", "command", "parameters", "seed",

@@ -75,13 +75,6 @@ class TestAbModel:
         slope = np.polyfit(np.log10(ks), np.log10(tail[ks]), 1)[0]
         assert slope == pytest.approx(-1.0, abs=0.3)
 
-    def test_seed_clique_direction_flag(self):
-        g = generate_ab(
-            AbParams(n_target=4, m=1, p=0.0, q=0.0, seed=0, seed_bidirectional=False)
-        )
-        assert (0, 1) in g.edge_set()
-        assert (1, 0) not in g.edge_set()
-
     def test_invalid_params(self):
         with pytest.raises(ValueError):
             AbParams(n_target=10, p=0.6, q=0.5)
@@ -207,9 +200,10 @@ class TestPrefSampler:
 
 
 def _ab_cases():
+    # the generators' fixed rules in the oracle's terms: no self-loops and a
+    # bidirectional seed clique
     for m, p, q in [(1, 0.2, 0.1), (2, 0.0, 0.0), (3, 0.45, 0.45), (5, 0.2, 0.1), (2, 0.0, 0.7)]:
-        for loops, bidir in [(False, True), (True, False)]:
-            yield m, p, q, loops, bidir
+        yield m, p, q, False, True
 
 
 class TestMatchesReference:
@@ -218,25 +212,19 @@ class TestMatchesReference:
     @pytest.mark.parametrize("seed", [0, 9])
     @pytest.mark.parametrize("m,p,q,loops,bidir", list(_ab_cases()))
     def test_ab(self, m, p, q, loops, bidir, seed):
-        params = AbParams(
-            n_target=150, m=m, p=p, q=q, seed=seed,
-            seed_bidirectional=bidir, allow_self_loops=loops,
-        )
-        edges, _ = reference_grow(params, random.Random(seed))
+        params = AbParams(n_target=150, m=m, p=p, q=q, seed=seed)
+        edges, _ = reference_grow(params, random.Random(seed), loops=loops, bidir=bidir)
         assert generate_ab(params).edges.tolist() == [list(e) for e in edges]
 
     @pytest.mark.parametrize("seed", [1, 4])
     @pytest.mark.parametrize(
         "eta,epsilon,initial_colors", [(1e-2, 1e-3, 3), (0.3, 0.0, 1), (1.0, 1.0, 2), (0.0, 0.5, 4)]
     )
-    @pytest.mark.parametrize("m,p,q,loops,bidir", [(1, 0.2, 0.1, False, True), (3, 0.3, 0.5, True, False)])
+    @pytest.mark.parametrize("m,p,q,loops,bidir", [(1, 0.2, 0.1, False, True), (3, 0.3, 0.5, False, True)])
     def test_color(self, m, p, q, loops, bidir, eta, epsilon, initial_colors, seed):
-        ab = AbParams(
-            n_target=150, m=m, p=p, q=q, seed=seed,
-            seed_bidirectional=bidir, allow_self_loops=loops,
-        )
+        ab = AbParams(n_target=150, m=m, p=p, q=q, seed=seed)
         edges, colors = reference_grow(
-            ab, random.Random(seed), color_cfg=(eta, epsilon, initial_colors)
+            ab, random.Random(seed), (eta, epsilon, initial_colors), loops=loops, bidir=bidir
         )
         g, got_colors = generate_color(ColorParams(ab, eta, epsilon, initial_colors))
         assert g.edges.tolist() == [list(e) for e in edges]
@@ -249,14 +237,16 @@ class TestMatchesReference:
         assert generate_al(params) == reference_generate_al(params)
 
 
-def reference_grow(params: AbParams, rng, color_cfg=None):
+def reference_grow(params: AbParams, rng, color_cfg=None, *, loops: bool, bidir: bool):
     """The growth engine as first written (``randrange`` draws, a ``cumsum``
     rebuilt per event), kept as the oracle for ``genmodels._grow``; returns
     (edge list, colors or None).
 
     ``color_cfg`` is a (eta, epsilon, initial_colors) triple; when present,
     every candidate link is passed through the color rule (cross-color links
-    kept with probability epsilon, never redrawn when omitted).
+    kept with probability epsilon, never redrawn when omitted).  ``loops``
+    allows self-loops and ``bidir`` makes the seed clique bidirectional, the
+    two settings the engine first had; ``_grow`` fixes them at False, True.
     """
     m = params.m
     n_seed = m + 1
@@ -285,7 +275,7 @@ def reference_grow(params: AbParams, rng, color_cfg=None):
         present.add((src, tgt))
         weight[tgt] += 1
 
-    if params.seed_bidirectional:
+    if bidir:
         seed_pairs = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
     else:
         seed_pairs = [(i, j) for i in range(n_seed) for j in range(i + 1, n_seed)]
@@ -308,7 +298,7 @@ def reference_grow(params: AbParams, rng, color_cfg=None):
                 for _ in range(_MAX_DRAW_RETRIES):
                     src = rng.randrange(n_now)
                     tgt = draw_target()
-                    if src == tgt and not params.allow_self_loops:
+                    if src == tgt and not loops:
                         continue
                     if (src, tgt) in present:
                         continue
@@ -324,7 +314,7 @@ def reference_grow(params: AbParams, rng, color_cfg=None):
                     e_idx = rng.randrange(len(edges))
                     src, old_tgt = edges[e_idx]
                     tgt = draw_target()
-                    if src == tgt and not params.allow_self_loops:
+                    if src == tgt and not loops:
                         continue
                     if (src, tgt) in present:
                         continue

@@ -287,23 +287,23 @@ class TestDirectedGraph:
 class TestFilterMinOutdegree:
     def test_drops_sink_and_incoming_edge(self):
         g = DirectedGraph(n_nodes=2, edges=np.array([[0, 1]]))
-        filtered, mapping = filter_min_outdegree(g)
+        filtered, kept = filter_min_outdegree(g)
         assert filtered.n_nodes == 1
         assert filtered.n_edges == 0
-        assert mapping == {0: 0}
+        assert kept.dtype == np.int64 and kept.tolist() == [0]
 
     def test_two_cycle_unchanged(self):
-        filtered, mapping = filter_min_outdegree(two_cycle())
+        filtered, kept = filter_min_outdegree(two_cycle())
         assert filtered == two_cycle()
-        assert mapping == {0: 0, 1: 1}
+        assert kept.tolist() == [0, 1]
 
     def test_single_pass_leaves_new_dangling_nodes(self):
         # chain 0 -> 1 -> 2: node 2 is dropped, node 1 becomes dangling but stays
         g = DirectedGraph(n_nodes=3, edges=np.array([[0, 1], [1, 2]]))
-        filtered, mapping = filter_min_outdegree(g)
+        filtered, kept = filter_min_outdegree(g)
         assert filtered.n_nodes == 2
         assert filtered.edges.tolist() == [[0, 1]]
-        assert mapping == {0: 0, 1: 1}
+        assert kept.tolist() == [0, 1]
         assert filtered.out_degrees().tolist() == [1, 0]
 
     def test_all_dangling_is_an_error(self):
@@ -311,21 +311,12 @@ class TestFilterMinOutdegree:
         with pytest.raises(EmptyGraphError):
             filter_min_outdegree(g)
 
-    def test_node_labels_follow_surviving_nodes(self):
-        g = DirectedGraph(
-            n_nodes=3,
-            edges=np.array([[0, 1], [1, 2]]),
-            node_labels=("a", "b", "c"),
-        )
-        filtered, _ = filter_min_outdegree(g)
-        assert filtered.node_labels == ("a", "b")
-
     def test_no_surviving_source_kept_dangling_on_original_edges(self):
         g = sparse_random(80, seed=11, dangling_frac=0.3)
-        filtered, mapping = filter_min_outdegree(g)
+        filtered, kept = filter_min_outdegree(g)
         # single-pass semantics: survivors are exactly the original non-dangling
         original_out = g.out_degrees()
-        assert set(mapping) == {int(u) for u in np.nonzero(original_out > 0)[0]}
+        assert kept.tolist() == [u for u in range(g.n_nodes) if original_out[u] > 0]
 
 
 def reference_maslov_randomize(
@@ -371,7 +362,6 @@ def reference_maslov_randomize(
         n_nodes=graph.n_nodes,
         edges=np.array(edges, dtype=np.int64),
         multi_edges_allowed=False,
-        node_labels=graph.node_labels,
     )
 
 
@@ -519,11 +509,7 @@ class TestLogLogSlope:
         ks = range(1, kmax + 1)
         cumulative = {k: float(k) ** exponent for k in ks}
         return DegreeDistribution(
-            direction="in",
-            counts={k: 1 for k in ks},
-            cumulative=cumulative,
-            mean_degree=1.0,
-            n_nodes=kmax,
+            counts={k: 1 for k in ks}, cumulative=cumulative, mean_degree=1.0
         )
 
     def test_exact_inverse_law(self):

@@ -1,6 +1,7 @@
 """Contract shared by every public text writer: a path and an open handle get
-the same bytes, and a caller's handle is left open and writable (the command
-line writes its ``# manifest:`` line first, then hands the handle on)."""
+the same bytes, and a caller's handle is left open and writable.  Writers
+take no header argument: the command line writes each file's ``# manifest:``
+first line itself, then hands the handle on."""
 
 import io
 from functools import partial
@@ -11,8 +12,6 @@ import pytest
 from netspectra import gmatrix, netcore, ranking, spectra
 
 from helpers import sparse_random
-
-HEADER = "manifest: manifest.json"
 
 
 @pytest.fixture(scope="module")
@@ -26,29 +25,19 @@ def writers():
     return {
         "save_edge_list": partial(netcore.save_edge_list, graph, colors=np.arange(12) % 3),
         "degree_distribution_to_csv": partial(
-            netcore.degree_distribution_to_csv,
-            netcore.degree_distribution(graph, "in"),
-            header_comment=HEADER,
+            netcore.degree_distribution_to_csv, netcore.degree_distribution(graph, "in")
         ),
-        "dense_to_csv": partial(gmatrix.dense_to_csv, g.to_dense(), header_comment=HEADER),
-        "sparse_to_csv": partial(gmatrix.sparse_to_csv, g.s, header_comment=HEADER),
-        "rank_to_csv": partial(ranking.rank_to_csv, ranking.pagerank_power(g), header_comment=HEADER),
-        "par_curve_to_csv": partial(
-            ranking.par_curve_to_csv, ranking.par_vs_alpha(graph, alphas), header_comment=HEADER
-        ),
+        "dense_to_csv": partial(gmatrix.dense_to_csv, g.to_dense()),
+        "sparse_to_csv": partial(gmatrix.sparse_to_csv, g.s),
+        "rank_to_csv": partial(ranking.rank_to_csv, ranking.pagerank_power(g)),
+        "par_curve_to_csv": partial(ranking.par_curve_to_csv, ranking.par_vs_alpha(graph, alphas)),
         "fidelity_grid_to_csv": partial(
-            ranking.fidelity_grid_to_csv, ranking.fidelity_grid(graph, alphas), header_comment=HEADER
+            ranking.fidelity_grid_to_csv, ranking.fidelity_grid(graph, alphas)
         ),
-        "spectrum_to_csv": partial(spectra.spectrum_to_csv, spec, header_comment=HEADER),
-        "eigenvector_pars_to_csv": partial(
-            spectra.eigenvector_pars_to_csv, par_gammas, pars, header_comment=HEADER
-        ),
-        "dos_to_csv": partial(
-            spectra.dos_to_csv, spectra.density_of_states(gammas, zero_modes), header_comment=HEADER
-        ),
-        "degeneracy_to_csv": partial(
-            spectra.degeneracy_to_csv, spectra.degeneracy_clusters(spec), header_comment=HEADER
-        ),
+        "spectrum_to_csv": partial(spectra.spectrum_to_csv, spec),
+        "eigenvector_pars_to_csv": partial(spectra.eigenvector_pars_to_csv, par_gammas, pars),
+        "dos_to_csv": partial(spectra.dos_to_csv, spectra.density_of_states(gammas, zero_modes)),
+        "degeneracy_to_csv": partial(spectra.degeneracy_to_csv, spectra.degeneracy_clusters(spec)),
     }
 
 
@@ -86,8 +75,6 @@ def test_path_and_handle_give_identical_bytes(writers, name, tmp_path):
     data = path.read_bytes()
     assert data == buf.getvalue().encode("utf-8")
     assert data.endswith(b"\n") and b"\r" not in data
-    if name != "save_edge_list":
-        assert data.startswith(f"# {HEADER}\n".encode())
 
 
 @pytest.mark.parametrize("name", WRITER_NAMES)
@@ -119,12 +106,12 @@ SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 0.0, 1e-300, 5e-324, 2.225073858507201
 @pytest.mark.parametrize("to_path", [True, False], ids=["path", "handle"])
 def test_table_bytes_equal_per_row_formatting(fmt, columns, to_path, tmp_path):
     rows = zip(*(np.asarray(col).tolist() for col in columns))
-    expected = "# c\nhead\n" + "".join(fmt % row for row in rows)
+    expected = "head\n" + "".join(fmt % row for row in rows)
     if to_path:
-        netcore._write_table(tmp_path / "t.csv", "c", "head\n", fmt, columns)
+        netcore._write_table(tmp_path / "t.csv", "head\n", fmt, columns)
         data = (tmp_path / "t.csv").read_bytes()
     else:
         buf = io.StringIO()
-        netcore._write_table(buf, "c", "head\n", fmt, columns)
+        netcore._write_table(buf, "head\n", fmt, columns)
         data = buf.getvalue().encode("utf-8")
     assert data == expected.encode("utf-8")
