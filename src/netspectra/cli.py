@@ -110,7 +110,7 @@ def _ingest(args):
         allow_self_loops=not args.drop_self_loops,
     )
     if args.filter_min_outdegree:
-        graph, _ = netcore.filter_min_outdegree(graph)
+        graph = netcore.filter_min_outdegree(graph)
     return graph
 
 
@@ -487,10 +487,14 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        if exc.code and argv[:1] == ["generate"] and argv[1:2] and argv[1].startswith("--threads"):
+            print("hint: --threads goes after the model, as in 'generate ab --threads 2 ...'",
+                  file=sys.stderr)
         return int(exc.code) if exc.code is not None else EXIT_OK
     if getattr(args, "threads", None):
         _cap_threads(args.threads)

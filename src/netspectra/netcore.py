@@ -357,13 +357,13 @@ def save_edge_list(graph: DirectedGraph, target, colors=None) -> None:
     _write_table(target, head, "%d %d\n", graph.edges.T)
 
 
-def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, np.ndarray]:
-    """Drop nodes with zero out-degree, compacting the surviving ids.
+def filter_min_outdegree(graph: DirectedGraph) -> DirectedGraph:
+    """Drop nodes with zero out-degree, compacting the surviving ids in
+    their order.
 
     A single pass only: nodes whose out-links all pointed at dropped nodes
     keep their (now dangling) status in the result rather than being removed
-    in turn.  Returns the filtered graph and the kept old ids in ascending
-    order, so new id i is old id ``kept[i]``.
+    in turn.
 
     Raises
     ------
@@ -371,17 +371,15 @@ def filter_min_outdegree(graph: DirectedGraph) -> tuple[DirectedGraph, np.ndarra
         If no node has an out-link.
     """
     keep = graph.out_degrees() > 0
-    kept = np.flatnonzero(keep).astype(np.int64)
-    if kept.size == 0:
+    if not keep.any():
         raise EmptyGraphError("every node has out-degree zero")
-    new_id = np.full(graph.n_nodes, -1, dtype=np.int64)
-    new_id[kept] = np.arange(kept.size)
+    new_id = np.cumsum(keep) - 1
     edges = graph.edges
-    remapped = new_id[edges[keep[edges[:, 0]] & keep[edges[:, 1]]]]
-    filtered = DirectedGraph(
-        n_nodes=kept.size, edges=remapped, multi_edges_allowed=graph.multi_edges_allowed
+    return DirectedGraph(
+        n_nodes=int(keep.sum()),
+        edges=new_id[edges[keep[edges[:, 0]] & keep[edges[:, 1]]]],
+        multi_edges_allowed=graph.multi_edges_allowed,
     )
-    return filtered, kept
 
 
 def _randbelow(getrandbits, n: int) -> int:

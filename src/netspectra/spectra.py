@@ -112,32 +112,18 @@ class Spectrum:
         ``eigenvalues`` (read-only), built from the packed matrix on first
         use: complex unless every eigenvalue is real, bitwise the columns of
         ``scipy.linalg.eig`` divided by their norms.  The result holds 16
-        bytes per entry, twice the packed storage; it is filled in sorted
-        order and normalized one column block at a time, so building it
-        takes only block-sized temporaries beyond that."""
+        bytes per entry, twice the packed storage (32 while it is built)."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
-        n, packed, first = self.n, self.packed, self.pair_first
-        second = np.zeros(n, dtype=bool)
-        second[1:] = first[:-1]
-        pairs = bool(first.any())
-        # Fortran order: each column's norm sums along it as scipy's layout does
-        vecs = np.zeros((n, n), np.complex128 if pairs else np.float64, order="F")
-        step = _block_columns(n)
-        for lo in range(0, n, step):
-            cols = self.order[lo : lo + step]
-            block = vecs[:, lo : lo + step]
-            block.real = packed[:, cols - second[cols]]  # u of a pair u +- iv
-            if pairs:
-                f, s = np.flatnonzero(first[cols]), np.flatnonzero(second[cols])
-                block.imag[:, f] = packed[:, cols[f] + 1]
-                block.imag[:, s] = -packed[:, cols[s]]  # the pair's u - iv
-            # np.linalg.norm's arithmetic: sqrt of the sum of (conj(x) x).real
-            mod2 = np.conjugate(block)  # a copy, also of a real block
-            mod2 *= block
-            norms = np.sqrt(np.add.reduce(mod2.real, axis=0))
-            del mod2  # before the next block's
-            block /= norms
+        first = np.flatnonzero(self.pair_first)
+        if first.size:
+            vecs = self.packed.astype(np.complex128)
+            vecs.imag[:, first] = self.packed[:, first + 1]
+            vecs[:, first + 1] = vecs[:, first].conj()
+        else:
+            vecs = self.packed.copy(order="F")  # column sums as scipy's layout takes them
+        vecs /= np.linalg.norm(vecs, axis=0)
+        vecs = vecs[:, self.order]
         vecs.setflags(write=False)
         return vecs
 

@@ -484,7 +484,8 @@ class TestIngestionFlags:
         # before the model it is no option of ``generate`` and must not be dropped silently
         assert main(["generate", "--threads", "2", "ab", "--n", "10", "--seed", "1",
                      "--out", out]) == 1
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err and "--threads goes after the model" in err
         assert not Path(out).exists()
 
 

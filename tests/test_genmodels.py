@@ -199,33 +199,32 @@ class TestPrefSampler:
         assert (pref.total, pref.draw()) == (7, 0)
 
 
-def _ab_cases():
-    # the generators' fixed rules in the oracle's terms: no self-loops and a
-    # bidirectional seed clique
-    for m, p, q in [(1, 0.2, 0.1), (2, 0.0, 0.0), (3, 0.45, 0.45), (5, 0.2, 0.1), (2, 0.0, 0.7)]:
-        yield m, p, q, False, True
+def _ab_cases(*cases):
+    # each id ends in the fixed rules as the engine first named them: no
+    # self-loops (False) and a bidirectional seed clique (True)
+    return [pytest.param(*c, id="-".join(map(str, c)) + "-False-True") for c in cases]
 
 
 class TestMatchesReference:
     """Every seeded output equals that of the generators as first written."""
 
     @pytest.mark.parametrize("seed", [0, 9])
-    @pytest.mark.parametrize("m,p,q,loops,bidir", list(_ab_cases()))
-    def test_ab(self, m, p, q, loops, bidir, seed):
+    @pytest.mark.parametrize(
+        "m,p,q", _ab_cases((1, 0.2, 0.1), (2, 0.0, 0.0), (3, 0.45, 0.45), (5, 0.2, 0.1), (2, 0.0, 0.7))
+    )
+    def test_ab(self, m, p, q, seed):
         params = AbParams(n_target=150, m=m, p=p, q=q, seed=seed)
-        edges, _ = reference_grow(params, random.Random(seed), loops=loops, bidir=bidir)
+        edges, _ = reference_grow(params, random.Random(seed))
         assert generate_ab(params).edges.tolist() == [list(e) for e in edges]
 
     @pytest.mark.parametrize("seed", [1, 4])
     @pytest.mark.parametrize(
         "eta,epsilon,initial_colors", [(1e-2, 1e-3, 3), (0.3, 0.0, 1), (1.0, 1.0, 2), (0.0, 0.5, 4)]
     )
-    @pytest.mark.parametrize("m,p,q,loops,bidir", [(1, 0.2, 0.1, False, True), (3, 0.3, 0.5, False, True)])
-    def test_color(self, m, p, q, loops, bidir, eta, epsilon, initial_colors, seed):
+    @pytest.mark.parametrize("m,p,q", _ab_cases((1, 0.2, 0.1), (3, 0.3, 0.5)))
+    def test_color(self, m, p, q, eta, epsilon, initial_colors, seed):
         ab = AbParams(n_target=150, m=m, p=p, q=q, seed=seed)
-        edges, colors = reference_grow(
-            ab, random.Random(seed), (eta, epsilon, initial_colors), loops=loops, bidir=bidir
-        )
+        edges, colors = reference_grow(ab, random.Random(seed), (eta, epsilon, initial_colors))
         g, got_colors = generate_color(ColorParams(ab, eta, epsilon, initial_colors))
         assert g.edges.tolist() == [list(e) for e in edges]
         assert got_colors.tolist() == colors.tolist()
@@ -237,16 +236,15 @@ class TestMatchesReference:
         assert generate_al(params) == reference_generate_al(params)
 
 
-def reference_grow(params: AbParams, rng, color_cfg=None, *, loops: bool, bidir: bool):
+def reference_grow(params: AbParams, rng, color_cfg=None):
     """The growth engine as first written (``randrange`` draws, a ``cumsum``
     rebuilt per event), kept as the oracle for ``genmodels._grow``; returns
     (edge list, colors or None).
 
     ``color_cfg`` is a (eta, epsilon, initial_colors) triple; when present,
     every candidate link is passed through the color rule (cross-color links
-    kept with probability epsilon, never redrawn when omitted).  ``loops``
-    allows self-loops and ``bidir`` makes the seed clique bidirectional, the
-    two settings the engine first had; ``_grow`` fixes them at False, True.
+    kept with probability epsilon, never redrawn when omitted).  The seed
+    clique is bidirectional and self-loops are redrawn.
     """
     m = params.m
     n_seed = m + 1
@@ -275,13 +273,10 @@ def reference_grow(params: AbParams, rng, color_cfg=None, *, loops: bool, bidir:
         present.add((src, tgt))
         weight[tgt] += 1
 
-    if bidir:
-        seed_pairs = [(i, j) for i in range(n_seed) for j in range(n_seed) if i != j]
-    else:
-        seed_pairs = [(i, j) for i in range(n_seed) for j in range(i + 1, n_seed)]
-    for i, j in seed_pairs:
-        if keep_link(i, j):
-            add_edge(i, j)
+    for i in range(n_seed):
+        for j in range(n_seed):
+            if i != j and keep_link(i, j):
+                add_edge(i, j)
 
     n_now = n_seed
     while n_now < params.n_target:
@@ -298,7 +293,7 @@ def reference_grow(params: AbParams, rng, color_cfg=None, *, loops: bool, bidir:
                 for _ in range(_MAX_DRAW_RETRIES):
                     src = rng.randrange(n_now)
                     tgt = draw_target()
-                    if src == tgt and not loops:
+                    if src == tgt:
                         continue
                     if (src, tgt) in present:
                         continue
@@ -314,7 +309,7 @@ def reference_grow(params: AbParams, rng, color_cfg=None, *, loops: bool, bidir:
                     e_idx = rng.randrange(len(edges))
                     src, old_tgt = edges[e_idx]
                     tgt = draw_target()
-                    if src == tgt and not loops:
+                    if src == tgt:
                         continue
                     if (src, tgt) in present:
                         continue

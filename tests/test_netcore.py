@@ -287,23 +287,19 @@ class TestDirectedGraph:
 class TestFilterMinOutdegree:
     def test_drops_sink_and_incoming_edge(self):
         g = DirectedGraph(n_nodes=2, edges=np.array([[0, 1]]))
-        filtered, kept = filter_min_outdegree(g)
+        filtered = filter_min_outdegree(g)
         assert filtered.n_nodes == 1
         assert filtered.n_edges == 0
-        assert kept.dtype == np.int64 and kept.tolist() == [0]
 
     def test_two_cycle_unchanged(self):
-        filtered, kept = filter_min_outdegree(two_cycle())
-        assert filtered == two_cycle()
-        assert kept.tolist() == [0, 1]
+        assert filter_min_outdegree(two_cycle()) == two_cycle()
 
     def test_single_pass_leaves_new_dangling_nodes(self):
         # chain 0 -> 1 -> 2: node 2 is dropped, node 1 becomes dangling but stays
         g = DirectedGraph(n_nodes=3, edges=np.array([[0, 1], [1, 2]]))
-        filtered, kept = filter_min_outdegree(g)
+        filtered = filter_min_outdegree(g)
         assert filtered.n_nodes == 2
         assert filtered.edges.tolist() == [[0, 1]]
-        assert kept.tolist() == [0, 1]
         assert filtered.out_degrees().tolist() == [1, 0]
 
     def test_all_dangling_is_an_error(self):
@@ -313,10 +309,16 @@ class TestFilterMinOutdegree:
 
     def test_no_surviving_source_kept_dangling_on_original_edges(self):
         g = sparse_random(80, seed=11, dangling_frac=0.3)
-        filtered, kept = filter_min_outdegree(g)
-        # single-pass semantics: survivors are exactly the original non-dangling
+        # single-pass semantics: survivors are exactly the original
+        # non-dangling nodes, renumbered in order, with the edges among them
         original_out = g.out_degrees()
-        assert kept.tolist() == [u for u in range(g.n_nodes) if original_out[u] > 0]
+        new_id = {}
+        for u in range(g.n_nodes):
+            if original_out[u] > 0:
+                new_id[u] = len(new_id)
+        edges = [[new_id[a], new_id[b]] for a, b in g.edges.tolist() if b in new_id]
+        expected = DirectedGraph(n_nodes=len(new_id), edges=np.array(edges))
+        assert filter_min_outdegree(g) == expected
 
 
 def reference_maslov_randomize(

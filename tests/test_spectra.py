@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import tracemalloc
 
@@ -598,27 +597,6 @@ class TestPackedCore:
         assert peak <= 26 * n * n
         # the preflight's estimate covers the input as well
         assert peak + matrix.nbytes <= dense_memory_bytes(n)
-
-    def test_eigenvectors_traced_peak_in_blocks(self, monkeypatch):
-        # the complex result takes 16 B/N^2; with at least four column
-        # blocks, the temporaries of one block stay within 8 more
-        from netspectra import spectra
-
-        n = 512
-        matrix = GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense()
-        spec = eigendecompose(matrix)
-        whole = dataclasses.replace(spec).eigenvectors  # one block at this n
-        monkeypatch.setattr(spectra, "_BLOCK_BYTES", 8 * n * (n // 4))
-        assert n // spectra._block_columns(n) >= 4
-        tracemalloc.start()
-        try:
-            vecs = spec.eigenvectors
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert vecs.dtype == np.complex128
-        assert peak <= 24 * n * n
-        assert vecs.tobytes() == whole.tobytes()
 
 
 class TestParColumnPass:
