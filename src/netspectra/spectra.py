@@ -12,11 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import blas, lapack
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import directed_hausdorff
-from scipy.sparse.csgraph import connected_components
 
 from .gmatrix import DENSE_LIMIT_DEFAULT, GoogleMatrix, truncate_by_rank
 from .netcore import DirectedGraph, _write_table
@@ -174,13 +170,12 @@ def _certify_block(a, trans: int, vb, wr, wi, first):
     """
     k = vb.shape[1]
     f = np.flatnonzero(first)
-    diag = np.arange(k)
-    d = sparse.csr_matrix(
-        (np.concatenate([wr, wi[f], wi[f + 1]]),
-         (np.concatenate([diag, f, f + 1]), np.concatenate([diag, f + 1, f]))),
-        shape=(k, k),
-    )
-    r = (d.T @ vb.T).T  # VR D in Fortran order, the layout dgemm overwrites
+    r = np.multiply(vb, wr, order="F")  # VR D in the layout dgemm overwrites
+    step = max(1, k // 16)  # pairs per pass, so that the gathered columns stay small
+    for lo in range(0, f.size, step):
+        g = f[lo:lo + step]
+        r[:, g] += wi[g + 1] * vb[:, g + 1]
+        r[:, g + 1] += wi[g] * vb[:, g]
     r = blas.dgemm(1.0, a, vb, beta=-1.0, c=r, trans_a=trans, overwrite_c=1)
     r2 = np.square(r, out=r).T.sum(axis=1)
     del r
@@ -422,6 +417,69 @@ class DegeneracyReport:
     tolerance: float
 
 
+# Candidate pairs tested at once by the clustering sweep: a few tens of MB
+# of temporaries, however many eigenvalues lie within tol of each other.
+_PAIR_BATCH = 1 << 20
+
+
+def _sweep(coord: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of ``coord`` and, for the k-th point in that order,
+    the number of later points within ``tol`` of it along this axis: a
+    superset of its neighbours within ``tol``, as ``fl(x + tol)`` rounds
+    monotonically."""
+    order = np.argsort(coord, kind="stable").astype(np.int32)
+    key = coord[order]
+    return order, np.searchsorted(key, key + tol, "right") - np.arange(1, key.size + 1)
+
+
+def _near_pairs(lam: np.ndarray, tol: float):
+    """Every pair of indices of ``lam`` at distance <= ``tol``, in int32
+    batches ``(a, b)`` from about :data:`_PAIR_BATCH` candidates each.
+
+    A sweep along whichever axis leaves fewer candidates; each candidate is
+    kept when ``dx^2 + dy^2 <= tol^2``, the distance test of
+    ``scipy.spatial.cKDTree.query_pairs``.
+    """
+    order, counts = min(_sweep(lam.real, tol), _sweep(lam.imag, tol), key=lambda s: s[1].sum())
+    x, y = lam.real[order], lam.imag[order]
+    cum = np.cumsum(counts)
+    lo = 0
+    while lo < lam.size:
+        base = cum[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(cum, base + _PAIR_BATCH, "right")))
+        c = counts[lo:hi]
+        # the candidates of row k are the c[k] points after it in the sweep:
+        # the t-th candidate of the batch is t - first + 1 points after its row
+        i = np.repeat(np.arange(lo, hi, dtype=np.int32), c)
+        first = np.repeat((cum[lo:hi] - c - base).astype(np.int32), c)
+        j = i + 1 + np.arange(first.size, dtype=np.int32) - first
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        near = dx * dx + dy * dy <= tol * tol
+        yield order[i[near]], order[j[near]]
+        lo = hi
+
+
+def _union(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the components joined by the pairs ``(a[k], b[k])`` in place.
+
+    ``root`` maps every index to the smallest member of its component, and
+    does so again on return: each round hooks the larger root of every pair
+    still split onto the smaller one, then jumps pointers to a fixed point.
+    """
+    while True:
+        ra, rb = root[a], root[b]
+        split = ra != rb
+        if not split.any():
+            return
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root[:] = jumped
+
+
 def degeneracy_clusters(spec: Spectrum, tol: float = DEGENERACY_TOL) -> DegeneracyReport:
     """Single-linkage clustering of the eigenvalues in the complex plane.
 
@@ -438,15 +496,13 @@ def degeneracy_clusters(spec: Spectrum, tol: float = DEGENERACY_TOL) -> Degenera
         raise ValueError("tolerance must be positive")
     lam = spec.eigenvalues
     n = lam.size
-    pairs = cKDTree(np.column_stack([lam.real, lam.imag])).query_pairs(
-        r=tol, output_type="ndarray"
-    ).astype(np.int32)
-    # one adjacency, with int32 indices and boolean data, from the pair list
-    adjacency = sparse.csr_matrix(
-        (np.ones(len(pairs), dtype=bool), (pairs[:, 0], pairs[:, 1])), shape=(n, n)
-    )
-    del pairs
-    n_comp, labels = connected_components(adjacency, directed=False)
+    root = np.arange(n, dtype=np.int32)
+    for a, b in _near_pairs(lam, tol):
+        _union(root, a, b)
+    # each root is the smallest member of its component, so the labels
+    # number the components by smallest member, as connected_components does
+    roots, labels = np.unique(root, return_inverse=True)
+    n_comp = roots.size
     # members by one stable sort of the labels; splitting at every group end
     # leaves one empty tail, also when there are no eigenvalues at all
     ends = np.cumsum(np.bincount(labels, minlength=n_comp))
@@ -491,10 +547,23 @@ class TruncationComparison:
 
 
 def cloud_hausdorff(eigs_a: np.ndarray, eigs_b: np.ndarray) -> float:
-    """Symmetric Hausdorff distance between two eigenvalue clouds."""
-    a = np.column_stack([eigs_a.real, eigs_a.imag])
-    b = np.column_stack([eigs_b.real, eigs_b.imag])
-    return max(directed_hausdorff(a, b)[0], directed_hausdorff(b, a)[0])
+    """Symmetric Hausdorff distance between two eigenvalue clouds: the
+    largest distance from a point of either cloud to the nearest point of
+    the other.  Squared distances are ``dx^2 + dy^2``, taken over blocks of
+    rows of ``eigs_a`` against all of ``eigs_b``; that is the arithmetic of
+    ``scipy.spatial.distance.directed_hausdorff``, so the value is bitwise
+    the same, also for an empty cloud (``inf``, or 0 when both are empty)."""
+    a, b = eigs_a, eigs_b
+    step = max(1, _BLOCK_BYTES // (8 * max(1, b.size)))
+    a_to_b = 0.0
+    b_to_a = np.full(b.size, np.inf)  # squared distance to the nearest a so far
+    for lo in range(0, a.size, step):
+        blk = a[lo:lo + step]
+        d2 = np.square(blk.real[:, None] - b.real)
+        d2 += np.square(blk.imag[:, None] - b.imag)
+        a_to_b = max(a_to_b, d2.min(axis=1, initial=np.inf).max())
+        np.minimum(b_to_a, d2.min(axis=0), out=b_to_a)
+    return float(np.sqrt(b_to_a.max(initial=a_to_b)))
 
 
 def truncated_spectrum_compare(

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -55,3 +56,33 @@ def test_column_digests_split_csv_columns(tmp_path):
     assert sorted(digests) == ["j/e.csv:par", "j/e.csv:re", "j/g.edges"]
     assert digests["j/e.csv:re"] == bench_record._sha("1\n3")
     assert digests["j/g.edges"] == bench_record._sha("0 1")
+
+
+def test_checkouts_are_siblings_holding_parent_commit_and_working_tree(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=repo,
+                       check=True, capture_output=True)
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text(".bench_work/\n")
+    (repo / "pkg").mkdir()
+    (repo / "pkg" / "mod.py").write_text("x = 1\n")
+    (repo / "gone.txt").write_text("committed\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("x = 2\n")  # edited, not committed
+    (repo / "pkg" / "new.py").write_text("y = 1\n")  # untracked
+    (repo / "gone.txt").unlink()
+    (repo / ".bench_work").mkdir()
+    (repo / ".bench_work" / "out.json").write_text("{}")  # ignored
+
+    parent, change = bench_record.checkouts(repo, "HEAD", tmp_path / "runs")
+    assert parent.parent == change.parent == tmp_path / "runs"
+    assert (parent / "pkg" / "mod.py").read_text() == "x = 1\n"
+    assert (parent / "gone.txt").exists() and not (parent / "pkg" / "new.py").exists()
+    assert (change / "pkg" / "mod.py").read_text() == "x = 2\n"
+    assert (change / "pkg" / "new.py").exists() and not (change / "gone.txt").exists()
+    assert not (change / ".bench_work").exists()

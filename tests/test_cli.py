@@ -359,6 +359,26 @@ class TestDegreeDistCommand:
         assert proc.stdout.split() == ["1", "False"], proc.stderr
         assert "nope.edges" in proc.stderr
 
+    def test_modules_load_no_spatial_csgraph_or_sparse_linalg(self, tmp_path):
+        # a fresh interpreter, since this process has loaded the oracles' scipy parts
+        import netspectra
+
+        src = Path(netspectra.__file__).resolve().parents[1]
+        heavy = ["scipy.spatial", "scipy.sparse.csgraph", "scipy.sparse.linalg"]
+        probe = (
+            "import sys\n"
+            "import netspectra.cli, netspectra.netcore, netspectra.gmatrix\n"
+            "import netspectra.ranking, netspectra.spectra, netspectra.genmodels\n"
+            f"print([m for m in {heavy!r} if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestGenerateCommand:
     def test_al_multigraph_out_degrees(self, tmp_path):

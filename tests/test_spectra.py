@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial.distance import pdist
+from scipy.spatial import cKDTree
+from scipy.spatial.distance import directed_hausdorff, pdist
 
 from netspectra.genmodels import AbParams, ColorParams, generate_color
 from netspectra.gmatrix import GoogleMatrix
@@ -81,6 +82,41 @@ def near_tol_chains(draw):
         angle = draw(st.sampled_from([0.0, np.pi / 2, np.pi]) | st.floats(0.0, 2 * np.pi))
         pts.append(anchor + step * np.exp(1j * angle))
     return np.array(pts)
+
+
+def scipy_clusters(lam, tol):
+    """Clusters as (representative, members), from cKDTree pairs labelled by
+    connected_components, centroids and order as degeneracy_clusters defines
+    them (a stable sort by multiplicity, then |representative|)."""
+    n = lam.size
+    pairs = cKDTree(np.column_stack([lam.real, lam.imag])).query_pairs(r=tol, output_type="ndarray")
+    adjacency = coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    n_comp, labels = connected_components(adjacency, directed=False)
+    groups = [np.flatnonzero(labels == k) for k in range(n_comp)]
+    clusters = [(complex(lam[g].mean()), g) for g in groups]
+    return sorted(clusters, key=lambda c: (-c[1].size, -abs(c[0])))
+
+
+def oracle_cases(rng):
+    """Named eigenvalue sets for the clustering oracle at tolerance 0.0537,
+    which no distance between points of the 0.1 grid comes near."""
+    tol = 0.0537
+    cloud = rng.random(150) + 1j * rng.random(150)
+    grid = np.round(rng.random(200) * 10) / 10 + 1j * np.round(rng.random(200) * 10) / 10
+    chain = np.cumsum(rng.uniform(0.3, 1.05, 120)) * tol  # steps below and above tol
+    rng.shuffle(chain)
+    column = 0.25 + 1j * np.cumsum(rng.uniform(0.3, 1.3, 300)) * tol  # one shared real part
+    rng.shuffle(column)
+    pairs = rng.random(80) + 1j * rng.uniform(0.01, 0.2, 80)
+    return tol, {
+        "one": np.array([0.5 + 0.1j]),
+        "cloud": cloud,
+        "grid with exact repeats": grid + 0.3 * (1 + 1j),
+        "conjugate pairs": np.concatenate([pairs, pairs.conj(), [0.3, 0.3, 0.3 + 0.02]]),
+        "chain longer than tol": chain + 0j,
+        "shared real part": np.concatenate([column, column.real + 0.5j * tol]),
+        "all within tol": 0.1 + (rng.random(60) + 1j * rng.random(60)) * tol / 2,
+    }
 
 
 def random_small_graph(seed):
@@ -355,6 +391,32 @@ class TestDegeneracyClusters:
             assert c.representative == complex(lam[c.members].mean())
         keys = [(-c.multiplicity, -abs(c.representative)) for c in report.clusters]
         assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("batch", [1 << 20, 7])
+    def test_clusters_match_kdtree_pairs_and_connected_components(self, monkeypatch, batch):
+        import netspectra.spectra as spectra
+
+        monkeypatch.setattr(spectra, "_PAIR_BATCH", batch)  # 7: one to a few rows per batch
+        tol, cases = oracle_cases(np.random.default_rng(41))
+        for name, lam in cases.items():
+            report = degeneracy_clusters(eigenvalues_only(lam), tol)
+            expected = scipy_clusters(lam, tol)
+            assert len(report.clusters) == len(expected), name
+            for c, (rep, members) in zip(report.clusters, expected):
+                assert c.representative == rep, name
+                assert c.multiplicity == members.size, name
+                assert c.members.tolist() == members.tolist(), name
+
+    def test_sweep_runs_along_the_axis_with_fewer_candidates(self, monkeypatch):
+        import netspectra.spectra as spectra
+
+        monkeypatch.setattr(spectra, "_PAIR_BATCH", 50)
+        tol = 1e-8
+        column = 0.3 + 1j * np.arange(400) * 2 * tol  # shared real part, no pair within tol
+        batches = list(spectra._near_pairs(column, tol))
+        assert sum(a.size for a, _ in batches) == 0
+        # along x every later point is a candidate (79,800 of them); along y none is
+        assert len(batches) == 1
 
 
 class TestUnitEigenvalueMultiplicity:
@@ -692,6 +754,26 @@ class TestTruncatedSpectrumCompare:
     def test_cloud_hausdorff_symmetric_zero_on_self(self):
         lam = spectrum_of(sparse_random(40, seed=20), 0.85).eigenvalues
         assert cloud_hausdorff(lam, lam) == 0.0
+
+    @pytest.mark.parametrize("block_bytes", [1 << 25, 64])
+    def test_cloud_hausdorff_bitwise_scipy(self, monkeypatch, block_bytes):
+        import netspectra.spectra as spectra
+
+        monkeypatch.setattr(spectra, "_BLOCK_BYTES", block_bytes)  # 64: one row per block
+        rng = np.random.default_rng(23)
+        sizes = [(1, 1), (1, 37), (29, 1), (50, 50), (120, 17), (8, 300)]
+        for k, (na, nb) in enumerate(sizes * 4):
+            a = rng.normal(size=na) + 1j * rng.normal(size=na)
+            b = 0.5 * rng.normal(size=nb) + 1j * rng.normal(size=nb)
+            if k % 2:  # rounded clouds: exact repeats and ties
+                a, b = np.round(a, 1), np.round(b, 1)
+            pa, pb = np.column_stack([a.real, a.imag]), np.column_stack([b.real, b.imag])
+            expected = max(directed_hausdorff(pa, pb)[0], directed_hausdorff(pb, pa)[0])
+            assert cloud_hausdorff(a, b) == expected
+            assert cloud_hausdorff(b, a) == expected
+        empty, one = np.array([], dtype=complex), np.array([0.5j])
+        assert cloud_hausdorff(empty, one) == cloud_hausdorff(one, empty) == np.inf
+        assert cloud_hausdorff(empty, empty) == 0.0
 
 
 class TestCsv:

@@ -6,10 +6,12 @@ Run from the repository root::
 
 Each pair runs ``perfbench/run.py --trace 0`` once on the parent commit and
 once on the working tree, for every workload in ``--workloads``; odd pairs
-run the parent first, even pairs the change.  The parent is checked out in a
-temporary ``git worktree`` (removed afterwards) unless ``--parent-dir``
-names an existing checkout of it.  Both sides run the same benchmark
-settings from ``BENCHMARK.json``.
+run the parent first, even pairs the change.  Both sides run from sibling
+directories of one temporary directory (removed afterwards): the parent
+from ``git archive`` of its commit, the change from a copy of the working
+tree's tracked and unignored files.  Where a side runs from can move whole
+workloads by several per cent, so neither runs from the repository itself.
+Both sides run the same benchmark settings from ``BENCHMARK.json``.
 
 The output holds, per workload: the seeds and the side that ran first in
 each pair; per end-to-end metric, each side's runs, median and quartiles,
@@ -27,10 +29,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
+import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
@@ -43,6 +48,26 @@ def parse_seeds(text: str) -> list[int]:
         lo, hi = (int(x) for x in text.split("-"))
         return list(range(lo, hi + 1))
     return [int(x) for x in text.split(",")]
+
+
+def checkouts(root: Path, rev: str, into: Path) -> tuple[Path, Path]:
+    """Write the parent (commit ``rev`` of the repository at ``root``) and
+    the change (the working tree's tracked and unignored files) into the
+    sibling directories ``into/parent`` and ``into/change``."""
+    parent, change = into / "parent", into / "change"
+    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(parent, filter="data")
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=root, capture_output=True, check=True,
+    ).stdout.decode().split("\0")
+    for name in filter(None, listed):
+        if (root / name).is_file():  # a tracked file may be deleted in the tree
+            (change / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(root / name, change / name)
+    return parent, change
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -132,7 +157,6 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", default="HEAD", help="parent commit (default HEAD)")
-    parser.add_argument("--parent-dir", help="existing checkout of the parent commit")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help='"901-910" or "1,5,9"')
     parser.add_argument("--workloads", default=None, help="comma-separated (default: all)")
     parser.add_argument("--out", required=True, help="output JSON file")
@@ -144,50 +168,38 @@ def main(argv=None) -> int:
     rev = subprocess.run(
         ["git", "rev-parse", args.parent], cwd=ROOT, capture_output=True, text=True, check=True
     ).stdout.strip()
+    record = {
+        "parent": rev,
+        "change": "working tree",
+        "command": bench["command"],
+        "seconds": bench["run_seconds"],
+        "workloads": {},
+    }
+    out = Path(args.out)
+    if out.exists():  # keep the other workloads recorded against the same parent
+        kept = json.loads(out.read_text())
+        if kept.get("parent") == rev:
+            record["workloads"] = kept["workloads"]
+            record["environment"] = kept["environment"]
     with tempfile.TemporaryDirectory() as tmp:
-        if args.parent_dir:
-            parent = Path(args.parent_dir).resolve()
-        else:
-            parent = Path(tmp) / "parent"
-            subprocess.run(["git", "worktree", "add", "--detach", str(parent), rev], cwd=ROOT,
-                           check=True, capture_output=True)
-        try:
-            record = {
-                "parent": rev,
-                "change": "working tree",
-                "command": bench["command"],
-                "seconds": bench["run_seconds"],
-                "workloads": {},
-            }
-            out = Path(args.out)
-            if out.exists():  # keep the other workloads recorded against the same parent
-                kept = json.loads(out.read_text())
-                if kept.get("parent") == rev:
-                    record["workloads"] = kept["workloads"]
-                    record["environment"] = kept["environment"]
-            for name in names:
-                pairs, order = [], []
-                for i, seed in enumerate(args.seeds):
-                    sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                    pair = {}
-                    for side in sides:
-                        pair[side] = run_bench(
-                            parent if side == "parent" else ROOT, name, seed, bench["run_seconds"]
-                        )
-                        rss = pair[side]["result"]["metrics"]["peak_rss_mb"]["value"]
-                        print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
-                    pairs.append(pair)
-                    order.append(sides[0])
-                    record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
-                    # rewritten after every pair, so a cut run keeps what it measured
-                    record["workloads"][name] = {
-                        "seeds": args.seeds[: i + 1], "first": order
-                    } | summarize(pairs, declared)
-                    out.write_text(json.dumps(record, indent=1) + "\n")
-        finally:
-            if not args.parent_dir:
-                subprocess.run(["git", "worktree", "remove", "--force", str(parent)], cwd=ROOT,
-                               check=False, capture_output=True)
+        dirs = dict(zip(("parent", "change"), checkouts(ROOT, rev, Path(tmp))))
+        for name in names:
+            pairs, order = [], []
+            for i, seed in enumerate(args.seeds):
+                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                pair = {}
+                for side in sides:
+                    pair[side] = run_bench(dirs[side], name, seed, bench["run_seconds"])
+                    rss = pair[side]["result"]["metrics"]["peak_rss_mb"]["value"]
+                    print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
+                pairs.append(pair)
+                order.append(sides[0])
+                record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
+                # rewritten after every pair, so a cut run keeps what it measured
+                record["workloads"][name] = {
+                    "seeds": args.seeds[: i + 1], "first": order
+                } | summarize(pairs, declared)
+                out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
 
