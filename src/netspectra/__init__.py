@@ -7,8 +7,8 @@ localization measures (:mod:`netspectra.spectra`), random-network generators
 (:mod:`netspectra.genmodels`), and a CSV-emitting command line
 (:mod:`netspectra.cli`).
 
-Submodules are imported lazily so the command line can cap BLAS thread
-counts through environment variables before numpy is first loaded.
+Submodules are imported lazily, so commands that only read graphs never
+load scipy.
 """
 
 import importlib

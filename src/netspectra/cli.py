@@ -7,10 +7,9 @@ inputs and flags reproduces the output files byte for byte (only the
 manifest's timing field differs).  Exit codes: 0 success, 1 I/O or parse
 failure, 2 capability/size failure, 3 numerical non-convergence.
 
-Heavy imports happen after argument parsing so that ``--threads`` can set
-the BLAS thread environment variables before numpy loads.  The flag is
-best-effort: the variables take effect only if numpy is not yet loaded in
-the process (it does nothing when ``main()`` is called in-process).
+The library modules are imported inside the commands, so graph-only
+commands never load scipy.  The BLAS thread count is the environment's
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``).
 """
 
 from __future__ import annotations
@@ -18,12 +17,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from . import __version__
 
@@ -67,20 +67,9 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _cap_threads(n: int) -> None:
-    for var in (
-        "OMP_NUM_THREADS",
-        "OPENBLAS_NUM_THREADS",
-        "MKL_NUM_THREADS",
-        "NUMEXPR_NUM_THREADS",
-        "VECLIB_MAXIMUM_THREADS",
-    ):
-        os.environ[var] = str(n)
-
-
 def _write_manifest(path: Path, command: str, args, started: float, outputs, inputs, extra):
     parameters = {
-        k: v for k, v in vars(args).items() if k not in ("func", "threads") and not callable(v)
+        k: v for k, v in vars(args).items() if k != "func" and not callable(v)
     }
     manifest = {
         "schema_version": 1,
@@ -155,14 +144,14 @@ def _check_dense_memory(n: int, sizes=()) -> None:
     path, with the truncations to ``sizes`` (see
     :func:`spectra.dense_memory_bytes`), cannot fit in the available memory.
     No check without a figure."""
-    from . import gmatrix, spectra
+    from . import spectra
 
     peak = spectra.dense_memory_bytes(n, sizes)
     available = _available_memory()
     if available is not None and peak > available:
-        raise gmatrix.SizeLimitError(
+        raise MemoryError(
             f"the dense path needs about {peak / 2**30:.3g} GiB but {available / 2**30:.3g} GiB "
-            "are available; truncate by rank to diagonalize a smaller operator"
+            "are available"
         )
 
 
@@ -171,7 +160,7 @@ def cmd_spectrum(args, graph) -> _Result:
 
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
     _check_dense_memory(g.n)
-    spec = spectra.eigendecompose(g.to_dense(args.dense_limit), args.tol)
+    spec = spectra.eigendecompose(g.to_dense(), args.tol)
     gammas, zero_modes = spectra.relaxation_rates(spec, args.lambda_cutoff)
     hist = spectra.density_of_states(
         gammas, zero_modes, window=args.window, gamma_max=args.gamma_max
@@ -304,9 +293,7 @@ def cmd_truncate_spectrum(args, graph) -> _Result:
     from . import spectra
 
     _check_dense_memory(graph.n_nodes, args.sizes)
-    cmp = spectra.truncated_spectrum_compare(
-        graph, args.alpha, args.sizes, tol=args.tol, dense_limit=args.dense_limit
-    )
+    cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
     hausdorff = {}
     for res in cmp.results:
@@ -324,15 +311,6 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"netspectra {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="best-effort BLAS thread cap: sets the BLAS env vars, which take effect "
-        "only if numpy is not yet loaded in the process",
-    )
-
     ingest = argparse.ArgumentParser(add_help=False)
     ingest.add_argument("input", help="edge-list file")
     ingest.add_argument("--index-base", type=int, choices=(0, 1), default=0)
@@ -348,11 +326,10 @@ def build_parser() -> _Parser:
     outdir.add_argument("--out-dir", default=".", help="directory for CSV outputs")
 
     p = sub.add_parser(
-        "spectrum", parents=[common, ingest, outdir], help="full complex spectrum and observables"
+        "spectrum", parents=[ingest, outdir], help="full complex spectrum and observables"
     )
     p.add_argument("--alpha", type=float, default=0.85)
     p.add_argument("--tol", type=float, default=1e-9, help="residual contract, relative to ||G||_F")
-    p.add_argument("--dense-limit", type=int, default=30000)
     p.add_argument("--window", type=float, default=0.1, help="rate-density smoothing window")
     p.add_argument("--gamma-max", type=float, default=10.0)
     p.add_argument("--degeneracy-tol", type=float, default=1e-8)
@@ -360,7 +337,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser(
-        "pagerank", parents=[common, ingest, outdir],
+        "pagerank", parents=[ingest, outdir],
         help="certified rank vector: BiCGSTAB below alpha 1, power iteration at 1",
     )
     p.add_argument("--alpha", type=float, default=0.85)
@@ -368,22 +345,22 @@ def build_parser() -> _Parser:
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_pagerank)
 
-    p = sub.add_parser("fidelity", parents=[common, ingest, outdir], help="rank overlap grid over damping values")
+    p = sub.add_parser("fidelity", parents=[ingest, outdir], help="rank overlap grid over damping values")
     p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True, help='e.g. "0.49,0.59,0.69"')
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("par-curve", parents=[common, ingest, outdir], help="rank participation ratio vs damping")
+    p = sub.add_parser("par-curve", parents=[ingest, outdir], help="rank participation ratio vs damping")
     p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True)
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_par_curve)
 
-    p = sub.add_parser("degree-dist", parents=[common, ingest, outdir], help="in/out degree distributions")
+    p = sub.add_parser("degree-dist", parents=[ingest, outdir], help="in/out degree distributions")
     p.set_defaults(func=cmd_degree_dist)
 
-    p = sub.add_parser("randomize", parents=[common, ingest], help="degree-preserving edge rewiring")
+    p = sub.add_parser("randomize", parents=[ingest], help="degree-preserving edge rewiring")
     p.add_argument("--swaps", type=int, default=None, help="swap attempts (default 10x edges)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output edge-list file")
@@ -396,7 +373,7 @@ def build_parser() -> _Parser:
         ("color", "community-constrained scale-free growth"),
         ("al", "independent preferential links with multiplicities"),
     ):
-        gp = gsub.add_parser(model, parents=[common], help=desc)
+        gp = gsub.add_parser(model, help=desc)
         gp.add_argument("--n", type=int, required=True, help="target node count")
         gp.add_argument("--m", type=int, default=5, help="links per event")
         if model in ("ab", "color"):
@@ -412,24 +389,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser(
         "truncate-spectrum",
-        parents=[common, ingest, outdir],
+        parents=[ingest, outdir],
         help="spectra of rank-truncated operators vs the full one",
     )
     p.add_argument("--alpha", type=float, default=0.85)
     p.add_argument("--sizes", type=_parse_list(int, "integers"), required=True, help='e.g. "8192,4096"')
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--dense-limit", type=int, default=30000)
     p.set_defaults(func=cmd_truncate_spectrum)
 
     return parser
-
-
-def _loaded_class(module: str, name: str):
-    """``module.name`` if that submodule is already imported, else ``()``,
-    which matches nothing: a class from a module never imported cannot have
-    been raised, and importing ``spectra`` here would load scipy."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return getattr(mod, name) if mod is not None else ()
 
 
 def _classify_error(exc: Exception) -> int:
@@ -437,16 +405,13 @@ def _classify_error(exc: Exception) -> int:
     anything else is a bug and propagates as a traceback."""
     if isinstance(exc, MemoryError):
         print(
-            "netspectra: out of memory; truncate by rank to diagonalize a smaller operator",
+            f"netspectra: {str(exc) or 'out of memory'}; "
+            "truncate by rank to diagonalize a smaller operator",
             file=sys.stderr,
         )
         return EXIT_SIZE
-    # SizeLimitError is a ValueError, so it must be matched first
-    for kind, code in (
-        (_loaded_class("gmatrix", "SizeLimitError"), EXIT_SIZE),
-        (_loaded_class("spectra", "EigensolverError"), EXIT_NUMERIC),
-        ((OSError, ValueError), EXIT_IO),
-    ):
+    # LinAlgError (EigensolverError too) is a ValueError, so it must be matched first
+    for kind, code in ((np.linalg.LinAlgError, EXIT_NUMERIC), ((OSError, ValueError), EXIT_IO)):
         if isinstance(exc, kind):
             print(f"netspectra: {exc}", file=sys.stderr)
             return code
@@ -487,17 +452,10 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
-        if exc.code and argv[:1] == ["generate"] and argv[1:2] and argv[1].startswith("--threads"):
-            print("hint: --threads goes after the model, as in 'generate ab --threads 2 ...'",
-                  file=sys.stderr)
         return int(exc.code) if exc.code is not None else EXIT_OK
-    if getattr(args, "threads", None):
-        _cap_threads(args.threads)
     return _run(args)
 
 

@@ -21,9 +21,7 @@ if TYPE_CHECKING:
     from .ranking import RankVector
 
 __all__ = [
-    "DENSE_LIMIT_DEFAULT",
     "DEFAULT_ALPHA",
-    "SizeLimitError",
     "StochasticMatrix",
     "GoogleMatrix",
     "build_stochastic",
@@ -32,16 +30,9 @@ __all__ = [
     "sparse_to_csv",
 ]
 
-# Beyond a few times 10^4 nodes, dense storage and full diagonalization stop
-# being practical; callers must raise the limit explicitly to go higher.
-DENSE_LIMIT_DEFAULT = 30000
 DEFAULT_ALPHA = 0.85
 
 _COLSUM_TOL = 1e-12
-
-
-class SizeLimitError(ValueError):
-    """Matrix dimension exceeds the configured dense limit."""
 
 
 class StochasticMatrix:
@@ -149,13 +140,8 @@ class GoogleMatrix:
         shift = (self.alpha * dangling_mass + (1.0 - self.alpha) * float(v.sum())) / self.n
         return self.alpha * (self.s.matrix @ v) + shift
 
-    def to_dense(self, dense_limit: int = DENSE_LIMIT_DEFAULT) -> np.ndarray:
-        """Materialize the full N x N matrix (guarded by ``dense_limit``)."""
-        if self.n > dense_limit:
-            raise SizeLimitError(
-                f"matrix size {self.n} exceeds dense limit {dense_limit}; "
-                "truncate by rank to diagonalize a smaller operator"
-            )
+    def to_dense(self) -> np.ndarray:
+        """Materialize the full N x N matrix."""
         dense = (self.alpha * self.s.matrix).toarray()
         if self.s.n_dangling:
             dense[:, self.s.dangling] += self.alpha / self.n

@@ -408,7 +408,7 @@ def maslov_randomize(
     duplicate an existing edge (or create a self-loop when
     ``allow_self_loops`` is False).  In- and out-degree of every node are
     preserved exactly.  ``n_swaps`` counts attempts, not successful swaps,
-    and defaults to ``10 * n_edges``.
+    and defaults to ``10 * n_edges``; a negative count is a ``ValueError``.
     """
     if graph.multi_edges_allowed:
         raise ValueError("rewiring requires a simple graph (no parallel edges)")
@@ -417,6 +417,8 @@ def maslov_randomize(
         raise ValueError("need at least two edges to swap")
     if n_swaps is None:
         n_swaps = 10 * n_edges
+    if n_swaps < 0:
+        raise ValueError(f"swap count must be non-negative, got {n_swaps}")
     getrandbits = random.Random(rng_seed).getrandbits
     src = graph.edges[:, 0].tolist()
     dst = graph.edges[:, 1].tolist()

@@ -120,10 +120,11 @@ def pagerank(
     then at most ``alpha * tol / (1 - alpha)``, the bound the power
     iteration's stop rule gives.  A vector that fails the check, or a
     breakdown of the recurrence, restarts the solve from the certified
-    iterate.  ``max_iter`` caps the operator applications, except that the
-    start vector's certificate is always computed.  At alpha = 1 the system
-    is singular and :func:`pagerank_power` runs instead.
+    iterate.  ``max_iter`` (at least 1) caps the operator applications.  At
+    alpha = 1 the system is singular and :func:`pagerank_power` runs instead.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     if g.alpha >= 1.0:
         return pagerank_power(g, tol=tol, max_iter=max_iter)
     target = max(g.alpha * tol, _RESIDUAL_FLOOR)
@@ -209,13 +210,13 @@ def pagerank_power(
     """Power iteration from the uniform vector.
 
     Stops when the L1 change of one application drops below ``tol``; if
-    ``max_iter`` is hit first the result is returned flagged non-converged
+    ``max_iter`` (at least 1) is hit first the result is returned flagged non-converged
     (expected only at alpha = 1, where the fixed point need not be unique).
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     n = g.n
     v = np.full(n, 1.0 / n)
-    delta = np.inf
-    iterations = 0
     for iterations in range(1, max_iter + 1):
         w = g.apply(v)
         delta = float(np.abs(w - v).sum())

@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .gmatrix import DENSE_LIMIT_DEFAULT, GoogleMatrix, truncate_by_rank
+from .gmatrix import GoogleMatrix, truncate_by_rank
 from .netcore import DirectedGraph, _write_table
 from .ranking import pagerank
 
@@ -56,7 +56,7 @@ DOS_GAMMA_MAX = 10.0
 DOS_BINS = 500
 
 
-class EigensolverError(RuntimeError):
+class EigensolverError(np.linalg.LinAlgError):
     """Eigensolver failed to converge or to meet the residual contract."""
 
 
@@ -571,7 +571,6 @@ def truncated_spectrum_compare(
     alpha: float,
     m_list,
     tol: float = EIG_TOL,
-    dense_limit: int = DENSE_LIMIT_DEFAULT,
 ) -> TruncationComparison:
     """Spectrum of rank-truncated operators against the full one.
 
@@ -580,12 +579,12 @@ def truncated_spectrum_compare(
     between the eigenvalue clouds for overlay plots.
     """
     g = GoogleMatrix.from_graph(graph, alpha)
-    full = eigendecompose(g.to_dense(dense_limit), tol)
+    full = eigendecompose(g.to_dense(), tol)
     rank = pagerank(g)
     results = []
     for m in m_list:
         truncated, kept = truncate_by_rank(g, rank, int(m))
-        spec_m = eigendecompose(truncated.to_dense(dense_limit), tol)
+        spec_m = eigendecompose(truncated.to_dense(), tol)
         results.append(
             TruncationResult(
                 m=int(m),

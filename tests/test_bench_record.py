@@ -46,6 +46,20 @@ def test_summarize_counts_wins_by_direction_and_column_equality():
     assert out["correct"] == {"parent": True, "change": True}
 
 
+def test_within_bound_follows_the_direction_of_each_metric():
+    cols = {"j1/e.csv:re": "a"}
+
+    def within(spectrum_s, rate):
+        pairs = [{"parent": side(1.0, 10.0, cols), "change": side(spectrum_s, rate, cols)}]
+        metrics = bench_record.summarize(pairs, DECLARED)["metrics"]
+        return metrics["spectrum_s"]["within_bound"], metrics["rate"]["within_bound"]
+
+    # bound 0.25: lower is better allows a ratio up to 1.25, higher down to 0.75
+    assert within(1.25, 7.5) == (True, True)
+    assert within(1.3, 7.0) == (False, False)
+    assert within(0.1, 100.0) == (True, True)
+
+
 def test_column_digests_split_csv_columns(tmp_path):
     job = tmp_path / "job"
     job.mkdir()

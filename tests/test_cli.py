@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -9,7 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netspectra.cli import main
+from netspectra.cli import build_parser, main
+from netspectra.genmodels import AbParams, AlParams, ColorParams
+from netspectra.gmatrix import DEFAULT_ALPHA
+from netspectra.ranking import PAGERANK_MAX_ITER, PAGERANK_TOL
+from netspectra.spectra import (
+    DEGENERACY_TOL,
+    DOS_GAMMA_MAX,
+    DOS_WINDOW,
+    EIG_TOL,
+    ZERO_MODE_CUTOFF,
+    EigensolverError,
+)
 
 
 @pytest.fixture
@@ -64,13 +76,6 @@ class TestSpectrumCommand:
         assert code == 1
         assert capsys.readouterr().err != ""
 
-    def test_over_dense_limit_exit_2(self, k5_file, tmp_path, capsys):
-        code = main(
-            ["spectrum", k5_file, "--dense-limit", "3", "--out-dir", str(tmp_path / "o")]
-        )
-        assert code == 2
-        assert "truncate" in capsys.readouterr().err
-
     def test_memory_error_exit_2_with_hint(self, k5_file, tmp_path, capsys, monkeypatch):
         from netspectra import spectra
 
@@ -80,7 +85,29 @@ class TestSpectrumCommand:
         monkeypatch.setattr(spectra, "eigendecompose", out_of_memory)
         code = main(["spectrum", k5_file, "--out-dir", str(tmp_path / "o")])
         assert code == 2
-        assert "truncate" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "netspectra: out of memory; truncate by rank to diagonalize a smaller operator\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv", [["spectrum"], ["truncate-spectrum", "--sizes", "3"]], ids=["spectrum", "truncate"]
+    )
+    @pytest.mark.parametrize(
+        "kind", [EigensolverError, np.linalg.LinAlgError], ids=["EigensolverError", "LinAlgError"]
+    )
+    def test_eigensolver_failure_exit_3(self, k5_file, tmp_path, capsys, monkeypatch, argv, kind):
+        from netspectra import spectra
+
+        def fail(*args, **kwargs):
+            raise kind("QR iteration failed to converge (dgeev info 4)")
+
+        monkeypatch.setattr(spectra, "eigendecompose", fail)
+        out = tmp_path / "o"
+        assert main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "netspectra: QR iteration failed to converge (dgeev info 4)\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv", [["spectrum"], ["truncate-spectrum", "--sizes", "3"]], ids=["spectrum", "truncate"]
@@ -97,7 +124,8 @@ class TestSpectrumCommand:
         out = tmp_path / "o"
         assert main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
-        assert "truncate by rank" in err and "available" in err
+        assert err.startswith("netspectra: the dense path needs about ")
+        assert err.endswith(" GiB are available; truncate by rank to diagonalize a smaller operator\n")
         assert not out.exists()
 
     def test_memory_preflight_counts_spectra_held_by_truncation(self, k5_file, tmp_path, monkeypatch):
@@ -183,6 +211,14 @@ class TestPagerankCommand:
         assert capsys.readouterr().err == ""
         scores = [row[1] for row in read_csv_floats(out / "pagerank.csv")]
         assert len(set(scores)) == 1 and abs(scores[0] - 1 / 7) <= np.spacing(1 / 7)
+
+    @pytest.mark.parametrize("alpha", ["1", "0.85"])
+    def test_budget_below_one_exit_1_writes_nothing(self, k5_file, tmp_path, capsys, alpha):
+        out = tmp_path / "out"
+        argv = ["pagerank", k5_file, "--alpha", alpha, "--max-iter", "0", "--out-dir", str(out)]
+        assert main(argv) == 1
+        assert "max_iter must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_alpha_one_has_no_error_bound(self, tmp_path):
         path = tmp_path / "chain.edges"
@@ -422,6 +458,13 @@ class TestRandomizeCommand:
         edge_lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert edge_lines == ["0 1", "1 0", "2 3", "3 2"]
 
+    def test_negative_swaps_exit_1_writes_nothing(self, k5_file, tmp_path, capsys):
+        out = tmp_path / "r.edges"
+        assert main(["randomize", k5_file, "--swaps", "-3", "--seed", "1",
+                     "--out", str(out)]) == 1
+        assert "non-negative" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [Path(k5_file)]
+
     def test_degrees_preserved(self, tmp_path):
         from netspectra.netcore import load_edge_list
 
@@ -488,26 +531,6 @@ class TestIngestionFlags:
         assert code == 0
         assert len(read_csv_floats(out / "pagerank.csv")) == 2
 
-    def test_threads_flag_accepted(self, two_cycle_file, tmp_path):
-        out = tmp_path / "out"
-        assert main(["spectrum", two_cycle_file, "--threads", "1",
-                     "--out-dir", str(out)]) == 0
-
-    def test_generate_threads_declared_on_the_model(self, tmp_path, capsys):
-        from netspectra.cli import build_parser
-
-        out = str(tmp_path / "g.edges")
-        args = build_parser().parse_args(
-            ["generate", "ab", "--threads", "2", "--n", "10", "--seed", "1", "--out", out]
-        )
-        assert args.threads == 2
-        # before the model it is no option of ``generate`` and must not be dropped silently
-        assert main(["generate", "--threads", "2", "ab", "--n", "10", "--seed", "1",
-                     "--out", out]) == 1
-        err = capsys.readouterr().err
-        assert "error" in err and "--threads goes after the model" in err
-        assert not Path(out).exists()
-
 
 BASE_MANIFEST_KEYS = {
     "schema_version", "tool", "tool_version", "command", "parameters", "seed",
@@ -560,6 +583,10 @@ MANIFEST_CASES = {
 }
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
 @pytest.mark.parametrize("command", list(MANIFEST_CASES))
 def test_manifest_contract(command, tmp_path, capsys):
     argv, manifest_name, files, extra_keys = MANIFEST_CASES[command]
@@ -570,7 +597,7 @@ def test_manifest_contract(command, tmp_path, capsys):
     assert main(argv) == 0
     assert capsys.readouterr().out.startswith(f"{command}: ")
     assert sorted(p.name for p in out.iterdir()) == sorted(files + [manifest_name])
-    manifest = json.loads((out / manifest_name).read_text())
+    manifest = json.loads((out / manifest_name).read_text(), parse_constant=reject_constant)
     assert set(manifest) == BASE_MANIFEST_KEYS | extra_keys
     assert manifest["command"] == command
     assert manifest["outputs"] == {
@@ -601,6 +628,46 @@ class TestLazyPackageApi:
         assert callable(netspectra.ranking.pagerank_power)
         with pytest.raises(AttributeError):
             netspectra.not_a_module
+
+
+def field_defaults(cls, *names):
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {name: defaults[name] for name in names}
+
+
+GENERATE = ["--n", "10", "--seed", "1", "--out", "g.edges"]
+RANK_DEFAULTS = {"tol": PAGERANK_TOL, "max_iter": PAGERANK_MAX_ITER}
+# argv -> {dest: the library default the parser must repeat}; the parser
+# cannot import the scipy-backed modules that define them
+LIBRARY_DEFAULTS = {
+    ("spectrum", "g"): {
+        "alpha": DEFAULT_ALPHA, "tol": EIG_TOL, "window": DOS_WINDOW,
+        "gamma_max": DOS_GAMMA_MAX, "degeneracy_tol": DEGENERACY_TOL,
+        "lambda_cutoff": ZERO_MODE_CUTOFF,
+    },
+    ("truncate-spectrum", "g", "--sizes", "2"): {"alpha": DEFAULT_ALPHA, "tol": EIG_TOL},
+    ("pagerank", "g"): {"alpha": DEFAULT_ALPHA, **RANK_DEFAULTS},
+    ("fidelity", "g", "--alphas", "0.5"): RANK_DEFAULTS,
+    ("par-curve", "g", "--alphas", "0.5"): RANK_DEFAULTS,
+    ("generate", "ab", *GENERATE): field_defaults(AbParams, "m", "p", "q"),
+    ("generate", "color", *GENERATE): {
+        **field_defaults(AbParams, "m", "p", "q"),
+        **field_defaults(ColorParams, "eta", "epsilon", "initial_colors"),
+    },
+    ("generate", "al", *GENERATE): field_defaults(AlParams, "m"),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, dest, expected",
+    [
+        pytest.param(list(argv), dest, value, id=f"{' '.join(argv[:2])}:{dest}")
+        for argv, defaults in LIBRARY_DEFAULTS.items()
+        for dest, value in defaults.items()
+    ],
+)
+def test_cli_defaults_match_library(argv, dest, expected):
+    assert getattr(build_parser().parse_args(argv), dest) == expected
 
 
 class TestUsage:

@@ -5,7 +5,6 @@ import pytest
 
 from netspectra.gmatrix import (
     GoogleMatrix,
-    SizeLimitError,
     StochasticMatrix,
     build_stochastic,
     dense_to_csv,
@@ -130,12 +129,6 @@ class TestDense:
         g = GoogleMatrix.from_graph(sparse_random(90, seed=6), alpha=alpha)
         sums = g.to_dense().sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
-
-    def test_size_limit(self):
-        g = GoogleMatrix.from_graph(sparse_random(40, seed=7), alpha=0.85)
-        with pytest.raises(SizeLimitError):
-            g.to_dense(dense_limit=39)
-        assert g.to_dense(dense_limit=40).shape == (40, 40)
 
 
 class TestTruncateByRank:

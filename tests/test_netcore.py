@@ -463,6 +463,11 @@ class TestMaslovRandomize:
         with pytest.raises(ValueError):
             maslov_randomize(g, n_swaps=1)
 
+    @pytest.mark.parametrize("n_swaps", [-1, -3])
+    def test_rejects_negative_swap_count(self, n_swaps):
+        with pytest.raises(ValueError, match="non-negative"):
+            maslov_randomize(sparse_random(30, seed=0), n_swaps=n_swaps)
+
 
 class TestDegreeDistribution:
     def test_two_cycle(self):

@@ -206,6 +206,15 @@ class TestPagerank:
         assert r.converged and power.converged
         assert r.iterations < power.iterations / 4
 
+    @pytest.mark.parametrize("solver", [pagerank, pagerank_power])
+    @pytest.mark.parametrize("alpha", [0.85, 1.0])
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_rejects_budget_below_one(self, solver, alpha, max_iter):
+        # no application means no residual, only an infinite placeholder
+        gm = GoogleMatrix.from_graph(sparse_random(20, seed=1), alpha)
+        with pytest.raises(ValueError, match="max_iter must be at least 1"):
+            solver(gm, max_iter=max_iter)
+
     def test_rank_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             RankVector(np.array([np.nan, 1.0]), alpha=0.85, iterations=0, residual=0.0)

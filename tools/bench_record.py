@@ -15,9 +15,11 @@ Both sides run the same benchmark settings from ``BENCHMARK.json``.
 
 The output holds, per workload: the seeds and the side that ran first in
 each pair; per end-to-end metric, each side's runs, median and quartiles,
-the ratio of the medians (change over parent), the pairs the change won,
-lost and tied, and whether the gap between the medians exceeds the
-parent's interquartile range; whether every run was correct; and, per
+the ratio of the medians (change over parent), whether that ratio is
+within the metric's bound (at most ``1 + bound`` when lower is better, at
+least ``1 - bound`` when higher is better), the pairs the change won, lost
+and tied, and whether the gap between the medians exceeds the parent's
+interquartile range; whether every run was correct; and, per
 output column (``<file>:<column>`` for a CSV file with a header row, the
 file name for any other non-JSON output), whether the bytes were equal on
 both sides in every pair.  The environment block of the first change run
@@ -124,13 +126,17 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
         wins = sum(sign * (c - p) < 0 for p, c in zip(par, chg))
         losses = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         ps, cs = side_stats(par), side_stats(chg)
+        ratio = cs["median"] / ps["median"] if ps["median"] else None
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "bound": spec["bound"],
             "parent": ps,
             "change": cs,
-            "ratio": cs["median"] / ps["median"] if ps["median"] else None,
+            "ratio": ratio,
+            "within_bound": None if ratio is None else (
+                ratio <= 1 + spec["bound"] if sign > 0 else ratio >= 1 - spec["bound"]
+            ),
             "wins": wins,
             "losses": losses,
             "ties": len(pairs) - wins - losses,
