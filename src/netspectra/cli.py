@@ -59,6 +59,27 @@ def _parse_list(kind, noun):
     return parse
 
 
+def _float_in(domain: str, test):
+    """argparse type for a float with ``test(value)`` true; nan fails every
+    comparison, so it never passes."""
+
+    def parse(text):
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE = _float_in("positive and finite", lambda x: 0.0 < x < np.inf)
+_NONNEGATIVE = _float_in("nonnegative and finite", lambda x: 0.0 <= x < np.inf)
+_UNIT = _float_in("in [0, 1]", lambda x: 0.0 <= x <= 1.0)
+
+
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -84,9 +105,11 @@ def _write_manifest(path: Path, command: str, args, started: float, outputs, inp
     }
     if extra:
         manifest.update(extra)
+    # serialized before the file is opened: a non-finite value raises
+    # ValueError (exit 1) and leaves no manifest, rather than invalid JSON
+    text = json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _ingest(args):
@@ -160,7 +183,7 @@ def cmd_spectrum(args, graph) -> _Result:
 
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
     _check_dense_memory(g.n)
-    spec = spectra.eigendecompose(g.to_dense(), args.tol)
+    spec = spectra.operator_spectrum(g, args.tol)
     gammas, zero_modes = spectra.relaxation_rates(spec, args.lambda_cutoff)
     hist = spectra.density_of_states(
         gammas, zero_modes, window=args.window, gamma_max=args.gamma_max
@@ -173,7 +196,9 @@ def cmd_spectrum(args, graph) -> _Result:
         "degeneracy.csv": partial(spectra.degeneracy_to_csv, report),
         "eigenvector_par.csv": partial(spectra.eigenvector_pars_to_csv, par_gammas, pars),
     }
-    return _Result(outputs, f"n={graph.n_nodes} alpha={args.alpha}")
+    return _Result(
+        outputs, f"n={graph.n_nodes} alpha={args.alpha}", extra={"scc_blocks": spec.blocks}
+    )
 
 
 def cmd_pagerank(args, graph) -> _Result:
@@ -295,14 +320,15 @@ def cmd_truncate_spectrum(args, graph) -> _Result:
     _check_dense_memory(graph.n_nodes, args.sizes)
     cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
-    hausdorff = {}
+    hausdorff, blocks = {}, {"full": cmp.full.blocks}
     for res in cmp.results:
         outputs[f"eigenvalues_m{res.m}.csv"] = partial(spectra.spectrum_to_csv, res.spectrum)
         hausdorff[str(res.m)] = res.hausdorff
+        blocks[str(res.m)] = res.spectrum.blocks
     return _Result(
         outputs,
         " ".join(f"m={m}: hausdorff={h:.6g}" for m, h in hausdorff.items()),
-        extra={"hausdorff": hausdorff},
+        extra={"hausdorff": hausdorff, "scc_blocks": blocks},
     )
 
 
@@ -328,32 +354,32 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "spectrum", parents=[ingest, outdir], help="full complex spectrum and observables"
     )
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-9, help="residual contract, relative to ||G||_F")
-    p.add_argument("--window", type=float, default=0.1, help="rate-density smoothing window")
-    p.add_argument("--gamma-max", type=float, default=10.0)
-    p.add_argument("--degeneracy-tol", type=float, default=1e-8)
-    p.add_argument("--lambda-cutoff", type=float, default=1e-8, help="zero-mode magnitude cutoff")
+    p.add_argument("--alpha", type=_UNIT, default=0.85)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9, help="residual contract, relative to ||G||_F")
+    p.add_argument("--window", type=_POSITIVE, default=0.1, help="rate-density smoothing window")
+    p.add_argument("--gamma-max", type=_POSITIVE, default=10.0)
+    p.add_argument("--degeneracy-tol", type=_POSITIVE, default=1e-8)
+    p.add_argument("--lambda-cutoff", type=_NONNEGATIVE, default=1e-8, help="zero-mode magnitude cutoff")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser(
         "pagerank", parents=[ingest, outdir],
         help="certified rank vector: BiCGSTAB below alpha 1, power iteration at 1",
     )
-    p.add_argument("--alpha", type=float, default=0.85)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--alpha", type=_UNIT, default=0.85)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_pagerank)
 
     p = sub.add_parser("fidelity", parents=[ingest, outdir], help="rank overlap grid over damping values")
     p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True, help='e.g. "0.49,0.59,0.69"')
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_fidelity)
 
     p = sub.add_parser("par-curve", parents=[ingest, outdir], help="rank participation ratio vs damping")
     p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_par_curve)
 
@@ -377,11 +403,11 @@ def build_parser() -> _Parser:
         gp.add_argument("--n", type=int, required=True, help="target node count")
         gp.add_argument("--m", type=int, default=5, help="links per event")
         if model in ("ab", "color"):
-            gp.add_argument("--p", type=float, default=0.2, help="link-addition probability")
-            gp.add_argument("--q", type=float, default=0.1, help="rewiring probability")
+            gp.add_argument("--p", type=_UNIT, default=0.2, help="link-addition probability")
+            gp.add_argument("--q", type=_UNIT, default=0.1, help="rewiring probability")
         if model == "color":
-            gp.add_argument("--eta", type=float, default=1e-2, help="new-color probability")
-            gp.add_argument("--epsilon", type=float, default=1e-3, help="cross-color link survival probability")
+            gp.add_argument("--eta", type=_UNIT, default=1e-2, help="new-color probability")
+            gp.add_argument("--epsilon", type=_UNIT, default=1e-3, help="cross-color link survival probability")
             gp.add_argument("--initial-colors", type=int, default=3)
         gp.add_argument("--seed", type=int, required=True)
         gp.add_argument("--out", required=True, help="output edge-list file")
@@ -392,9 +418,9 @@ def build_parser() -> _Parser:
         parents=[ingest, outdir],
         help="spectra of rank-truncated operators vs the full one",
     )
-    p.add_argument("--alpha", type=float, default=0.85)
+    p.add_argument("--alpha", type=_UNIT, default=0.85)
     p.add_argument("--sizes", type=_parse_list(int, "integers"), required=True, help='e.g. "8192,4096"')
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9)
     p.set_defaults(func=cmd_truncate_spectrum)
 
     return parser

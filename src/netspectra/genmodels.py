@@ -57,8 +57,8 @@ class AbParams:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if self.p < 0 or self.q < 0 or self.p + self.q >= 1.0:
-            raise ValueError("need p, q >= 0 and p + q < 1")
+        if not (self.p >= 0 and self.q >= 0 and self.p + self.q < 1.0):  # nan fails
+            raise ValueError(f"need p, q >= 0 and p + q < 1, got p={self.p}, q={self.q}")
         if self.n_target < self.m + 1:
             raise ValueError(f"n_target must be >= seed size m+1 = {self.m + 1}")
 

@@ -9,6 +9,7 @@ v to ``alpha*S v + (1-alpha)/N * sum(v) * ones``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -25,6 +26,7 @@ __all__ = [
     "StochasticMatrix",
     "GoogleMatrix",
     "build_stochastic",
+    "scc_order",
     "truncate_by_rank",
     "dense_to_csv",
     "sparse_to_csv",
@@ -39,7 +41,8 @@ class StochasticMatrix:
     """Sparse column-stochastic matrix with implicit uniform dangling columns.
 
     ``matrix`` holds only the explicit (non-dangling) columns; ``dangling``
-    is a boolean mask of columns that are implicitly 1/N in every entry.
+    is a boolean mask of columns that are implicitly 1/N in every entry and
+    ``dangling_nodes`` their indices in ascending order.
     """
 
     def __init__(self, matrix, dangling):
@@ -63,6 +66,8 @@ class StochasticMatrix:
         self.matrix = matrix
         self.dangling = dangling
         self.dangling.setflags(write=False)
+        self.dangling_nodes = np.flatnonzero(dangling)
+        self.dangling_nodes.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -70,7 +75,7 @@ class StochasticMatrix:
 
     @property
     def n_dangling(self) -> int:
-        return int(self.dangling.sum())
+        return self.dangling_nodes.size
 
 
 def _normalize_columns(mat) -> tuple[sparse.csc_matrix, np.ndarray]:
@@ -136,9 +141,17 @@ class GoogleMatrix:
         v = np.asarray(v, dtype=np.float64)
         if v.shape != (self.n,):
             raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
-        dangling_mass = float(v[self.s.dangling].sum())
-        shift = (self.alpha * dangling_mass + (1.0 - self.alpha) * float(v.sum())) / self.n
+        dangling_mass = v[self.s.dangling_nodes].sum()
+        shift = (self.alpha * dangling_mass + (1.0 - self.alpha) * v.sum()) / self.n
         return self.alpha * (self.s.matrix @ v) + shift
+
+    def permuted(self, order) -> "GoogleMatrix":
+        """The operator with its nodes relabelled so that node ``order[k]``
+        becomes node k: the matrix ``P^T G P``, built from the sparse link
+        matrix, so :meth:`to_dense` writes it out directly."""
+        order = np.asarray(order)
+        s = StochasticMatrix(self.s.matrix[order][:, order], self.s.dangling[order])
+        return GoogleMatrix(s, self.alpha)
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full N x N matrix."""
@@ -147,6 +160,90 @@ class GoogleMatrix:
             dense[:, self.s.dangling] += self.alpha / self.n
         dense += (1.0 - self.alpha) / self.n
         return dense
+
+
+def _components(link) -> np.ndarray:
+    """Strongly connected component of every node of the graph whose node j
+    links to the rows of column j of the CSC matrix ``link``, by an
+    iterative Tarjan search."""
+    indptr, indices = link.indptr.tolist(), link.indices.tolist()
+    n = len(indptr) - 1
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack, path = [], []
+    count = n_comp = 0
+
+    def visit(v):
+        nonlocal count
+        index[v] = low[v] = count
+        count += 1
+        stack.append(v)
+        path.append((v, iter(indices[indptr[v]:indptr[v + 1]])))
+
+    for root in range(n):
+        if index[root] < 0:
+            visit(root)
+        while path:
+            v, targets = path[-1]
+            for w in targets:
+                if index[w] < 0:
+                    visit(w)
+                    break
+                if label[w] < 0:  # w is still on the stack
+                    low[v] = min(low[v], index[w])
+            else:
+                path.pop()
+                if path:
+                    u = path[-1][0]
+                    low[u] = min(low[u], low[v])
+                if low[v] == index[v]:
+                    while label[v] < 0:
+                        label[stack.pop()] = n_comp
+                    n_comp += 1
+    return np.array(label, dtype=np.int64)
+
+
+def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int]:
+    """Node order that makes S block upper triangular, one diagonal block
+    per strongly connected component of the link graph, and the number of
+    components.
+
+    A component comes after every component it links to, so sink components
+    (closed sets of pages, and the component holding every page that reaches
+    a dangling one) lead; among the components free to go next the one with
+    the smallest node id goes first, and each lists its nodes in ascending
+    order.  The order is ``None`` when it is the identity, as for a strongly
+    connected graph.  Eigensolvers then deflate at every block boundary,
+    since the spectrum of S is the union of the spectra of its diagonal
+    blocks.
+    """
+    n = s.n
+    link = s.matrix
+    if s.n_dangling:  # a dangling node links to every node: through one hub node n
+        link = sparse.bmat([[link, np.ones((n, 1))], [s.dangling[None, :], None]], format="csc")
+    label = _components(link)
+    n_comp = int(label.max()) + 1
+    # every link between two components, once
+    src = label[np.repeat(np.arange(link.shape[1]), np.diff(link.indptr))]
+    src, dst = np.divmod(np.unique(src * n_comp + label[link.indices]), n_comp)
+    between = src != dst
+    src, dst = src[between], dst[between]
+    pending = np.bincount(src, minlength=n_comp).tolist()  # targets not yet placed
+    sources = [[] for _ in range(n_comp)]
+    for a, b in zip(src.tolist(), dst.tolist()):
+        sources[b].append(a)
+    first = np.unique(label[:n], return_index=True)[1].tolist()  # smallest node of each
+    ready = [(first[c], c) for c in range(n_comp) if not pending[c]]
+    heapq.heapify(ready)
+    position = np.empty(n_comp, dtype=np.int64)
+    for k in range(n_comp):
+        _, c = heapq.heappop(ready)
+        position[c] = k
+        for a in sources[c]:
+            pending[a] -= 1
+            if not pending[a]:
+                heapq.heappush(ready, (first[a], a))
+    order = np.argsort(position[label[:n]], kind="stable")
+    return (None if np.array_equal(order, np.arange(n)) else order), n_comp
 
 
 def truncate_by_rank(

@@ -162,6 +162,13 @@ def _read_text(source) -> str:
         return fh.read()
 
 
+def _check_positive(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``0 < value < inf``; nan
+    fails every comparison, so it is rejected too."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def _write_table(target, head: str, fmt: str, columns) -> None:
     """Write a text table in one piece: ``head`` verbatim, then one ``fmt``
     line per row, where row i holds the i-th entry of each of the

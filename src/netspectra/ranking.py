@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gmatrix import GoogleMatrix, build_stochastic
-from .netcore import DirectedGraph, FitError, _write_table
+from .netcore import DirectedGraph, FitError, _check_positive, _write_table
 
 __all__ = [
     "PAGERANK_TOL",
@@ -125,6 +125,7 @@ def pagerank(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_positive("tol", tol)
     if g.alpha >= 1.0:
         return pagerank_power(g, tol=tol, max_iter=max_iter)
     target = max(g.alpha * tol, _RESIDUAL_FLOOR)
@@ -164,7 +165,7 @@ def _bicgstab(g: GoogleMatrix, x, r, stop: float, budget: int):
     Dot products are numpy pairwise sums, not BLAS calls, so the result
     does not depend on the BLAS thread count.
     """
-    link, dangling, alpha = g.s.matrix, g.s.dangling, g.alpha
+    link, dangling, alpha = g.s.matrix, g.s.dangling_nodes, g.alpha
     spread = alpha / g.n
 
     def op(v):
@@ -215,6 +216,7 @@ def pagerank_power(
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
+    _check_positive("tol", tol)
     n = g.n
     v = np.full(n, 1.0 / n)
     for iterations in range(1, max_iter + 1):

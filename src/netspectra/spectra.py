@@ -8,14 +8,14 @@ no finite rate (they are bucketed separately as "zero modes").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import blas, lapack
 
-from .gmatrix import GoogleMatrix, truncate_by_rank
-from .netcore import DirectedGraph, _write_table
+from .gmatrix import GoogleMatrix, scc_order, truncate_by_rank
+from .netcore import DirectedGraph, _check_positive, _write_table
 from .ranking import pagerank
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "TruncationResult",
     "TruncationComparison",
     "eigendecompose",
+    "operator_spectrum",
     "dense_memory_bytes",
     "alpha_scaling_check",
     "relaxation_rates",
@@ -82,6 +83,11 @@ class Spectrum:
     ``u +- iv``; ``eigenvalues[i]`` belongs to packed column ``order[i]``.
     :attr:`eigenvectors` unpacks them on first use.  A spectrum built by
     :meth:`from_eigenvalues` carries no eigenvectors.
+
+    ``rows`` is set when the solver saw the nodes reordered (see
+    :func:`operator_spectrum`): row k of ``packed`` belongs to node
+    ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
+    solver saw.  Residuals and PARs do not depend on the row order.
     """
 
     eigenvalues: np.ndarray
@@ -90,6 +96,8 @@ class Spectrum:
     packed: np.ndarray | None = None
     order: np.ndarray | None = None
     pair_first: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    blocks: int = 1
 
     @classmethod
     def from_eigenvalues(cls, eigenvalues) -> "Spectrum":
@@ -105,19 +113,21 @@ class Spectrum:
     @cached_property
     def eigenvectors(self) -> np.ndarray:
         """Unit-norm right eigenvectors as columns aligned with
-        ``eigenvalues`` (read-only), built from the packed matrix on first
-        use: complex unless every eigenvalue is real, bitwise the columns of
-        ``scipy.linalg.eig`` divided by their norms.  The result holds 16
-        bytes per entry, twice the packed storage (32 while it is built)."""
+        ``eigenvalues``, rows in node order (read-only), built from the
+        packed matrix on first use: complex unless every eigenvalue is real,
+        bitwise the columns of ``scipy.linalg.eig`` of the matrix the solver
+        saw, divided by their norms.  The result holds 16 bytes per entry,
+        twice the packed storage (32 while it is built, 40 with ``rows``)."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
+        packed = self.packed if self.rows is None else self.packed[np.argsort(self.rows)]
         first = np.flatnonzero(self.pair_first)
         if first.size:
-            vecs = self.packed.astype(np.complex128)
-            vecs.imag[:, first] = self.packed[:, first + 1]
+            vecs = packed.astype(np.complex128)
+            vecs.imag[:, first] = packed[:, first + 1]
             vecs[:, first + 1] = vecs[:, first].conj()
         else:
-            vecs = self.packed.copy(order="F")  # column sums as scipy's layout takes them
+            vecs = packed.copy(order="F")  # column sums as scipy's layout takes them
         vecs /= np.linalg.norm(vecs, axis=0)
         vecs = vecs[:, self.order]
         vecs.setflags(write=False)
@@ -209,6 +219,7 @@ def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
     entry beyond the input: dgeev's copy of the matrix and the packed
     eigenvectors.
     """
+    _check_positive("tol", tol)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
@@ -263,6 +274,23 @@ def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
     )
 
 
+def operator_spectrum(g: GoogleMatrix, tol: float = EIG_TOL) -> Spectrum:
+    """:func:`eigendecompose` of the dense operator ``g``.
+
+    At alpha = 1 the nodes are first put in :func:`gmatrix.scc_order`, so
+    the dense S is block upper triangular and dgeev's Hessenberg reduction
+    and QR sweeps deflate at every block boundary, one block per strongly
+    connected component; the spectrum records that order in ``rows`` and
+    the component count in ``blocks``.  Below alpha = 1 teleportation links
+    every node to every other, so G is one block and is decomposed as is;
+    so is S when its order is the identity.
+    """
+    rows, blocks = scc_order(g.s) if g.alpha == 1.0 else (None, 1)
+    if rows is not None:
+        g = g.permuted(rows)
+    return replace(eigendecompose(g.to_dense(), tol), rows=rows, blocks=blocks)
+
+
 def _greedy_pair_error(values: np.ndarray, reference: np.ndarray) -> float:
     """Max distance when greedily matching each value to the nearest unused
     reference value (largest-magnitude values matched first)."""
@@ -314,6 +342,8 @@ def alpha_scaling_check(
 def _rates(spec: Spectrum, lambda_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
     """``gamma = -2 ln|lambda|`` per eigenvalue (``inf`` below the zero-mode
     cutoff) and the mask of eigenvalues at or above the cutoff."""
+    if not 0.0 <= lambda_cutoff < np.inf:  # nan fails
+        raise ValueError(f"lambda_cutoff must be nonnegative and finite, got {lambda_cutoff}")
     mags = np.abs(spec.eigenvalues)
     finite = mags >= lambda_cutoff
     with np.errstate(divide="ignore"):
@@ -374,10 +404,8 @@ def density_of_states(
     curve is its cumulative sum.  Zero modes enter the normalization but not
     the histogram.
     """
-    if window <= 0:
-        raise ValueError("smoothing window must be positive")
-    if gamma_max <= 0:
-        raise ValueError("gamma_max must be positive")
+    _check_positive("window", window)
+    _check_positive("gamma_max", gamma_max)
     gammas = np.asarray(gammas, dtype=np.float64)
     total = gammas.size + zero_mode_count
     if total == 0:
@@ -492,8 +520,7 @@ def degeneracy_clusters(spec: Spectrum, tol: float = DEGENERACY_TOL) -> Degenera
     grow with the number of eigenvalue pairs within ``tol`` of each other,
     at worst n^2/2 when every eigenvalue is within ``tol`` of every other.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    _check_positive("tol", tol)
     lam = spec.eigenvalues
     n = lam.size
     root = np.arange(n, dtype=np.int32)
@@ -575,16 +602,17 @@ def truncated_spectrum_compare(
     """Spectrum of rank-truncated operators against the full one.
 
     Orders nodes by rank score, restricts the operator to the top m for each
-    requested size, diagonalizes both, and records the Hausdorff distance
-    between the eigenvalue clouds for overlay plots.
+    requested size, diagonalizes both (see :func:`operator_spectrum`), and
+    records the Hausdorff distance between the eigenvalue clouds for overlay
+    plots.
     """
     g = GoogleMatrix.from_graph(graph, alpha)
-    full = eigendecompose(g.to_dense(), tol)
+    full = operator_spectrum(g, tol)
     rank = pagerank(g)
     results = []
     for m in m_list:
         truncated, kept = truncate_by_rank(g, rank, int(m))
-        spec_m = eigendecompose(truncated.to_dense(), tol)
+        spec_m = operator_spectrum(truncated, tol)
         results.append(
             TruncationResult(
                 m=int(m),

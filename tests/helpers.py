@@ -63,3 +63,33 @@ def sparse_random(n, seed, lo=1, hi=4, dangling_frac=0.1):
     if not edges:
         edges = {(0, 1 % n)}
     return DirectedGraph(n_nodes=n, edges=np.array(sorted(edges)))
+
+
+def strong_components(graph):
+    """Strongly connected components of the link graph as a set of
+    frozensets, from networkx, where a dangling node links to every node
+    (its column of S is uniform)."""
+    import networkx as nx
+
+    n = graph.n_nodes
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(map(tuple, graph.edges.tolist()))
+    for d in np.flatnonzero(graph.out_degrees() == 0).tolist():
+        g.add_edges_from((d, j) for j in range(n))
+    return {frozenset(c) for c in nx.strongly_connected_components(g)}
+
+
+def random_small_graph(seed):
+    """One random out-link per node, about 5% of nodes dangling: often
+    several closed cycles, and classes that leak only through a dangling
+    node."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 40))
+    edges = {(u, int(rng.integers(n))) for u in range(n) if rng.random() >= 0.05}
+    return DirectedGraph(n_nodes=n, edges=np.array(sorted(edges)).reshape(-1, 2))
+
+
+def leaky_pairs():
+    """0 <-> 1 is closed; 2 <-> 3 leaks to the dangling node 4."""
+    return DirectedGraph(n_nodes=5, edges=np.array([[0, 1], [1, 0], [2, 3], [3, 2], [3, 4]]))

@@ -543,7 +543,9 @@ SPECTRUM_FILES = ["eigenvalues.csv", "dos.csv", "degeneracy.csv", "eigenvector_p
 # per-alpha solve records of the alpha sweeps
 SWEEP_KEYS = {"converged", "iterations", "residual"}
 MANIFEST_CASES = {
-    "spectrum": (["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES, set()),
+    "spectrum": (
+        ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES, {"scc_blocks"},
+    ),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
         {"iterations", "residual", "error_bound", "converged"},
@@ -566,7 +568,8 @@ MANIFEST_CASES = {
     ),
     "truncate-spectrum": (
         ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
-        ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"], {"hausdorff"},
+        ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"],
+        {"hausdorff", "scc_blocks"},
     ),
     "generate ab": (
         ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
@@ -600,6 +603,10 @@ def test_manifest_contract(command, tmp_path, capsys):
     manifest = json.loads((out / manifest_name).read_text(), parse_constant=reject_constant)
     assert set(manifest) == BASE_MANIFEST_KEYS | extra_keys
     assert manifest["command"] == command
+    # one diagonal block below alpha = 1
+    assert manifest.get("scc_blocks") == {
+        "spectrum": 1, "truncate-spectrum": {"full": 1, "12": 1, "6": 1}
+    }.get(command)
     assert manifest["outputs"] == {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files
     }
@@ -610,6 +617,120 @@ def test_manifest_contract(command, tmp_path, capsys):
     for name in files:
         first = (out / name).read_text().splitlines()[0]
         assert first == f"# manifest: {manifest_name}"
+
+
+def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
+    from netspectra.netcore import load_edge_list
+    from netspectra.spectra import truncated_spectrum_compare
+
+    from helpers import strong_components
+
+    # closed {0, 1} and {5, 6, 7}; 2 -> 3 -> 4 -> 2 leaks into both; 8 -> 9
+    # with 9 dangling, which links everything
+    path = tmp_path / "blocks.edges"
+    edges = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (4, 0), (2, 5), (5, 6), (6, 7), (7, 5), (8, 9)]
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    graph = load_edge_list(str(path))
+    blocks = len(strong_components(graph))
+    assert blocks == 4
+    for alpha, expected in (("1", blocks), ("0.85", 1)):
+        out = tmp_path / f"spectrum{alpha}"
+        assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["scc_blocks"] == expected
+    out = tmp_path / "truncate"
+    assert main(["truncate-spectrum", str(path), "--alpha", "1", "--sizes", "8,4",
+                 "--out-dir", str(out)]) == 0
+    recorded = json.loads((out / "manifest.json").read_text())["scc_blocks"]
+    expected = {"full": blocks}
+    for res in truncated_spectrum_compare(graph, 1.0, [8, 4]).results:
+        inside = np.isin(graph.edges, res.kept).all(axis=1)
+        sub = dataclasses.replace(
+            graph, n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside])
+        )
+        expected[str(res.m)] = len(strong_components(sub))
+    assert recorded == expected
+
+
+def test_manifest_with_a_non_finite_value_is_not_written(tmp_path, capsys, monkeypatch):
+    from netspectra import cli
+
+    def nan_extra(args, graph):
+        return cli._Result({"degree_in.csv": lambda fh: None}, "x", extra={"mean_degree": np.nan})
+
+    monkeypatch.setattr(cli, "cmd_degree_dist", nan_extra)
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n")
+    out = tmp_path / "out"
+    assert main(["degree-dist", str(path), "--out-dir", str(out)]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+# every float flag -> (argv before the flag, values outside its domain);
+# "--alphas" is checked by the library, every other flag by its parser type
+GENERATE_ARGV = ["--n", "40", "--seed", "1", "--out", "OUT/g.edges"]
+NON_FINITE = ["nan", "inf", "-1"]
+FLOAT_FLAGS = {
+    **{
+        ("spectrum", flag): (["spectrum", "GRAPH", "--out-dir", "OUT"], bad)
+        for flag, bad in (
+            ("--alpha", NON_FINITE), ("--tol", NON_FINITE + ["0"]),
+            ("--window", NON_FINITE + ["0"]), ("--gamma-max", NON_FINITE + ["0"]),
+            ("--degeneracy-tol", NON_FINITE + ["0"]), ("--lambda-cutoff", NON_FINITE),
+        )
+    },
+    ("pagerank", "--alpha"): (["pagerank", "GRAPH", "--out-dir", "OUT"], NON_FINITE),
+    ("pagerank", "--tol"): (["pagerank", "GRAPH", "--out-dir", "OUT"], NON_FINITE + ["0"]),
+    **{
+        (command, flag): ([command, "GRAPH", "--alphas", "0.5", "--out-dir", "OUT"], NON_FINITE + ["0"])
+        for command in ("fidelity", "par-curve")
+        for flag in ("--alphas", "--tol")
+    },
+    **{
+        ("truncate-spectrum", flag): (
+            ["truncate-spectrum", "GRAPH", "--sizes", "4", "--out-dir", "OUT"], bad
+        )
+        for flag, bad in (("--alpha", NON_FINITE), ("--tol", NON_FINITE + ["0"]))
+    },
+    **{
+        (f"generate {model}", flag): (["generate", model, *GENERATE_ARGV], NON_FINITE)
+        for model, flags in (("ab", ("--p", "--q")), ("color", ("--p", "--q", "--eta", "--epsilon")))
+        for flag in flags
+    },
+}
+
+
+def test_float_flag_table_covers_every_float_flag():
+    parser = build_parser()
+    found = set()
+    for command, sub in parser._subparsers._group_actions[0].choices.items():
+        models = sub._subparsers._group_actions[0].choices if command == "generate" else {"": sub}
+        for model, p in models.items():
+            for action in p._actions:
+                if isinstance(action.default, float) or action.dest == "alphas":
+                    found.add((f"{command} {model}".strip(), action.option_strings[0]))
+    assert found == set(FLOAT_FLAGS)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [(c, f, v) for (c, f), (_, bad) in FLOAT_FLAGS.items() for v in bad],
+)
+def test_float_flag_out_of_domain_exit_1_writes_nothing(command, flag, value, k5_file, tmp_path, capsys):
+    prefix, _ = FLOAT_FLAGS[(command, flag)]
+    out = tmp_path / "out"
+    argv = [a.replace("GRAPH", k5_file).replace("OUT", str(out)) for a in prefix]
+    if flag == "--alphas":
+        argv[argv.index("--alphas") + 1] = value
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    if flag == "--alphas":
+        assert f"alpha values must lie in (0, 1), got {float(value)}" in err
+    else:
+        assert f"argument {flag}: must be " in err and repr(value) in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

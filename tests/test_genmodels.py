@@ -83,6 +83,12 @@ class TestAbModel:
         with pytest.raises(ValueError):
             AbParams(n_target=3, m=5)
 
+    @pytest.mark.parametrize("name", ["p", "q"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_probabilities_out_of_domain(self, name, value):
+        with pytest.raises(ValueError, match=f"{name}={value}"):
+            AbParams(n_target=10, **{name: value})
+
 
 class TestColorModel:
     def test_epsilon_zero_has_no_cross_color_edges(self):

@@ -8,13 +8,21 @@ from netspectra.gmatrix import (
     StochasticMatrix,
     build_stochastic,
     dense_to_csv,
+    scc_order,
     sparse_to_csv,
     truncate_by_rank,
 )
 from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power
 
-from helpers import ring_plus_random, sparse_random, two_cycle
+from helpers import (
+    leaky_pairs,
+    random_small_graph,
+    ring_plus_random,
+    sparse_random,
+    strong_components,
+    two_cycle,
+)
 
 
 class TestBuildStochastic:
@@ -99,6 +107,19 @@ class TestApply:
             v = rng.random(150)
             assert abs(g.apply(v).sum() - v.sum()) <= 1e-12 * max(1.0, v.sum())
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
+    def test_bitwise_the_boolean_mask_formula(self, alpha):
+        # the dangling mass is gathered by index, in the order a boolean
+        # mask gathers it, so every rank file keeps its bytes
+        rng = np.random.default_rng(5)
+        g = GoogleMatrix.from_graph(sparse_random(200, seed=4), alpha=alpha)
+        assert g.s.n_dangling > 0
+        for _ in range(5):
+            v = rng.random(200)
+            mass = float(v[g.s.dangling].sum())
+            shift = (alpha * mass + (1.0 - alpha) * float(v.sum())) / 200
+            assert g.apply(v).tobytes() == (alpha * (g.s.matrix @ v) + shift).tobytes()
+
     def test_agrees_with_dense_on_random_vectors(self):
         rng = np.random.default_rng(11)
         for seed, n in ((0, 37), (1, 120), (2, 500)):
@@ -129,6 +150,83 @@ class TestDense:
         g = GoogleMatrix.from_graph(sparse_random(90, seed=6), alpha=alpha)
         sums = g.to_dense().sum(axis=0)
         assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+
+def scc_cases():
+    return {
+        "leaky pairs": leaky_pairs(),
+        "two cycle": two_cycle(),
+        "single node": DirectedGraph(n_nodes=1, edges=np.zeros((0, 2), dtype=np.int64)),
+        "strongly connected": ring_plus_random(60, seed=3),
+        "with dangling nodes": sparse_random(80, seed=12, lo=1, hi=2, dangling_frac=0.1),
+        "no dangling nodes": sparse_random(80, seed=13, lo=1, hi=2, dangling_frac=0.0),
+        **{f"random small {seed}": random_small_graph(seed) for seed in range(40)},
+    }
+
+
+class TestSccOrder:
+    """The block order of S against networkx's components, with each
+    dangling node expanded into links to every node."""
+
+    @pytest.mark.parametrize("name", list(scc_cases()))
+    def test_partition_matches_networkx(self, name):
+        graph = scc_cases()[name]
+        s = build_stochastic(graph)
+        order, blocks = scc_order(s)
+        order = np.arange(graph.n_nodes) if order is None else order
+        assert np.array_equal(np.sort(order), np.arange(graph.n_nodes))
+        components = strong_components(graph)
+        assert blocks == len(components)
+        # each component is one contiguous run of the order, nodes ascending
+        position = np.empty(graph.n_nodes, dtype=np.int64)
+        position[order] = np.arange(graph.n_nodes)
+        for c in components:
+            at = np.sort(position[list(c)])
+            assert at[-1] - at[0] == len(c) - 1, name
+            assert np.array_equal(order[at], np.sort(list(c))), name
+
+    @pytest.mark.parametrize("name", list(scc_cases()))
+    def test_zero_below_the_diagonal_blocks(self, name):
+        graph = scc_cases()[name]
+        g = GoogleMatrix.from_graph(graph, 1.0)
+        order, _ = scc_order(g.s)
+        order = np.arange(graph.n_nodes) if order is None else order
+        label = {v: k for k, c in enumerate(strong_components(graph)) for v in c}
+        block = np.array([label[v] for v in order.tolist()])
+        dense = g.permuted(order).to_dense()
+        below = np.tril(np.ones(dense.shape, dtype=bool), -1) & (block[:, None] != block)
+        assert np.all(dense[below] == 0.0)
+
+    def test_sinks_first_ties_by_smallest_node(self):
+        # closed {3, 5} and {1}; 0 -> 1, 2 -> 3, and 4 -> 0, 4 -> 2: {0} is
+        # free to go once {1} is placed, and its id is below 3
+        graph = DirectedGraph(
+            n_nodes=6, edges=np.array([[0, 1], [1, 1], [2, 3], [3, 5], [4, 0], [4, 2], [5, 3]])
+        )
+        order, blocks = scc_order(build_stochastic(graph))
+        assert blocks == 5
+        assert order.tolist() == [1, 0, 3, 5, 2, 4]
+
+    def test_dangling_component_goes_last(self):
+        # 0 -> 1 with 1 dangling: {0, 1} links to every node; {2, 3} is closed
+        graph = DirectedGraph(n_nodes=4, edges=np.array([[0, 1], [2, 3], [3, 2]]))
+        order, blocks = scc_order(build_stochastic(graph))
+        assert blocks == 2
+        assert order.tolist() == [2, 3, 0, 1]
+        order, blocks = scc_order(build_stochastic(leaky_pairs()))
+        assert order is None and blocks == 2  # {0, 1} closed, then {2, 3, 4}
+
+    def test_identity_order_is_none(self):
+        order, blocks = scc_order(build_stochastic(ring_plus_random(40, seed=1)))
+        assert order is None and blocks == 1
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
+    def test_permuted_dense_is_the_permuted_matrix(self, alpha):
+        g = GoogleMatrix.from_graph(sparse_random(60, seed=2), alpha)
+        order = np.random.default_rng(0).permutation(60)
+        p = g.permuted(order)
+        assert p.alpha == alpha
+        assert np.array_equal(p.to_dense(), g.to_dense()[np.ix_(order, order)])
 
 
 class TestTruncateByRank:

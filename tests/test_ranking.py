@@ -215,6 +215,15 @@ class TestPagerank:
         with pytest.raises(ValueError, match="max_iter must be at least 1"):
             solver(gm, max_iter=max_iter)
 
+    @pytest.mark.parametrize("solver", [pagerank, pagerank_power])
+    @pytest.mark.parametrize("alpha", [0.85, 1.0])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, 0.0])
+    def test_rejects_tol_out_of_domain(self, solver, alpha, tol):
+        # a nonpositive tol used to fall back silently on the rounding floor
+        gm = GoogleMatrix.from_graph(sparse_random(20, seed=1), alpha)
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            solver(gm, tol=tol)
+
     def test_rank_vector_rejects_nan(self):
         with pytest.raises(ValueError):
             RankVector(np.array([np.nan, 1.0]), alpha=0.85, iterations=0, residual=0.0)

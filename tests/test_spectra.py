@@ -33,12 +33,22 @@ from netspectra.spectra import (
     eigendecompose,
     eigenvector_pars,
     eigenvector_pars_to_csv,
+    operator_spectrum,
     relaxation_rates,
     spectrum_to_csv,
     truncated_spectrum_compare,
 )
 
-from helpers import complete_graph, directed_cycle, ring_plus_random, sparse_random, two_cycle
+from helpers import (
+    complete_graph,
+    directed_cycle,
+    leaky_pairs,
+    random_small_graph,
+    ring_plus_random,
+    sparse_random,
+    strong_components,
+    two_cycle,
+)
 
 
 def spectrum_of(graph, alpha):
@@ -117,16 +127,6 @@ def oracle_cases(rng):
         "shared real part": np.concatenate([column, column.real + 0.5j * tol]),
         "all within tol": 0.1 + (rng.random(60) + 1j * rng.random(60)) * tol / 2,
     }
-
-
-def random_small_graph(seed):
-    """One random out-link per node, about 5% of nodes dangling: often
-    several closed cycles, and classes that leak only through a dangling
-    node."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(4, 40))
-    edges = {(u, int(rng.integers(n))) for u in range(n) if rng.random() >= 0.05}
-    return DirectedGraph(n_nodes=n, edges=np.array(sorted(edges)).reshape(-1, 2))
 
 
 class TestEigendecompose:
@@ -297,6 +297,12 @@ class TestDensityOfStates:
         with pytest.raises(ValueError):
             density_of_states([1.0], 0, window=0.0)
 
+    @pytest.mark.parametrize("name", ["window", "gamma_max"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.inf, np.nan])
+    def test_bad_window_or_gamma_max(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+            density_of_states([1.0], 0, **{name: value})
+
 
 class TestDegeneracyClusters:
     def test_complete_graph_cluster(self):
@@ -425,7 +431,7 @@ class TestUnitEigenvalueMultiplicity:
 
     @staticmethod
     def unit_multiplicity(graph):
-        report = degeneracy_clusters(spectrum_of(graph, 1.0))
+        report = degeneracy_clusters(operator_spectrum(GoogleMatrix.from_graph(graph, 1.0)))
         near = [c for c in report.clusters if abs(c.representative - 1.0) <= 1e-8]
         return sum(c.multiplicity for c in near)
 
@@ -449,10 +455,7 @@ class TestUnitEigenvalueMultiplicity:
         assert max(counts) >= 4  # the sample holds degenerate cases
 
     def test_class_reaching_a_dangling_node_is_not_closed(self):
-        # 0 <-> 1 is closed; 2 <-> 3 leaks to the dangling node 4
-        graph = DirectedGraph(
-            n_nodes=5, edges=np.array([[0, 1], [1, 0], [2, 3], [3, 2], [3, 4]])
-        )
+        graph = leaky_pairs()
         assert closed_class_count(graph) == 1
         assert self.unit_multiplicity(graph) == 1
 
@@ -726,6 +729,103 @@ class TestParColumnPass:
         vecs[:, 2] = 0
         with pytest.raises(ValueError, match="zero vector"):
             participation_ratio(vecs)
+
+
+def multi_block_cases():
+    """Graphs whose S at alpha = 1 has several diagonal blocks."""
+    color, _ = generate_color(
+        ColorParams(ab=AbParams(n_target=240, seed=1), eta=0.03, epsilon=0.0)
+    )
+    return {
+        "colour without cross links": color,
+        "leaky pairs": leaky_pairs(),
+        "sparse without dangling nodes": sparse_random(120, seed=12, lo=1, hi=2, dangling_frac=0),
+        **{f"random small {seed}": random_small_graph(seed) for seed in (1, 4, 8, 11)},
+    }
+
+
+class TestOperatorSpectrum:
+    """The spectrum of S in strongly-connected-component order, checked on
+    the operator in node order."""
+
+    @pytest.mark.parametrize("name", list(multi_block_cases()))
+    def test_complex_residual_on_the_unpermuted_operator(self, name):
+        graph = multi_block_cases()[name]
+        g = GoogleMatrix.from_graph(graph, 1.0)
+        spec = operator_spectrum(g)
+        assert spec.blocks == len(strong_components(graph)) > 1
+        matrix = g.to_dense()
+        oracle = complex_residuals(matrix, spec)
+        assert oracle.max() <= EIG_TOL * np.linalg.norm(matrix, "fro")
+        assert np.allclose(np.linalg.norm(spec.eigenvectors, axis=0), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", list(multi_block_cases()))
+    def test_trace_and_residual_contract(self, name):
+        g = GoogleMatrix.from_graph(multi_block_cases()[name], 1.0)
+        spec = operator_spectrum(g)
+        matrix = g.to_dense()
+        assert abs(spec.eigenvalues.sum() - np.trace(matrix)) <= 1e-9 * g.n
+        assert spec.residuals.max() <= EIG_TOL * np.linalg.norm(matrix, "fro")
+
+    @pytest.mark.parametrize(
+        "graph, alpha",
+        [
+            (ring_plus_random(80, seed=2), 1.0),  # one component: identity order
+            (sparse_random(80, seed=12, lo=1, hi=2), 0.85),  # teleportation: one block
+            (leaky_pairs(), 1.0),  # several components already in order
+        ],
+    )
+    def test_one_block_or_identity_order_is_bitwise_unchanged(self, graph, alpha):
+        g = GoogleMatrix.from_graph(graph, alpha)
+        spec, plain = operator_spectrum(g), eigendecompose(g.to_dense())
+        assert spec.rows is None
+        for field in ("eigenvalues", "residuals", "pars", "packed", "order", "pair_first"):
+            assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
+        assert spec.eigenvectors.tobytes() == plain.eigenvectors.tobytes()
+
+    def test_below_alpha_one_labels_nothing(self, monkeypatch):
+        from netspectra import spectra
+
+        def refuse(s):
+            raise AssertionError("scc_order called below alpha = 1")
+
+        monkeypatch.setattr(spectra, "scc_order", refuse)
+        spec = operator_spectrum(GoogleMatrix.from_graph(leaky_pairs(), 0.85))
+        assert spec.blocks == 1 and spec.rows is None
+
+    def test_truncation_at_alpha_one_uses_the_block_order(self):
+        graph = multi_block_cases()["colour without cross links"]
+        cmp = truncated_spectrum_compare(graph, 1.0, [200, 120])
+        assert cmp.full.blocks == len(strong_components(graph))
+        for res in cmp.results:
+            inside = np.isin(graph.edges, res.kept).all(axis=1)
+            sub = DirectedGraph(n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside]))
+            assert res.spectrum.blocks == len(strong_components(sub))
+            assert abs(res.spectrum.eigenvalues[0] - 1.0) <= 1e-9
+
+
+class TestDomainChecks:
+    """nan fails every domain check, and each message names its parameter."""
+
+    BAD = [np.nan, np.inf, -1.0]
+
+    @pytest.mark.parametrize("value", BAD + [0.0])
+    def test_eigendecompose_tol(self, value):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            eigendecompose(np.eye(2), value)
+
+    @pytest.mark.parametrize("value", BAD + [0.0])
+    def test_degeneracy_tol(self, value):
+        with pytest.raises(ValueError, match="^tol must be positive and finite"):
+            degeneracy_clusters(eigendecompose(np.eye(2)), value)
+
+    @pytest.mark.parametrize("value", BAD)
+    @pytest.mark.parametrize("rates", [relaxation_rates, eigenvector_pars])
+    def test_lambda_cutoff(self, rates, value):
+        with pytest.raises(ValueError, match="^lambda_cutoff must be nonnegative and finite"):
+            rates(eigendecompose(np.eye(2)), value)
+        with pytest.raises(ValueError, match="^lambda_cutoff"):
+            spectrum_to_csv(eigendecompose(np.eye(2)), io.StringIO(), lambda_cutoff=value)
 
 
 class TestTruncatedSpectrumCompare:
