@@ -18,7 +18,7 @@ from netspectra.genmodels import (
     generate_al,
     generate_color,
 )
-from netspectra.spectra import eigendecompose
+from netspectra.spectra import operator_spectrum
 
 N = 2**10
 ALPHA = 0.85
@@ -26,7 +26,7 @@ SEEDS = range(3)
 
 
 def lambda2(graph, alpha):
-    spec = eigendecompose(GoogleMatrix.from_graph(graph, alpha).to_dense())
+    spec = operator_spectrum(GoogleMatrix.from_graph(graph, alpha))
     return abs(spec.eigenvalues[1])
 
 

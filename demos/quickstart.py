@@ -9,7 +9,7 @@ import numpy as np
 from netspectra.gmatrix import GoogleMatrix
 from netspectra.netcore import load_edge_list, reciprocity
 from netspectra.ranking import pagerank, participation_ratio
-from netspectra.spectra import eigendecompose
+from netspectra.spectra import operator_spectrum
 
 # a 7-page site: a mutually linked core, a few one-way references, and one
 # page (6) with no outlinks at all
@@ -41,7 +41,7 @@ for position, node in enumerate(rank.order, 1):
 print(f"participation ratio of the rank vector: "
       f"{participation_ratio(rank.values):.2f} of {graph.n_nodes} nodes")
 
-spec = eigendecompose(g.to_dense())
+spec = operator_spectrum(g)
 print("\neigenvalues (by decreasing magnitude):")
 for lam in spec.eigenvalues:
     print(f"  {lam.real:+.4f} {lam.imag:+.4f}i   |lambda| = {abs(lam):.4f}")

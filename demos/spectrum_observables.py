@@ -19,8 +19,8 @@ from netspectra.spectra import (
     degeneracy_to_csv,
     density_of_states,
     dos_to_csv,
-    eigendecompose,
     eigenvector_pars,
+    operator_spectrum,
     eigenvector_pars_to_csv,
     relaxation_rates,
     spectrum_to_csv,
@@ -43,7 +43,7 @@ print(f"community network: N={N}, {graph.n_edges} links, "
       f"{np.unique(colors).size} colors")
 
 g = GoogleMatrix.from_graph(graph, ALPHA)
-spec = eigendecompose(g.to_dense())
+spec = operator_spectrum(g)
 print(f"diagonalized; max residual {spec.residuals.max():.2e}")
 print(f"leading eigenvalues: "
       + ", ".join(f"{lam:.4f}" for lam in spec.eigenvalues[:5]))

@@ -197,7 +197,9 @@ def cmd_spectrum(args, graph) -> _Result:
         "eigenvector_par.csv": partial(spectra.eigenvector_pars_to_csv, par_gammas, pars),
     }
     return _Result(
-        outputs, f"n={graph.n_nodes} alpha={args.alpha}", extra={"scc_blocks": spec.blocks}
+        outputs,
+        f"n={graph.n_nodes} alpha={args.alpha}",
+        extra={"scc_blocks": spec.blocks, "closed_classes": spec.closed},
     )
 
 
@@ -320,15 +322,16 @@ def cmd_truncate_spectrum(args, graph) -> _Result:
     _check_dense_memory(graph.n_nodes, args.sizes)
     cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
-    hausdorff, blocks = {}, {"full": cmp.full.blocks}
+    hausdorff, blocks, closed = {}, {"full": cmp.full.blocks}, {"full": cmp.full.closed}
     for res in cmp.results:
         outputs[f"eigenvalues_m{res.m}.csv"] = partial(spectra.spectrum_to_csv, res.spectrum)
         hausdorff[str(res.m)] = res.hausdorff
         blocks[str(res.m)] = res.spectrum.blocks
+        closed[str(res.m)] = res.spectrum.closed
     return _Result(
         outputs,
         " ".join(f"m={m}: hausdorff={h:.6g}" for m, h in hausdorff.items()),
-        extra={"hausdorff": hausdorff, "scc_blocks": blocks},
+        extra={"hausdorff": hausdorff, "scc_blocks": blocks, "closed_classes": closed},
     )
 
 

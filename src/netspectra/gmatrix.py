@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from scipy import sparse
 
-from .netcore import DirectedGraph, _write_table
+from .netcore import DirectedGraph
 
 if TYPE_CHECKING:
     from .ranking import RankVector
@@ -28,8 +28,6 @@ __all__ = [
     "build_stochastic",
     "scc_order",
     "truncate_by_rank",
-    "dense_to_csv",
-    "sparse_to_csv",
 ]
 
 DEFAULT_ALPHA = 0.85
@@ -202,19 +200,20 @@ def _components(link) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
-def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int]:
+def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int, int]:
     """Node order that makes S block upper triangular, one diagonal block
-    per strongly connected component of the link graph, and the number of
-    components.
+    per strongly connected component of the link graph, the number of
+    components, and the number of closed ones (no link leaving them).
 
-    A component comes after every component it links to, so sink components
-    (closed sets of pages, and the component holding every page that reaches
-    a dangling one) lead; among the components free to go next the one with
-    the smallest node id goes first, and each lists its nodes in ascending
-    order.  The order is ``None`` when it is the identity, as for a strongly
-    connected graph.  Eigensolvers then deflate at every block boundary,
-    since the spectrum of S is the union of the spectra of its diagonal
-    blocks.
+    A component comes after every component it links to, so the first one
+    is closed and the component holding every page that reaches a dangling
+    one (which links to every page) comes last; among the components free
+    to go next the one with the smallest node id goes first, and each lists
+    its nodes in ascending order.  The order is ``None`` when it is the
+    identity, as for a strongly connected graph.  Eigensolvers then deflate
+    at every block boundary, since the spectrum of S is the union of the
+    spectra of its diagonal blocks.  Each closed component adds one
+    eigenvalue 1, so the closed count is its multiplicity.
     """
     n = s.n
     link = s.matrix
@@ -233,6 +232,7 @@ def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int]:
         sources[b].append(a)
     first = np.unique(label[:n], return_index=True)[1].tolist()  # smallest node of each
     ready = [(first[c], c) for c in range(n_comp) if not pending[c]]
+    closed = len(ready)
     heapq.heapify(ready)
     position = np.empty(n_comp, dtype=np.int64)
     for k in range(n_comp):
@@ -243,7 +243,7 @@ def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int]:
             if not pending[a]:
                 heapq.heappush(ready, (first[a], a))
     order = np.argsort(position[label[:n]], kind="stable")
-    return (None if np.array_equal(order, np.arange(n)) else order), n_comp
+    return (None if np.array_equal(order, np.arange(n)) else order), n_comp, closed
 
 
 def truncate_by_rank(
@@ -264,20 +264,3 @@ def truncate_by_rank(
     sub, new_dangling = _normalize_columns(g.s.matrix[kept, :][:, kept].tocsc())
     return GoogleMatrix(StochasticMatrix(sub, new_dangling), g.alpha), kept
 
-
-def dense_to_csv(matrix: np.ndarray, target) -> None:
-    """Row-major CSV at full float precision, no header row."""
-    matrix = np.asarray(matrix)
-    fmt = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    _write_table(target, "", fmt, matrix.T)
-
-
-def sparse_to_csv(s: StochasticMatrix, target) -> None:
-    """Explicit entries as ``j,i,value`` triplets, column-major order.
-
-    Dangling columns have no rows here; they are implicitly uniform.
-    """
-    mat = s.matrix
-    cols = np.repeat(np.arange(s.n), np.diff(mat.indptr))
-    columns = (cols, mat.indices, mat.data)
-    _write_table(target, "j,i,value\n", "%d,%d,%.17g\n", columns)

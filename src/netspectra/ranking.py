@@ -21,7 +21,6 @@ __all__ = [
     "ParPoint",
     "pagerank",
     "pagerank_power",
-    "pagerank_dense_solve",
     "participation_ratio",
     "par_vs_alpha",
     "decay_exponent",
@@ -34,8 +33,6 @@ __all__ = [
 
 PAGERANK_TOL = 1e-12
 PAGERANK_MAX_ITER = 10_000
-
-_DENSE_SOLVE_LIMIT = 2000
 
 # Rounding level of the computed certificate ||Gx - x||_1 for an exact
 # fixed point (measured up to 2.3 eps for the uniform vector at alpha = 0,
@@ -233,28 +230,6 @@ def pagerank_power(
         residual=delta,
         converged=delta < tol,
     )
-
-
-def pagerank_dense_solve(g: GoogleMatrix) -> RankVector:
-    """Stationary vector via a dense linear solve; oracle for the iteration.
-
-    Solves ``(I - alpha*S') p = (1-alpha)/N * ones`` where S' carries the
-    uniform dangling columns explicitly, then L1-normalizes.  Restricted to
-    small n and alpha < 1 (the system is singular at alpha = 1).
-    """
-    n = g.n
-    if n > _DENSE_SOLVE_LIMIT:
-        raise ValueError(f"dense solve limited to n <= {_DENSE_SOLVE_LIMIT}")
-    if g.alpha >= 1.0:
-        raise ValueError("dense solve requires alpha < 1 (system singular at 1)")
-    s_full = g.s.matrix.toarray()
-    if g.s.n_dangling:
-        s_full[:, g.s.dangling] = 1.0 / n
-    a = np.eye(n) - g.alpha * s_full
-    b = np.full(n, (1.0 - g.alpha) / n)
-    p = np.linalg.solve(a, b)
-    p = p / p.sum()
-    return RankVector(values=p, alpha=g.alpha, iterations=0, residual=0.0)
 
 
 def participation_ratio(v):

@@ -26,7 +26,6 @@ __all__ = [
     "DOS_GAMMA_MAX",
     "DOS_BINS",
     "EigensolverError",
-    "ScalingCheckError",
     "Spectrum",
     "DosHistogram",
     "DegeneracyCluster",
@@ -36,7 +35,6 @@ __all__ = [
     "eigendecompose",
     "operator_spectrum",
     "dense_memory_bytes",
-    "alpha_scaling_check",
     "relaxation_rates",
     "density_of_states",
     "degeneracy_clusters",
@@ -61,10 +59,6 @@ class EigensolverError(np.linalg.LinAlgError):
     """Eigensolver failed to converge or to meet the residual contract."""
 
 
-class ScalingCheckError(ValueError):
-    """Eigenvalue pairing error beyond the requested tolerance."""
-
-
 @dataclass(frozen=True)
 class Spectrum:
     """All eigenvalues of one matrix, with the residual and participation
@@ -81,13 +75,15 @@ class Spectrum:
     eigenvalue's column is its eigenvector and a conjugate pair ``a +- ib``
     takes two columns u, v (``pair_first`` marks u) with eigenvectors
     ``u +- iv``; ``eigenvalues[i]`` belongs to packed column ``order[i]``.
-    :attr:`eigenvectors` unpacks them on first use.  A spectrum built by
-    :meth:`from_eigenvalues` carries no eigenvectors.
+    :attr:`eigenvectors` unpacks them on first use; a spectrum without
+    ``packed`` carries no eigenvectors.
 
     ``rows`` is set when the solver saw the nodes reordered (see
     :func:`operator_spectrum`): row k of ``packed`` belongs to node
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
-    solver saw.  Residuals and PARs do not depend on the row order.
+    solver saw and ``closed`` the closed ones among them, the multiplicity
+    of the eigenvalue 1 of S.  Residuals and PARs do not depend on the row
+    order.
     """
 
     eigenvalues: np.ndarray
@@ -98,13 +94,7 @@ class Spectrum:
     pair_first: np.ndarray | None = None
     rows: np.ndarray | None = None
     blocks: int = 1
-
-    @classmethod
-    def from_eigenvalues(cls, eigenvalues) -> "Spectrum":
-        """Eigenvalues alone, in the given order; residuals and PARs are nan."""
-        lam = np.asarray(eigenvalues, dtype=np.complex128)
-        unknown = np.full(lam.size, np.nan)
-        return cls(eigenvalues=lam, residuals=unknown, pars=unknown)
+    closed: int = 1
 
     @property
     def n(self) -> int:
@@ -114,10 +104,13 @@ class Spectrum:
     def eigenvectors(self) -> np.ndarray:
         """Unit-norm right eigenvectors as columns aligned with
         ``eigenvalues``, rows in node order (read-only), built from the
-        packed matrix on first use: complex unless every eigenvalue is real,
-        bitwise the columns of ``scipy.linalg.eig`` of the matrix the solver
-        saw, divided by their norms.  The result holds 16 bytes per entry,
-        twice the packed storage (32 while it is built, 40 with ``rows``)."""
+        packed matrix on first use: complex when the solver returned a
+        conjugate pair.  For :func:`eigendecompose` of a matrix they are
+        bitwise the columns of ``scipy.linalg.eig`` divided by their norms;
+        below alpha = 1, :func:`operator_spectrum` keeps the eigenvectors of
+        S except on the eigenvalues 1 and alpha.  The result holds 16 bytes
+        per entry, twice the packed storage (32 while it is built, 40 with
+        ``rows``)."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
         packed = self.packed if self.rows is None else self.packed[np.argsort(self.rows)]
@@ -191,7 +184,8 @@ def _certify_block(a, trans: int, vb, wr, wi, first):
     del r
     rows = vb.T  # one packed column per contiguous row
     s2, s4 = np.empty(k), np.empty(k)
-    real = wi == 0
+    real = np.ones(k, dtype=bool)
+    real[f] = real[f + 1] = False
     mod2 = rows[real]
     s2[real], s4[real] = _power_sums(np.square(mod2, out=mod2))
     mod2 = rows[f]
@@ -205,7 +199,38 @@ def _certify_block(a, trans: int, vb, wr, wi, first):
     return s2, s4, r2
 
 
-def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
+def _damp(matrix, wr, wi, vr, alpha: float, closed: int, rank) -> None:
+    """Turn the eigenpairs ``(wr + i wi, vr)`` of a column-stochastic S into
+    those of ``G = alpha*S + (1-alpha)/N * ee^T``, and S in ``matrix`` into
+    G, all in place.
+
+    Since ``e^T S = e^T``, an eigenvector psi of S with lambda != 1 has
+    ``e^T psi = 0``, so ``G psi = alpha*lambda psi``: the eigenvalue is
+    scaled and the vector kept (``+ 0.0`` drops the -0.0 of alpha = 0).
+    The eigenvalue 1 of S has ``closed`` real eigenvectors, the columns
+    whose eigenvalues lie nearest 1.  With p the one of largest
+    ``|e^T psi_p|``, each other column becomes
+    ``psi_j - (e^T psi_j / e^T psi_p) psi_p``, which sums to zero, so G
+    maps it to alpha times itself; psi_p becomes the rank vector ``rank``
+    (unit L2 norm), G's eigenvector for 1.  A column mapped wrongly fails
+    the residual contract that follows.
+    """
+    unit = np.argsort(np.hypot(wr - 1.0, wi), kind="stable")[:closed]
+    sums = vr[:, unit].sum(axis=0)
+    p = int(np.argmax(np.abs(sums)))
+    vr[:, unit] -= np.outer(vr[:, unit[p]], sums / sums[p])
+    vr[:, unit[p]] = rank / np.linalg.norm(rank)
+    wr *= alpha
+    wi *= alpha
+    wr[unit] = alpha
+    wr[unit[p]] = 1.0
+    wr += 0.0
+    wi += 0.0
+    matrix *= alpha
+    matrix += (1.0 - alpha) / matrix.shape[0]
+
+
+def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     """Full eigendecomposition of a dense real nonsymmetric matrix.
 
     Any method is acceptable as long as every pair satisfies
@@ -218,6 +243,13 @@ def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
     taken in the same pass.  The traced peak is about 18 bytes per matrix
     entry beyond the input: dgeev's copy of the matrix and the packed
     eigenvectors.
+
+    With ``damping = (alpha, closed, rank)``, ``matrix`` holds a
+    column-stochastic S whose eigenvalue 1 has multiplicity ``closed``, and
+    the spectrum is that of ``G = alpha*S + (1-alpha)/N * ee^T``: once
+    dgeev is done, the eigenpairs are mapped to G and G is written over
+    ``matrix`` (see :func:`_damp`), and the contract is checked against G.
+    ``rank`` is G's rank vector in the rows' order.
     """
     _check_positive("tol", tol)
     matrix = np.asarray(matrix, dtype=np.float64)
@@ -233,6 +265,8 @@ def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
     if info != 0:
         raise EigensolverError(f"QR iteration failed to converge (dgeev info {info})")
     first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
+    if damping is not None:
+        _damp(matrix, wr, wi, vr, *damping)
     # dgemm reads M in Fortran order: a C-ordered M as its transpose, any
     # other layout copied once rather than by f2py for every block
     a, trans = (matrix.T, 1) if matrix.flags.c_contiguous else (np.asfortranarray(matrix), 0)
@@ -275,68 +309,35 @@ def eigendecompose(matrix, tol: float = EIG_TOL) -> Spectrum:
 
 
 def operator_spectrum(g: GoogleMatrix, tol: float = EIG_TOL) -> Spectrum:
-    """:func:`eigendecompose` of the dense operator ``g``.
+    """Spectrum of the dense operator ``g``, from one eigendecomposition of
+    its link matrix S.
 
-    At alpha = 1 the nodes are first put in :func:`gmatrix.scc_order`, so
-    the dense S is block upper triangular and dgeev's Hessenberg reduction
-    and QR sweeps deflate at every block boundary, one block per strongly
-    connected component; the spectrum records that order in ``rows`` and
-    the component count in ``blocks``.  Below alpha = 1 teleportation links
-    every node to every other, so G is one block and is decomposed as is;
-    so is S when its order is the identity.
+    The nodes are first put in :func:`gmatrix.scc_order`, so the dense S is
+    block upper triangular and dgeev's Hessenberg reduction and QR sweeps
+    deflate at every block boundary, one block per strongly connected
+    component; the spectrum records that order in ``rows``, the component
+    count in ``blocks`` and the closed count in ``closed``.  Below
+    alpha = 1, :func:`eigendecompose` maps the spectrum of S to G: every
+    eigenvalue lambda != 1 becomes alpha*lambda with the same eigenvector,
+    the eigenvalue 1 gets the rank vector of :func:`ranking.pagerank`, and
+    the other ``closed - 1`` eigenvectors of S for 1 become differences
+    that sum to zero, with eigenvalue alpha.
     """
-    rows, blocks = scc_order(g.s) if g.alpha == 1.0 else (None, 1)
+    return _spectrum(g, tol, pagerank(g) if g.alpha < 1.0 else None)
+
+
+def _spectrum(g: GoogleMatrix, tol: float, rank) -> Spectrum:
+    """:func:`operator_spectrum` with the rank vector of ``g`` given (None
+    at alpha = 1)."""
+    rows, blocks, closed = scc_order(g.s)
+    s = GoogleMatrix(g.s, 1.0)
     if rows is not None:
-        g = g.permuted(rows)
-    return replace(eigendecompose(g.to_dense(), tol), rows=rows, blocks=blocks)
-
-
-def _greedy_pair_error(values: np.ndarray, reference: np.ndarray) -> float:
-    """Max distance when greedily matching each value to the nearest unused
-    reference value (largest-magnitude values matched first)."""
-    if values.size != reference.size:
-        raise ValueError("multisets must have equal size")
-    if values.size == 0:
-        return 0.0
-    ref = reference.copy()
-    available = np.ones(ref.size, dtype=bool)
-    worst = 0.0
-    for v in values[np.argsort(-np.abs(values), kind="stable")]:
-        dist = np.abs(ref - v)
-        dist[~available] = np.inf
-        j = int(np.argmin(dist))
-        worst = max(worst, float(dist[j]))
-        available[j] = False
-    return worst
-
-
-def alpha_scaling_check(
-    spec_at_one: Spectrum,
-    spec_at_alpha: Spectrum,
-    alpha: float,
-    tol: float = 1e-8,
-) -> float:
-    """Verify that damping rescales the non-leading eigenvalues by alpha.
-
-    One unit eigenvalue (the invariant leading one) is removed from each
-    spectrum; the rest of ``spec_at_alpha`` is greedily paired against
-    ``alpha *`` the rest of ``spec_at_one``.  Returns the worst pairing
-    distance and raises :class:`ScalingCheckError` if it exceeds ``tol``.
-    """
-    lam1 = spec_at_one.eigenvalues
-    lam_a = spec_at_alpha.eigenvalues
-    if lam1.size != lam_a.size:
-        raise ValueError("spectra must come from operators of equal size")
-    drop1 = int(np.argmin(np.abs(lam1 - 1.0)))
-    drop_a = int(np.argmin(np.abs(lam_a - 1.0)))
-    scaled = alpha * np.delete(lam1, drop1)
-    rest = np.delete(lam_a, drop_a)
-    worst = _greedy_pair_error(rest, scaled)
-    if worst > tol:
-        raise ScalingCheckError(
-            f"worst eigenvalue pairing error {worst:.3e} exceeds tol {tol:.1e}"
-        )
-    return worst
+        s = s.permuted(rows)
+    damping = None
+    if rank is not None:
+        damping = (g.alpha, closed, rank.values if rows is None else rank.values[rows])
+    spec = eigendecompose(s.to_dense(), tol, damping)
+    return replace(spec, rows=rows, blocks=blocks, closed=closed)
 
 
 def _rates(spec: Spectrum, lambda_cutoff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -607,8 +608,8 @@ def truncated_spectrum_compare(
     plots.
     """
     g = GoogleMatrix.from_graph(graph, alpha)
-    full = operator_spectrum(g, tol)
     rank = pagerank(g)
+    full = _spectrum(g, tol, rank if alpha < 1.0 else None)
     results = []
     for m in m_list:
         truncated, kept = truncate_by_rank(g, rank, int(m))

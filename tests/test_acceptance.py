@@ -11,23 +11,26 @@ import pytest
 from netspectra.gmatrix import GoogleMatrix, build_stochastic, truncate_by_rank
 from netspectra.genmodels import AbParams, AlParams, ColorParams, generate_ab, generate_al, generate_color
 from netspectra.netcore import load_edge_list, maslov_randomize
-from netspectra.ranking import (
-    fidelity,
-    fidelity_grid,
-    pagerank_dense_solve,
-    pagerank_power,
-)
+from netspectra.ranking import fidelity, fidelity_grid, pagerank_power
 from netspectra.spectra import (
-    _greedy_pair_error,
-    alpha_scaling_check,
     degeneracy_clusters,
     density_of_states,
     eigendecompose,
+    operator_spectrum,
     relaxation_rates,
     truncated_spectrum_compare,
 )
 
-from helpers import complete_graph, ring_plus_random, sparse_random, star_bidirectional, two_cycle
+from helpers import (
+    _greedy_pair_error,
+    alpha_scaling_check,
+    complete_graph,
+    pagerank_dense_solve,
+    ring_plus_random,
+    sparse_random,
+    star_bidirectional,
+    two_cycle,
+)
 
 # pilot-run regression bound for the AL model: median |lambda_2| over seeds
 # 0..9 at N=1024, m=5, alpha=0.85 measured 0.17000000000000143 (= alpha/m,
@@ -37,10 +40,14 @@ AL_LAMBDA2_MEDIAN_BOUND = 0.1700001
 _dos_checks = {"count": 0}
 
 
-def checked_spectrum(dense, tol=1e-9):
-    """Eigendecompose and verify rate-density mass conservation on the way
+def checked_spectrum(operator, tol=1e-9):
+    """Eigendecompose a dense matrix (a GoogleMatrix through
+    operator_spectrum) and verify rate-density mass conservation on the way
     (criterion 8 applies to every spectrum this suite computes)."""
-    spec = eigendecompose(dense, tol)
+    if isinstance(operator, GoogleMatrix):
+        spec = operator_spectrum(operator, tol)
+    else:
+        spec = eigendecompose(operator, tol)
     gammas, zero = relaxation_rates(spec)
     hist = density_of_states(gammas, zero)
     total = hist.density.sum() * hist.bin_width + hist.zero_modes
@@ -135,7 +142,8 @@ def test_c05_fidelity_grid_properties():
 
 def test_c06_color_model_second_eigenvalue_equals_alpha():
     # pure node growth (p=q=0) never touches the seed communities, so the
-    # three intra-color seed triangles stay closed and pin lambda_2 at alpha
+    # three intra-color seed triangles stay closed and pin lambda_2 at alpha;
+    # the spectrum is S's, mapped to G(alpha) by operator_spectrum
     worst = 0.0
     worst_imag = 0.0
     for seed in range(5):
@@ -145,7 +153,7 @@ def test_c06_color_model_second_eigenvalue_equals_alpha():
                 epsilon=0.0,
             )
         )
-        spec = checked_spectrum(GoogleMatrix.from_graph(graph, 0.85).to_dense())
+        spec = checked_spectrum(GoogleMatrix.from_graph(graph, 0.85))
         lam2 = spec.eigenvalues[1]
         worst = max(worst, abs(lam2 - 0.85))
         worst_imag = max(worst_imag, abs(lam2.imag))

@@ -30,7 +30,8 @@ def test_summarize_counts_wins_by_direction_and_column_equality():
     same = {"j1/e.csv:re": "a", "j1/e.csv:par": "p"}
     pairs = [
         {"parent": side(1.0, 10.0, same), "change": side(0.5, 12.0, same)},
-        {"parent": side(1.2, 10.0, same), "change": side(0.6, 10.0, {**same, "j1/e.csv:par": "q"})},
+        {"parent": side(1.2, 10.0, same), "change": side(0.6, 10.0, {**same, "j1/e.csv:par": "q"}),
+         "differences": {"j1/e.csv:par": 2e-15}},
         {"parent": side(1.1, 11.0, same), "change": side(1.3, 9.0, same)},
     ]
     out = bench_record.summarize(pairs, DECLARED)
@@ -42,7 +43,9 @@ def test_summarize_counts_wins_by_direction_and_column_equality():
     assert t["gap_exceeds_parent_iqr"] is True
     r = out["metrics"]["rate"]  # higher is better: a rise wins, equal ties
     assert (r["wins"], r["losses"], r["ties"]) == (1, 1, 1)
-    assert out["digests_equal"] == {"e.csv:par": False, "e.csv:re": True}
+    # keyed by job and column, so one moved job does not hide behind others
+    assert out["digests_equal"] == {"j1/e.csv:par": False, "j1/e.csv:re": True}
+    assert out["max_abs_diff"] == {"j1/e.csv:par": 2e-15}
     assert out["correct"] == {"parent": True, "change": True}
 
 
@@ -70,6 +73,29 @@ def test_column_digests_split_csv_columns(tmp_path):
     assert sorted(digests) == ["j/e.csv:par", "j/e.csv:re", "j/g.edges"]
     assert digests["j/e.csv:re"] == bench_record._sha("1\n3")
     assert digests["j/g.edges"] == bench_record._sha("0 1")
+
+
+def test_column_differences_take_the_largest_numeric_change(tmp_path):
+    def job(name, text, edges):
+        d = tmp_path / name
+        d.mkdir()
+        (d / "e.csv").write_text("# manifest: manifest.json\n" + text)
+        (d / "g.edges").write_text(edges)
+        return [{"id": "j", "dir": str(d)}]
+
+    a = bench_record.column_cells(job("a", "re,gamma,n\n1,inf,2\n0.5,1,3\n", "0 1\n"))
+    b = bench_record.column_cells(job("b", "re,gamma,n\n1.25,2,2\n0.25,1,3\n", "0 2\n"))
+    assert a["j/e.csv:re"] == ["1", "0.5"]
+    diffs = bench_record.column_differences(a, b)
+    # equal columns are left out; an inf on one side, or text, is not a number
+    assert diffs == {"j/e.csv:re": 0.25, "j/e.csv:gamma": None, "j/g.edges": None}
+    assert bench_record.column_differences(a, {**a, "j/e.csv:re": ["1"]}) == {"j/e.csv:re": None}
+
+    pairs = [
+        {"parent": side(1.0, 1.0, {}), "change": side(1.0, 1.0, {}), "differences": d}
+        for d in ({"j/x": 1e-9, "j/y": 1.0}, {"j/x": 3e-9, "j/y": None})
+    ]
+    assert bench_record.summarize(pairs, DECLARED)["max_abs_diff"] == {"j/x": 3e-9, "j/y": None}
 
 
 def test_checkouts_are_siblings_holding_parent_commit_and_working_tree(tmp_path):

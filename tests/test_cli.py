@@ -544,7 +544,8 @@ SPECTRUM_FILES = ["eigenvalues.csv", "dos.csv", "degeneracy.csv", "eigenvector_p
 SWEEP_KEYS = {"converged", "iterations", "residual"}
 MANIFEST_CASES = {
     "spectrum": (
-        ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES, {"scc_blocks"},
+        ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES,
+        {"scc_blocks", "closed_classes"},
     ),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
@@ -569,7 +570,7 @@ MANIFEST_CASES = {
     "truncate-spectrum": (
         ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
         ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"],
-        {"hausdorff", "scc_blocks"},
+        {"hausdorff", "scc_blocks", "closed_classes"},
     ),
     "generate ab": (
         ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
@@ -603,10 +604,9 @@ def test_manifest_contract(command, tmp_path, capsys):
     manifest = json.loads((out / manifest_name).read_text(), parse_constant=reject_constant)
     assert set(manifest) == BASE_MANIFEST_KEYS | extra_keys
     assert manifest["command"] == command
-    # one diagonal block below alpha = 1
-    assert manifest.get("scc_blocks") == {
-        "spectrum": 1, "truncate-spectrum": {"full": 1, "12": 1, "6": 1}
-    }.get(command)
+    # the 12-node circulant is one closed component, and so is each truncation
+    one = {"spectrum": 1, "truncate-spectrum": {"full": 1, "12": 1, "6": 1}}.get(command)
+    assert manifest.get("scc_blocks") == manifest.get("closed_classes") == one
     assert manifest["outputs"] == {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files
     }
@@ -623,7 +623,7 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
     from netspectra.netcore import load_edge_list
     from netspectra.spectra import truncated_spectrum_compare
 
-    from helpers import strong_components
+    from helpers import closed_class_count, strong_components
 
     # closed {0, 1} and {5, 6, 7}; 2 -> 3 -> 4 -> 2 leaks into both; 8 -> 9
     # with 9 dangling, which links everything
@@ -633,22 +633,27 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
     graph = load_edge_list(str(path))
     blocks = len(strong_components(graph))
     assert blocks == 4
-    for alpha, expected in (("1", blocks), ("0.85", 1)):
+    # every alpha diagonalizes S in block order
+    for alpha in ("1", "0.85"):
         out = tmp_path / f"spectrum{alpha}"
         assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["scc_blocks"] == expected
-    out = tmp_path / "truncate"
-    assert main(["truncate-spectrum", str(path), "--alpha", "1", "--sizes", "8,4",
-                 "--out-dir", str(out)]) == 0
-    recorded = json.loads((out / "manifest.json").read_text())["scc_blocks"]
-    expected = {"full": blocks}
-    for res in truncated_spectrum_compare(graph, 1.0, [8, 4]).results:
-        inside = np.isin(graph.edges, res.kept).all(axis=1)
-        sub = dataclasses.replace(
-            graph, n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside])
-        )
-        expected[str(res.m)] = len(strong_components(sub))
-    assert recorded == expected
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["scc_blocks"], manifest["closed_classes"]) == (blocks, 2)
+    for alpha in ("1", "0.85"):
+        out = tmp_path / f"truncate{alpha}"
+        assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
+                     "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        blocks_m, closed_m = {"full": blocks}, {"full": 2}
+        for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
+            inside = np.isin(graph.edges, res.kept).all(axis=1)
+            sub = dataclasses.replace(
+                graph, n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside])
+            )
+            blocks_m[str(res.m)] = len(strong_components(sub))
+            closed_m[str(res.m)] = closed_class_count(sub)
+        assert manifest["scc_blocks"] == blocks_m
+        assert manifest["closed_classes"] == closed_m
 
 
 def test_manifest_with_a_non_finite_value_is_not_written(tmp_path, capsys, monkeypatch):

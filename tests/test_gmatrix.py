@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -7,9 +5,7 @@ from netspectra.gmatrix import (
     GoogleMatrix,
     StochasticMatrix,
     build_stochastic,
-    dense_to_csv,
     scc_order,
-    sparse_to_csv,
     truncate_by_rank,
 )
 from netspectra.netcore import DirectedGraph
@@ -172,11 +168,20 @@ class TestSccOrder:
     def test_partition_matches_networkx(self, name):
         graph = scc_cases()[name]
         s = build_stochastic(graph)
-        order, blocks = scc_order(s)
+        order, blocks, closed = scc_order(s)
         order = np.arange(graph.n_nodes) if order is None else order
         assert np.array_equal(np.sort(order), np.arange(graph.n_nodes))
         components = strong_components(graph)
         assert blocks == len(components)
+        # a dangling node links to every node, so only a component holding
+        # every node can be closed with one inside
+        dangling = set(np.flatnonzero(graph.out_degrees() == 0).tolist())
+        leaving = [
+            (c & dangling and len(c) < graph.n_nodes)
+            or any(a in c and b not in c for a, b in graph.edges.tolist())
+            for c in components
+        ]
+        assert closed == leaving.count(False)
         # each component is one contiguous run of the order, nodes ascending
         position = np.empty(graph.n_nodes, dtype=np.int64)
         position[order] = np.arange(graph.n_nodes)
@@ -189,7 +194,7 @@ class TestSccOrder:
     def test_zero_below_the_diagonal_blocks(self, name):
         graph = scc_cases()[name]
         g = GoogleMatrix.from_graph(graph, 1.0)
-        order, _ = scc_order(g.s)
+        order, _, _ = scc_order(g.s)
         order = np.arange(graph.n_nodes) if order is None else order
         label = {v: k for k, c in enumerate(strong_components(graph)) for v in c}
         block = np.array([label[v] for v in order.tolist()])
@@ -203,22 +208,22 @@ class TestSccOrder:
         graph = DirectedGraph(
             n_nodes=6, edges=np.array([[0, 1], [1, 1], [2, 3], [3, 5], [4, 0], [4, 2], [5, 3]])
         )
-        order, blocks = scc_order(build_stochastic(graph))
-        assert blocks == 5
+        order, blocks, closed = scc_order(build_stochastic(graph))
+        assert (blocks, closed) == (5, 2)
         assert order.tolist() == [1, 0, 3, 5, 2, 4]
 
     def test_dangling_component_goes_last(self):
         # 0 -> 1 with 1 dangling: {0, 1} links to every node; {2, 3} is closed
         graph = DirectedGraph(n_nodes=4, edges=np.array([[0, 1], [2, 3], [3, 2]]))
-        order, blocks = scc_order(build_stochastic(graph))
-        assert blocks == 2
+        order, blocks, closed = scc_order(build_stochastic(graph))
+        assert (blocks, closed) == (2, 1)
         assert order.tolist() == [2, 3, 0, 1]
-        order, blocks = scc_order(build_stochastic(leaky_pairs()))
-        assert order is None and blocks == 2  # {0, 1} closed, then {2, 3, 4}
+        order, blocks, closed = scc_order(build_stochastic(leaky_pairs()))
+        assert order is None and (blocks, closed) == (2, 1)  # {0, 1} closed, then {2, 3, 4}
 
     def test_identity_order_is_none(self):
-        order, blocks = scc_order(build_stochastic(ring_plus_random(40, seed=1)))
-        assert order is None and blocks == 1
+        order, blocks, closed = scc_order(build_stochastic(ring_plus_random(40, seed=1)))
+        assert order is None and blocks == closed == 1
 
     @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
     def test_permuted_dense_is_the_permuted_matrix(self, alpha):
@@ -276,24 +281,3 @@ class TestTruncateByRank:
         for m in (0, 3):
             with pytest.raises(ValueError):
                 truncate_by_rank(g, rank, m)
-
-
-class TestCsv:
-    def test_dense_round_trip(self):
-        g = GoogleMatrix.from_graph(two_cycle(), alpha=0.85)
-        buf = io.StringIO()
-        dense_to_csv(g.to_dense(), buf)
-        parsed = np.array(
-            [[float(x) for x in line.split(",")] for line in buf.getvalue().splitlines()]
-        )
-        assert np.array_equal(parsed, g.to_dense())
-
-    def test_sparse_triplets(self):
-        g = DirectedGraph(n_nodes=2, edges=np.array([[0, 1]]))
-        s = build_stochastic(g)
-        buf = io.StringIO()
-        sparse_to_csv(s, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0] == "j,i,value"
-        assert lines[1] == "0,1,1"
-        assert len(lines) == 2  # dangling column 1 stores nothing

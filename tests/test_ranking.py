@@ -14,7 +14,6 @@ from netspectra.ranking import (
     fidelity_grid,
     fidelity_grid_to_csv,
     pagerank,
-    pagerank_dense_solve,
     pagerank_power,
     par_curve_to_csv,
     par_vs_alpha,
@@ -22,7 +21,15 @@ from netspectra.ranking import (
     rank_to_csv,
 )
 
-from helpers import complete_graph, directed_cycle, ring_plus_random, sparse_random, star_bidirectional, two_cycle
+from helpers import (
+    complete_graph,
+    directed_cycle,
+    pagerank_dense_solve,
+    ring_plus_random,
+    sparse_random,
+    star_bidirectional,
+    two_cycle,
+)
 
 
 def make_rank(values):

@@ -21,9 +21,6 @@ from netspectra.spectra import (
     EIG_TOL,
     ZERO_MODE_CUTOFF,
     EigensolverError,
-    ScalingCheckError,
-    Spectrum,
-    alpha_scaling_check,
     cloud_hausdorff,
     degeneracy_clusters,
     degeneracy_to_csv,
@@ -40,12 +37,17 @@ from netspectra.spectra import (
 )
 
 from helpers import (
+    ScalingCheckError,
+    _greedy_pair_error,
+    alpha_scaling_check,
+    closed_class_count,
     complete_graph,
     directed_cycle,
     leaky_pairs,
     random_small_graph,
     ring_plus_random,
     sparse_random,
+    spectrum_from_eigenvalues,
     strong_components,
     two_cycle,
 )
@@ -53,25 +55,6 @@ from helpers import (
 
 def spectrum_of(graph, alpha):
     return eigendecompose(GoogleMatrix.from_graph(graph, alpha).to_dense())
-
-
-def closed_class_count(graph):
-    """Number of strongly connected classes with no link leaving them, where
-    a dangling node links to every node (its column of S is uniform)."""
-    n = graph.n_nodes
-    dangling = np.nonzero(graph.out_degrees() == 0)[0]
-    src = np.concatenate([graph.edges[:, 0], np.repeat(dangling, n)])
-    dst = np.concatenate([graph.edges[:, 1], np.tile(np.arange(n), dangling.size)])
-    adjacency = coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
-    n_classes, label = connected_components(adjacency, directed=True, connection="strong")
-    leaks = np.zeros(n_classes, dtype=bool)
-    leaks[label[src[label[src] != label[dst]]]] = True
-    return n_classes - int(leaks.sum())
-
-
-def eigenvalues_only(lam):
-    """A Spectrum carrying only eigenvalues, for the clustering tests."""
-    return Spectrum.from_eigenvalues(lam)
 
 
 def partition(groups):
@@ -335,15 +318,13 @@ class TestDegeneracyClusters:
         assert report.clusters[0].multiplicity == 2
 
     def test_grid_accelerated_path_for_large_spectra(self):
-        from netspectra.spectra import Spectrum
-
         rng = np.random.default_rng(0)
         lam = np.concatenate([
             np.full(1200, 0.25 + 0j) + rng.normal(0, 1e-12, 1200) * (1 + 1j),
             np.full(800, 0.5 + 0j) + rng.normal(0, 1e-12, 800),
             (rng.random(3000) - 0.5) * 0.1 + 1j * (rng.random(3000) - 0.5) * 0.1,
         ])
-        spec = Spectrum.from_eigenvalues(lam)
+        spec = spectrum_from_eigenvalues(lam)
         report = degeneracy_clusters(spec, tol=1e-8)
         assert report.clusters[0].multiplicity == 1200
         assert abs(report.clusters[0].representative - 0.25) <= 1e-9
@@ -351,16 +332,16 @@ class TestDegeneracyClusters:
         assert sum(c.multiplicity for c in report.clusters) == lam.size
 
     def test_empty_spectrum_has_no_clusters(self):
-        assert degeneracy_clusters(eigenvalues_only([])).clusters == []
+        assert degeneracy_clusters(spectrum_from_eigenvalues([])).clusters == []
 
     def test_chain_past_4000_eigenvalues_stays_one_cluster(self):
         # consecutive gaps 0.24, 0.99 and 0.014 (units of tol) chain all four
         tol = 1e-8
         core = 0.5 + np.array([-0.12, 0.12, 1.11, 1.124]) * tol
-        report = degeneracy_clusters(eigenvalues_only(core), tol)
+        report = degeneracy_clusters(spectrum_from_eigenvalues(core), tol)
         assert [c.multiplicity for c in report.clusters] == [4]
         padded = np.concatenate([core, 10.0 + np.arange(4001)])
-        report = degeneracy_clusters(eigenvalues_only(padded), tol)
+        report = degeneracy_clusters(spectrum_from_eigenvalues(padded), tol)
         assert report.clusters[0].multiplicity == 4
         assert report.clusters[0].members.tolist() == [0, 1, 2, 3]
         assert len(report.clusters) == 4002
@@ -384,7 +365,7 @@ class TestDegeneracyClusters:
         k = int(pad_before * pad)
         far = 10.0 + np.arange(pad) + 1j
         lam = np.concatenate([far[:k], core, far[k:]])
-        report = degeneracy_clusters(eigenvalues_only(lam), tol)
+        report = degeneracy_clusters(spectrum_from_eigenvalues(lam), tol)
 
         # a cluster mixing core and padding would drop core points here
         core_clusters = [c for c in report.clusters if k <= c.members[0] < k + core.size]
@@ -405,7 +386,7 @@ class TestDegeneracyClusters:
         monkeypatch.setattr(spectra, "_PAIR_BATCH", batch)  # 7: one to a few rows per batch
         tol, cases = oracle_cases(np.random.default_rng(41))
         for name, lam in cases.items():
-            report = degeneracy_clusters(eigenvalues_only(lam), tol)
+            report = degeneracy_clusters(spectrum_from_eigenvalues(lam), tol)
             expected = scipy_clusters(lam, tol)
             assert len(report.clusters) == len(expected), name
             for c, (rep, members) in zip(report.clusters, expected):
@@ -642,7 +623,7 @@ class TestPackedCore:
             eigendecompose(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
     def test_eigenvalues_only_spectrum_has_no_vectors(self):
-        spec = Spectrum.from_eigenvalues([0.5, 0.25j])
+        spec = spectrum_from_eigenvalues([0.5, 0.25j])
         assert spec.n == 2 and np.isnan(spec.pars).all()
         with pytest.raises(ValueError, match="no eigenvectors"):
             spec.eigenvectors
@@ -771,7 +752,6 @@ class TestOperatorSpectrum:
         "graph, alpha",
         [
             (ring_plus_random(80, seed=2), 1.0),  # one component: identity order
-            (sparse_random(80, seed=12, lo=1, hi=2), 0.85),  # teleportation: one block
             (leaky_pairs(), 1.0),  # several components already in order
         ],
     )
@@ -783,15 +763,77 @@ class TestOperatorSpectrum:
             assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
         assert spec.eigenvectors.tobytes() == plain.eigenvectors.tobytes()
 
-    def test_below_alpha_one_labels_nothing(self, monkeypatch):
-        from netspectra import spectra
+    @pytest.mark.parametrize("name", list(multi_block_cases()))
+    def test_alpha_one_is_the_block_ordered_decomposition_of_s(self, name):
+        g = GoogleMatrix.from_graph(multi_block_cases()[name], 1.0)
+        spec = operator_spectrum(g)
+        order = np.arange(g.n) if spec.rows is None else spec.rows
+        plain = eigendecompose(g.to_dense()[np.ix_(order, order)])
+        for field in ("eigenvalues", "residuals", "pars", "packed", "order", "pair_first"):
+            assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
 
-        def refuse(s):
-            raise AssertionError("scc_order called below alpha = 1")
+    @staticmethod
+    def damped_cases():
+        return {**multi_block_cases(), "one component": ring_plus_random(120, seed=5)}
 
-        monkeypatch.setattr(spectra, "scc_order", refuse)
-        spec = operator_spectrum(GoogleMatrix.from_graph(leaky_pairs(), 0.85))
-        assert spec.blocks == 1 and spec.rows is None
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.85, 0.99])
+    @pytest.mark.parametrize("name", list(damped_cases()))
+    def test_damped_spectrum_against_the_direct_decomposition(self, name, alpha):
+        # the direct solve of the unstructured G spreads the defective
+        # lambda = 0 cluster of S (to |lambda| of about 1e-3 on these
+        # graphs), so only eigenvalues away from it are paired
+        graph = self.damped_cases()[name]
+        g = GoogleMatrix.from_graph(graph, alpha)
+        spec = operator_spectrum(g)
+        assert spec.blocks == len(strong_components(graph))
+        matrix = g.to_dense()
+        direct = eigendecompose(matrix).eigenvalues
+        far = [lam[np.abs(lam) > 0.05] for lam in (spec.eigenvalues, direct)]
+        assert far[0].size == far[1].size
+        assert _greedy_pair_error(*far) <= 1e-8
+        fro = np.linalg.norm(matrix, "fro")
+        assert complex_residuals(matrix, spec).max() <= EIG_TOL * fro
+        assert spec.residuals.max() <= EIG_TOL * fro
+        assert abs(spec.eigenvalues.sum() - np.trace(matrix)) <= 1e-12 * g.n
+        assert spec.eigenvalues[0] == 1.0
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.85, 0.99])
+    @pytest.mark.parametrize("name", list(damped_cases()))
+    def test_alpha_multiplicity_is_closed_classes_minus_one(self, name, alpha):
+        graph = self.damped_cases()[name]
+        spec = operator_spectrum(GoogleMatrix.from_graph(graph, alpha))
+        classes = closed_class_count(graph)
+        assert spec.closed == classes
+        clusters = degeneracy_clusters(spec).clusters
+        at = {x: sum(c.multiplicity for c in clusters if abs(c.representative - x) <= 1e-8)
+              for x in (1.0, alpha)}
+        assert at == {1.0: 1, alpha: classes - 1}
+
+    @pytest.mark.parametrize("name", list(damped_cases()))
+    def test_leading_eigenvector_is_networkx_pagerank(self, name):
+        nx = pytest.importorskip("networkx")
+        graph = self.damped_cases()[name]
+        spec = operator_spectrum(GoogleMatrix.from_graph(graph, 0.85))
+        g = nx.DiGraph()
+        g.add_nodes_from(range(graph.n_nodes))
+        g.add_edges_from(graph.edges.tolist())
+        ref = nx.pagerank(g, alpha=0.85, tol=1e-17, max_iter=100_000)
+        ref = np.array([ref[u] for u in range(graph.n_nodes)])
+        lead = spec.eigenvectors[:, 0]
+        assert np.all(lead.imag == 0)
+        assert np.abs(lead.real / lead.real.sum() - ref).sum() <= 1e-9
+
+    def test_alpha_zero_writes_no_negative_zero(self):
+        # pairs, negative and zero eigenvalues of S all scale to 0
+        graph = multi_block_cases()["colour without cross links"]
+        spec = operator_spectrum(GoogleMatrix.from_graph(graph, 0.0))
+        lam1 = operator_spectrum(GoogleMatrix.from_graph(graph, 1.0)).eigenvalues
+        assert np.any(lam1.imag != 0) and np.any(lam1.real < 0)
+        buf = io.StringIO()
+        spectrum_to_csv(spec, buf)
+        cells = [c for line in buf.getvalue().splitlines()[1:] for c in line.split(",")]
+        assert "-0" not in cells
+        assert np.array_equal(np.unique(spec.eigenvalues), [0.0, 1.0])
 
     def test_truncation_at_alpha_one_uses_the_block_order(self):
         graph = multi_block_cases()["colour without cross links"]
@@ -830,8 +872,6 @@ class TestDomainChecks:
 
 class TestTruncatedSpectrumCompare:
     def test_full_size_multiset_match(self):
-        from netspectra.spectra import _greedy_pair_error
-
         g = ring_plus_random(120, seed=17)
         cmp = truncated_spectrum_compare(g, 0.85, [120])
         err = _greedy_pair_error(

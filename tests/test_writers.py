@@ -27,8 +27,6 @@ def writers():
         "degree_distribution_to_csv": partial(
             netcore.degree_distribution_to_csv, netcore.degree_distribution(graph, "in")
         ),
-        "dense_to_csv": partial(gmatrix.dense_to_csv, g.to_dense()),
-        "sparse_to_csv": partial(gmatrix.sparse_to_csv, g.s),
         "rank_to_csv": partial(ranking.rank_to_csv, ranking.pagerank_power(g)),
         "par_curve_to_csv": partial(ranking.par_curve_to_csv, ranking.par_vs_alpha(graph, alphas)),
         "fidelity_grid_to_csv": partial(
@@ -44,8 +42,6 @@ def writers():
 WRITER_NAMES = [
     "save_edge_list",
     "degree_distribution_to_csv",
-    "dense_to_csv",
-    "sparse_to_csv",
     "rank_to_csv",
     "par_curve_to_csv",
     "fidelity_grid_to_csv",

@@ -19,10 +19,12 @@ the ratio of the medians (change over parent), whether that ratio is
 within the metric's bound (at most ``1 + bound`` when lower is better, at
 least ``1 - bound`` when higher is better), the pairs the change won, lost
 and tied, and whether the gap between the medians exceeds the parent's
-interquartile range; whether every run was correct; and, per
-output column (``<file>:<column>`` for a CSV file with a header row, the
-file name for any other non-JSON output), whether the bytes were equal on
-both sides in every pair.  The environment block of the first change run
+interquartile range; whether every run was correct; and, per output
+column of each job (``<job id>/<file>:<column>`` for a CSV file with a
+header row, ``<job id>/<file>`` for any other non-JSON output), whether the
+bytes were equal on both sides in every pair and, for a column that
+differed, the largest absolute difference between the two sides' numbers
+in any pair.  The environment block of the first change run
 is copied in.  Workloads already recorded in ``--out`` against the same
 parent are kept, so workloads can be recorded one run at a time.
 """
@@ -83,26 +85,52 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     work = checkout / ".bench_work" / f"{workload}-trace0"
     jobs = json.loads((work / "config.json").read_text())["jobs"]
-    return {"detail": detail, "result": result, "columns": column_digests(jobs)}
+    return {"detail": detail, "result": result, "columns": column_digests(jobs), "jobs": jobs}
 
 
-def column_digests(jobs) -> dict[str, str]:
-    """``{<job id>/<class>: sha256}`` over the non-JSON outputs of each job."""
-    digests = {}
+def column_cells(jobs) -> dict[str, list[str]]:
+    """``{<job id>/<file>:<column>: cells}`` for each column of a CSV output
+    with a header row, ``{<job id>/<file>: lines}`` for any other non-JSON
+    output; comment lines are left out."""
+    columns = {}
     for job in jobs:
         for path in sorted(Path(job["dir"]).iterdir()):
             if path.suffix == ".json" or not path.is_file():
                 continue
             lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
             if path.suffix == ".csv" and lines:
-                header = lines[0].split(",")
-                cells = [ln.split(",") for ln in lines[1:]]
-                for k, name in enumerate(header):
-                    body = "\n".join(row[k] for row in cells)
-                    digests[f"{job['id']}/{path.name}:{name}"] = _sha(body)
+                rows = [ln.split(",") for ln in lines[1:]]
+                for k, name in enumerate(lines[0].split(",")):
+                    columns[f"{job['id']}/{path.name}:{name}"] = [row[k] for row in rows]
             else:
-                digests[f"{job['id']}/{path.name}"] = _sha("\n".join(lines))
-    return digests
+                columns[f"{job['id']}/{path.name}"] = lines
+    return columns
+
+
+def column_digests(jobs) -> dict[str, str]:
+    """``{<key>: sha256}`` of each entry of :func:`column_cells`, its cells
+    joined by newlines."""
+    return {key: _sha("\n".join(cells)) for key, cells in column_cells(jobs).items()}
+
+
+def column_differences(a: dict, b: dict) -> dict[str, float | None]:
+    """For each key whose cells differ between two :func:`column_cells`
+    results, the largest absolute difference between the numbers in one
+    row; None when a cell is not a number, the row counts differ or the
+    difference is not finite (an ``inf`` on one side only)."""
+    out = {}
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        worst = None
+        if x is not None and y is not None and len(x) == len(y):
+            try:
+                worst = max(abs(float(u) - float(v)) for u, v in zip(x, y) if u != v)
+            except ValueError:
+                pass
+        out[key] = worst if worst is not None and worst < float("inf") else None
+    return out
 
 
 def _sha(text: str) -> str:
@@ -142,12 +170,15 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             "ties": len(pairs) - wins - losses,
             "gap_exceeds_parent_iqr": abs(cs["median"] - ps["median"]) > ps["iqr"],
         }
-    classes: dict[str, bool] = {}
+    equal: dict[str, bool] = {}
+    moved: dict[str, float | None] = {}
     for p in pairs:
         a, b = p["parent"]["columns"], p["change"]["columns"]
         for key in a.keys() | b.keys():
-            cls = key.split("/", 1)[1]
-            classes[cls] = classes.get(cls, True) and a.get(key) == b.get(key)
+            equal[key] = equal.get(key, True) and a.get(key) == b.get(key)
+        for key, diff in p.get("differences", {}).items():
+            known = moved.get(key, 0.0)
+            moved[key] = None if diff is None or known is None else max(known, diff)
     return {
         "metrics": metrics,
         "correct": {
@@ -156,7 +187,8 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
         "failed": {
             side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
         },
-        "digests_equal": dict(sorted(classes.items())),
+        "digests_equal": dict(sorted(equal.items())),
+        "max_abs_diff": dict(sorted(moved.items())),
     }
 
 
@@ -198,6 +230,10 @@ def main(argv=None) -> int:
                     pair[side] = run_bench(dirs[side], name, seed, bench["run_seconds"])
                     rss = pair[side]["result"]["metrics"]["peak_rss_mb"]["value"]
                     print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
+                # both sides' outputs of this pair are still in their checkouts
+                pair["differences"] = column_differences(
+                    *(column_cells(pair[side].pop("jobs")) for side in ("parent", "change"))
+                )
                 pairs.append(pair)
                 order.append(sides[0])
                 record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
