@@ -162,14 +162,13 @@ def _available_memory() -> int | None:
     return min(figures) if figures else None
 
 
-def _check_dense_memory(n: int, sizes=()) -> None:
+def _check_dense_memory(n: int) -> None:
     """Refuse (exit 2) before densifying an n-node operator when the dense
-    path, with the truncations to ``sizes`` (see
-    :func:`spectra.dense_memory_bytes`), cannot fit in the available memory.
-    No check without a figure."""
+    path (see :func:`spectra.dense_memory_bytes`) cannot fit in the
+    available memory.  No check without a figure."""
     from . import spectra
 
-    peak = spectra.dense_memory_bytes(n, sizes)
+    peak = spectra.dense_memory_bytes(n)
     available = _available_memory()
     if available is not None and peak > available:
         raise MemoryError(
@@ -319,7 +318,7 @@ def cmd_generate(args, _graph) -> _Result:
 def cmd_truncate_spectrum(args, graph) -> _Result:
     from . import spectra
 
-    _check_dense_memory(graph.n_nodes, args.sizes)
+    _check_dense_memory(graph.n_nodes)
     cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
     hausdorff, blocks, closed = {}, {"full": cmp.full.blocks}, {"full": cmp.full.closed}

@@ -200,7 +200,7 @@ def _components(link) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
-def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int, int]:
+def scc_order(s: StochasticMatrix) -> tuple[np.ndarray, int, int]:
     """Node order that makes S block upper triangular, one diagonal block
     per strongly connected component of the link graph, the number of
     components, and the number of closed ones (no link leaving them).
@@ -209,11 +209,11 @@ def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int, int]:
     is closed and the component holding every page that reaches a dangling
     one (which links to every page) comes last; among the components free
     to go next the one with the smallest node id goes first, and each lists
-    its nodes in ascending order.  The order is ``None`` when it is the
-    identity, as for a strongly connected graph.  Eigensolvers then deflate
-    at every block boundary, since the spectrum of S is the union of the
-    spectra of its diagonal blocks.  Each closed component adds one
-    eigenvalue 1, so the closed count is its multiplicity.
+    its nodes in ascending order, so a strongly connected graph keeps
+    ``np.arange(n)``.  Eigensolvers then deflate at every block boundary,
+    since the spectrum of S is the union of the spectra of its diagonal
+    blocks.  Each closed component adds one eigenvalue 1, so the closed
+    count is its multiplicity.
     """
     n = s.n
     link = s.matrix
@@ -242,8 +242,7 @@ def scc_order(s: StochasticMatrix) -> tuple[np.ndarray | None, int, int]:
             pending[a] -= 1
             if not pending[a]:
                 heapq.heappush(ready, (first[a], a))
-    order = np.argsort(position[label[:n]], kind="stable")
-    return (None if np.array_equal(order, np.arange(n)) else order), n_comp, closed
+    return np.argsort(position[label[:n]], kind="stable"), n_comp, closed
 
 
 def truncate_by_rank(

@@ -43,24 +43,22 @@ _MAX_INT64 = 2**63 - 1
 _MAX_KEYED_IDS = 3_037_000_499
 
 
-class EdgeListParseError(ValueError):
+class _LineError(ValueError):
+    """An error that may name the 1-based edge-list line it comes from."""
+
+    def __init__(self, message, line_no=None):
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
+        self.line_no = line_no
+
+
+class EdgeListParseError(_LineError):
     """Malformed edge-list line (reports the 1-based line number)."""
 
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
-
-class NodeIdError(ValueError):
+class NodeIdError(_LineError):
     """Node id outside the valid range ``[0, n_nodes)``."""
-
-    def __init__(self, message, line_no=None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 class EmptyGraphError(ValueError):

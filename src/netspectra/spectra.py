@@ -78,8 +78,8 @@ class Spectrum:
     :attr:`eigenvectors` unpacks them on first use; a spectrum without
     ``packed`` carries no eigenvectors.
 
-    ``rows`` is set when the solver saw the nodes reordered (see
-    :func:`operator_spectrum`): row k of ``packed`` belongs to node
+    ``rows`` is set on every spectrum of :func:`operator_spectrum`, whose
+    solver saw the nodes reordered: row k of ``packed`` belongs to node
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
     solver saw and ``closed`` the closed ones among them, the multiplicity
     of the eigenvalue 1 of S.  Residuals and PARs do not depend on the row
@@ -108,15 +108,16 @@ class Spectrum:
         conjugate pair.  For :func:`eigendecompose` of a matrix they are
         bitwise the columns of ``scipy.linalg.eig`` divided by their norms;
         below alpha = 1, :func:`operator_spectrum` keeps the eigenvectors of
-        S except on the eigenvalues 1 and alpha.  The result holds 16 bytes
-        per entry, twice the packed storage (32 while it is built, 40 with
-        ``rows``)."""
+        S except on the eigenvalues 1 and alpha, and the spectra of
+        :func:`truncated_spectrum_compare` carry none.  The result holds 16
+        bytes per entry, twice the packed storage (32 while it is built, 40
+        with ``rows``)."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
         packed = self.packed if self.rows is None else self.packed[np.argsort(self.rows)]
         first = np.flatnonzero(self.pair_first)
         if first.size:
-            vecs = packed.astype(np.complex128)
+            vecs = packed.astype(np.complex128, order="F")  # also when rows were permuted
             vecs.imag[:, first] = packed[:, first + 1]
             vecs[:, first + 1] = vecs[:, first].conj()
         else:
@@ -136,19 +137,13 @@ def _block_columns(n: int) -> int:
     return min(n, max(2, _BLOCK_BYTES // (8 * n)))
 
 
-def dense_memory_bytes(n: int, sizes=()) -> int:
+def dense_memory_bytes(n: int) -> int:
     """Bytes the dense path holds at its peak for an n x n operator: the
     operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside).  With ``sizes``, the peak of also
-    diagonalizing the m x m truncation for each m in turn, while every
-    spectrum already computed keeps its packed eigenvectors; sizes outside
-    ``[1, n]`` are skipped, as they fail later with their own message."""
-    peak, held = 8 * n * (3 * n + _block_columns(n)), 8 * n * n
-    for m in sizes:
-        if 1 <= m <= n:
-            peak = max(peak, held + dense_memory_bytes(m))
-            held += 8 * m * m
-    return peak
+    block (the O(n) vectors aside).  It grows with n, and a truncation
+    comparison keeps no eigenvectors, so it also bounds diagonalizing the
+    truncations of that operator one after another."""
+    return 8 * n * (3 * n + _block_columns(n))
 
 
 def _power_sums(mod2):
@@ -330,13 +325,8 @@ def _spectrum(g: GoogleMatrix, tol: float, rank) -> Spectrum:
     """:func:`operator_spectrum` with the rank vector of ``g`` given (None
     at alpha = 1)."""
     rows, blocks, closed = scc_order(g.s)
-    s = GoogleMatrix(g.s, 1.0)
-    if rows is not None:
-        s = s.permuted(rows)
-    damping = None
-    if rank is not None:
-        damping = (g.alpha, closed, rank.values if rows is None else rank.values[rows])
-    spec = eigendecompose(s.to_dense(), tol, damping)
+    damping = None if rank is None else (g.alpha, closed, rank.values[rows])
+    spec = eigendecompose(GoogleMatrix(g.s, 1.0).permuted(rows).to_dense(), tol, damping)
     return replace(spec, rows=rows, blocks=blocks, closed=closed)
 
 
@@ -569,7 +559,6 @@ class TruncationResult:
 
 @dataclass(frozen=True)
 class TruncationComparison:
-    alpha: float
     full: Spectrum
     results: list[TruncationResult]
 
@@ -605,24 +594,30 @@ def truncated_spectrum_compare(
     Orders nodes by rank score, restricts the operator to the top m for each
     requested size, diagonalizes both (see :func:`operator_spectrum`), and
     records the Hausdorff distance between the eigenvalue clouds for overlay
-    plots.
+    plots.  Every size must lie in ``[1, N]``; all are checked before any
+    work.  The spectra keep no eigenvectors, so each one's are freed before
+    the next operator is diagonalized.
     """
     g = GoogleMatrix.from_graph(graph, alpha)
+    sizes = [int(m) for m in m_list]
+    for m in sizes:
+        if not 1 <= m <= g.n:
+            raise ValueError(f"sizes must lie in [1, {g.n}], got {m}")
     rank = pagerank(g)
-    full = _spectrum(g, tol, rank if alpha < 1.0 else None)
+    full = replace(_spectrum(g, tol, rank if alpha < 1.0 else None), packed=None)
     results = []
-    for m in m_list:
-        truncated, kept = truncate_by_rank(g, rank, int(m))
-        spec_m = operator_spectrum(truncated, tol)
+    for m in sizes:
+        truncated, kept = truncate_by_rank(g, rank, m)
+        spec_m = replace(operator_spectrum(truncated, tol), packed=None)
         results.append(
             TruncationResult(
-                m=int(m),
+                m=m,
                 kept=kept,
                 spectrum=spec_m,
                 hausdorff=cloud_hausdorff(spec_m.eigenvalues, full.eigenvalues),
             )
         )
-    return TruncationComparison(alpha=alpha, full=full, results=results)
+    return TruncationComparison(full=full, results=results)
 
 
 def spectrum_to_csv(spec: Spectrum, target, lambda_cutoff: float = ZERO_MODE_CUTOFF) -> None:

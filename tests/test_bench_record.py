@@ -16,9 +16,14 @@ DECLARED = {
 }
 
 
-def side(spectrum_s, rate, columns, correct=True):
+def side(spectrum_s, rate, correct=True):
     metrics = {"spectrum_s": {"value": spectrum_s}, "rate": {"value": rate}}
-    return {"result": {"metrics": metrics, "correct": correct, "failed": 0}, "columns": columns}
+    return {"result": {"metrics": metrics, "correct": correct, "failed": 0}}
+
+
+def pair(parent, change, columns=("j1/e.csv:re",), differences=None):
+    return {"parent": parent, "change": change, "columns": list(columns),
+            "differences": differences or {}}
 
 
 def test_parse_seeds():
@@ -27,12 +32,11 @@ def test_parse_seeds():
 
 
 def test_summarize_counts_wins_by_direction_and_column_equality():
-    same = {"j1/e.csv:re": "a", "j1/e.csv:par": "p"}
+    columns = ["j1/e.csv:par", "j1/e.csv:re"]
     pairs = [
-        {"parent": side(1.0, 10.0, same), "change": side(0.5, 12.0, same)},
-        {"parent": side(1.2, 10.0, same), "change": side(0.6, 10.0, {**same, "j1/e.csv:par": "q"}),
-         "differences": {"j1/e.csv:par": 2e-15}},
-        {"parent": side(1.1, 11.0, same), "change": side(1.3, 9.0, same)},
+        pair(side(1.0, 10.0), side(0.5, 12.0), columns),
+        pair(side(1.2, 10.0), side(0.6, 10.0), columns, {"j1/e.csv:par": 2e-15}),
+        pair(side(1.1, 11.0), side(1.3, 9.0), columns),
     ]
     out = bench_record.summarize(pairs, DECLARED)
     t = out["metrics"]["spectrum_s"]
@@ -43,17 +47,16 @@ def test_summarize_counts_wins_by_direction_and_column_equality():
     assert t["gap_exceeds_parent_iqr"] is True
     r = out["metrics"]["rate"]  # higher is better: a rise wins, equal ties
     assert (r["wins"], r["losses"], r["ties"]) == (1, 1, 1)
-    # keyed by job and column, so one moved job does not hide behind others
+    # keyed by job and column, so one moved job does not hide behind others;
+    # a column is equal in a pair exactly when it lists no difference
     assert out["digests_equal"] == {"j1/e.csv:par": False, "j1/e.csv:re": True}
     assert out["max_abs_diff"] == {"j1/e.csv:par": 2e-15}
     assert out["correct"] == {"parent": True, "change": True}
 
 
 def test_within_bound_follows_the_direction_of_each_metric():
-    cols = {"j1/e.csv:re": "a"}
-
     def within(spectrum_s, rate):
-        pairs = [{"parent": side(1.0, 10.0, cols), "change": side(spectrum_s, rate, cols)}]
+        pairs = [pair(side(1.0, 10.0), side(spectrum_s, rate))]
         metrics = bench_record.summarize(pairs, DECLARED)["metrics"]
         return metrics["spectrum_s"]["within_bound"], metrics["rate"]["within_bound"]
 
@@ -63,16 +66,14 @@ def test_within_bound_follows_the_direction_of_each_metric():
     assert within(0.1, 100.0) == (True, True)
 
 
-def test_column_digests_split_csv_columns(tmp_path):
+def test_column_cells_split_csv_columns(tmp_path):
     job = tmp_path / "job"
     job.mkdir()
     (job / "e.csv").write_text("# manifest: manifest.json\nre,par\n1,2\n3,4\n")
     (job / "g.edges").write_text("# nodes=2\n0 1\n")
     (job / "manifest.json").write_text(json.dumps({"outputs": {}}))
-    digests = bench_record.column_digests([{"id": "j", "dir": str(job)}])
-    assert sorted(digests) == ["j/e.csv:par", "j/e.csv:re", "j/g.edges"]
-    assert digests["j/e.csv:re"] == bench_record._sha("1\n3")
-    assert digests["j/g.edges"] == bench_record._sha("0 1")
+    cells = bench_record.column_cells([{"id": "j", "dir": str(job)}])
+    assert cells == {"j/e.csv:par": ["2", "4"], "j/e.csv:re": ["1", "3"], "j/g.edges": ["0 1"]}
 
 
 def test_column_differences_take_the_largest_numeric_change(tmp_path):
@@ -92,10 +93,12 @@ def test_column_differences_take_the_largest_numeric_change(tmp_path):
     assert bench_record.column_differences(a, {**a, "j/e.csv:re": ["1"]}) == {"j/e.csv:re": None}
 
     pairs = [
-        {"parent": side(1.0, 1.0, {}), "change": side(1.0, 1.0, {}), "differences": d}
+        pair(side(1.0, 1.0), side(1.0, 1.0), ["j/x", "j/y", "j/z"], d)
         for d in ({"j/x": 1e-9, "j/y": 1.0}, {"j/x": 3e-9, "j/y": None})
     ]
-    assert bench_record.summarize(pairs, DECLARED)["max_abs_diff"] == {"j/x": 3e-9, "j/y": None}
+    out = bench_record.summarize(pairs, DECLARED)
+    assert out["max_abs_diff"] == {"j/x": 3e-9, "j/y": None}
+    assert out["digests_equal"] == {"j/x": False, "j/y": False, "j/z": True}
 
 
 def test_checkouts_are_siblings_holding_parent_commit_and_working_tree(tmp_path):

@@ -128,14 +128,31 @@ class TestSpectrumCommand:
         assert err.endswith(" GiB are available; truncate by rank to diagonalize a smaller operator\n")
         assert not out.exists()
 
-    def test_memory_preflight_counts_spectra_held_by_truncation(self, k5_file, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("sizes", ["5", "5,4,3"])
+    def test_truncation_preflight_is_the_spectrum_bound(self, k5_file, tmp_path, monkeypatch, sizes):
         from netspectra import cli
 
-        # the full spectrum's 200-byte packed eigenvectors stay while m = 5 runs
-        for available, code in ((999, 2), (1000, 0)):
-            monkeypatch.setattr(cli, "_available_memory", lambda: available)
-            argv = ["truncate-spectrum", k5_file, "--sizes", "5", "--out-dir", str(tmp_path / "o")]
-            assert main(argv) == code
+        # truncation keeps no eigenvectors, so K5's own 800 bytes bound every m <= 5
+        for argv in (["spectrum"], ["truncate-spectrum", "--sizes", sizes]):
+            for available, code in ((799, 2), (800, 0)):
+                monkeypatch.setattr(cli, "_available_memory", lambda: available)
+                out = tmp_path / f"o{available}"
+                assert main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)]) == code
+
+    @pytest.mark.parametrize("sizes, bad", [("0", 0), ("6", 6), ("3,6", 6)])
+    def test_sizes_outside_one_to_n_exit_1_before_dense_work(
+        self, k5_file, tmp_path, capsys, monkeypatch, sizes, bad
+    ):
+        from netspectra import spectra
+
+        def never(*args, **kwargs):
+            raise AssertionError("diagonalized before the sizes were checked")
+
+        monkeypatch.setattr(spectra, "eigendecompose", never)
+        out = tmp_path / "o"
+        assert main(["truncate-spectrum", k5_file, "--sizes", sizes, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"netspectra: sizes must lie in [1, 5], got {bad}\n"
+        assert not out.exists()
 
     def test_memory_preflight_skipped_without_a_figure(self, k5_file, tmp_path, monkeypatch):
         from netspectra import cli

@@ -169,10 +169,11 @@ class TestSccOrder:
         graph = scc_cases()[name]
         s = build_stochastic(graph)
         order, blocks, closed = scc_order(s)
-        order = np.arange(graph.n_nodes) if order is None else order
         assert np.array_equal(np.sort(order), np.arange(graph.n_nodes))
         components = strong_components(graph)
         assert blocks == len(components)
+        if blocks == 1:  # a strongly connected graph keeps its own order
+            assert np.array_equal(order, np.arange(graph.n_nodes))
         # a dangling node links to every node, so only a component holding
         # every node can be closed with one inside
         dangling = set(np.flatnonzero(graph.out_degrees() == 0).tolist())
@@ -195,7 +196,6 @@ class TestSccOrder:
         graph = scc_cases()[name]
         g = GoogleMatrix.from_graph(graph, 1.0)
         order, _, _ = scc_order(g.s)
-        order = np.arange(graph.n_nodes) if order is None else order
         label = {v: k for k, c in enumerate(strong_components(graph)) for v in c}
         block = np.array([label[v] for v in order.tolist()])
         dense = g.permuted(order).to_dense()
@@ -219,11 +219,8 @@ class TestSccOrder:
         assert (blocks, closed) == (2, 1)
         assert order.tolist() == [2, 3, 0, 1]
         order, blocks, closed = scc_order(build_stochastic(leaky_pairs()))
-        assert order is None and (blocks, closed) == (2, 1)  # {0, 1} closed, then {2, 3, 4}
-
-    def test_identity_order_is_none(self):
-        order, blocks, closed = scc_order(build_stochastic(ring_plus_random(40, seed=1)))
-        assert order is None and blocks == closed == 1
+        # {0, 1} closed, then {2, 3, 4}: already in order
+        assert order.tolist() == [0, 1, 2, 3, 4] and (blocks, closed) == (2, 1)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
     def test_permuted_dense_is_the_permuted_matrix(self, alpha):

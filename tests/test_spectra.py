@@ -758,7 +758,7 @@ class TestOperatorSpectrum:
     def test_one_block_or_identity_order_is_bitwise_unchanged(self, graph, alpha):
         g = GoogleMatrix.from_graph(graph, alpha)
         spec, plain = operator_spectrum(g), eigendecompose(g.to_dense())
-        assert spec.rows is None
+        assert np.array_equal(spec.rows, np.arange(g.n))
         for field in ("eigenvalues", "residuals", "pars", "packed", "order", "pair_first"):
             assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
         assert spec.eigenvectors.tobytes() == plain.eigenvectors.tobytes()
@@ -767,8 +767,7 @@ class TestOperatorSpectrum:
     def test_alpha_one_is_the_block_ordered_decomposition_of_s(self, name):
         g = GoogleMatrix.from_graph(multi_block_cases()[name], 1.0)
         spec = operator_spectrum(g)
-        order = np.arange(g.n) if spec.rows is None else spec.rows
-        plain = eigendecompose(g.to_dense()[np.ix_(order, order)])
+        plain = eigendecompose(g.to_dense()[np.ix_(spec.rows, spec.rows)])
         for field in ("eigenvalues", "residuals", "pars", "packed", "order", "pair_first"):
             assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
 
@@ -884,6 +883,25 @@ class TestTruncatedSpectrumCompare:
         cmp = truncated_spectrum_compare(g, 0.85, [100, 50, 10, 1])
         for res in cmp.results:
             assert abs(res.spectrum.eigenvalues[0] - 1.0) <= 1e-10
+
+    def test_spectra_carry_no_eigenvectors(self):
+        cmp = truncated_spectrum_compare(ring_plus_random(40, seed=21), 0.85, [20])
+        for spec in (cmp.full, cmp.results[0].spectrum):
+            assert spec.packed is None and np.array_equal(np.sort(spec.rows), np.arange(spec.n))
+            with pytest.raises(ValueError, match="no eigenvectors"):
+                spec.eigenvectors
+
+    @pytest.mark.parametrize("m", [0, 41, -1])
+    def test_sizes_checked_before_any_work(self, monkeypatch, m):
+        import netspectra.spectra as spectra
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran before the sizes were checked")
+
+        monkeypatch.setattr(spectra, "pagerank", never)
+        monkeypatch.setattr(spectra, "eigendecompose", never)
+        with pytest.raises(ValueError, match=rf"^sizes must lie in \[1, 40\], got {m}$"):
+            truncated_spectrum_compare(ring_plus_random(40, seed=21), 0.85, [20, m])
 
     def test_hausdorff_recorded(self):
         g = ring_plus_random(80, seed=19)

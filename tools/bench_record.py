@@ -32,7 +32,6 @@ parent are kept, so workloads can be recorded one run at a time.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import shutil
@@ -75,8 +74,8 @@ def checkouts(root: Path, rev: str, into: Path) -> tuple[Path, Path]:
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run; returns its two JSON lines and the column digests
-    of every output it wrote."""
+    """One benchmark run; returns its two JSON lines and its jobs, whose
+    outputs stay in the checkout until the next run of the workload."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -85,7 +84,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     detail, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
     work = checkout / ".bench_work" / f"{workload}-trace0"
     jobs = json.loads((work / "config.json").read_text())["jobs"]
-    return {"detail": detail, "result": result, "columns": column_digests(jobs), "jobs": jobs}
+    return {"detail": detail, "result": result, "jobs": jobs}
 
 
 def column_cells(jobs) -> dict[str, list[str]]:
@@ -107,12 +106,6 @@ def column_cells(jobs) -> dict[str, list[str]]:
     return columns
 
 
-def column_digests(jobs) -> dict[str, str]:
-    """``{<key>: sha256}`` of each entry of :func:`column_cells`, its cells
-    joined by newlines."""
-    return {key: _sha("\n".join(cells)) for key, cells in column_cells(jobs).items()}
-
-
 def column_differences(a: dict, b: dict) -> dict[str, float | None]:
     """For each key whose cells differ between two :func:`column_cells`
     results, the largest absolute difference between the numbers in one
@@ -131,10 +124,6 @@ def column_differences(a: dict, b: dict) -> dict[str, float | None]:
                 pass
         out[key] = worst if worst is not None and worst < float("inf") else None
     return out
-
-
-def _sha(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def side_stats(values: list[float]) -> dict:
@@ -173,10 +162,10 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
     equal: dict[str, bool] = {}
     moved: dict[str, float | None] = {}
     for p in pairs:
-        a, b = p["parent"]["columns"], p["change"]["columns"]
-        for key in a.keys() | b.keys():
-            equal[key] = equal.get(key, True) and a.get(key) == b.get(key)
-        for key, diff in p.get("differences", {}).items():
+        differences = p["differences"]
+        for key in p["columns"]:  # equal in a pair exactly when no difference is listed
+            equal[key] = equal.get(key, True) and key not in differences
+        for key, diff in differences.items():
             known = moved.get(key, 0.0)
             moved[key] = None if diff is None or known is None else max(known, diff)
     return {
@@ -231,9 +220,9 @@ def main(argv=None) -> int:
                     rss = pair[side]["result"]["metrics"]["peak_rss_mb"]["value"]
                     print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
                 # both sides' outputs of this pair are still in their checkouts
-                pair["differences"] = column_differences(
-                    *(column_cells(pair[side].pop("jobs")) for side in ("parent", "change"))
-                )
+                a, b = (column_cells(pair[side].pop("jobs")) for side in ("parent", "change"))
+                pair["columns"] = sorted(a.keys() | b.keys())
+                pair["differences"] = column_differences(a, b)
                 pairs.append(pair)
                 order.append(sides[0])
                 record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
