@@ -198,7 +198,11 @@ def cmd_spectrum(args, graph) -> _Result:
     return _Result(
         outputs,
         f"n={graph.n_nodes} alpha={args.alpha}",
-        extra={"scc_blocks": spec.blocks, "closed_classes": spec.closed},
+        extra={
+            "scc_blocks": spec.blocks,
+            "closed_classes": spec.closed,
+            "repeated_columns": spec.lumped,
+        },
     )
 
 
@@ -321,16 +325,18 @@ def cmd_truncate_spectrum(args, graph) -> _Result:
     _check_dense_memory(graph.n_nodes)
     cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
-    hausdorff, blocks, closed = {}, {"full": cmp.full.blocks}, {"full": cmp.full.closed}
+    hausdorff = {}
+    counts = {"scc_blocks": "blocks", "closed_classes": "closed", "repeated_columns": "lumped"}
+    extra = {key: {"full": getattr(cmp.full, field)} for key, field in counts.items()}
     for res in cmp.results:
         outputs[f"eigenvalues_m{res.m}.csv"] = partial(spectra.spectrum_to_csv, res.spectrum)
         hausdorff[str(res.m)] = res.hausdorff
-        blocks[str(res.m)] = res.spectrum.blocks
-        closed[str(res.m)] = res.spectrum.closed
+        for key, field in counts.items():
+            extra[key][str(res.m)] = getattr(res.spectrum, field)
     return _Result(
         outputs,
         " ".join(f"m={m}: hausdorff={h:.6g}" for m, h in hausdorff.items()),
-        extra={"hausdorff": hausdorff, "scc_blocks": blocks, "closed_classes": closed},
+        extra={"hausdorff": hausdorff, **extra},
     )
 
 

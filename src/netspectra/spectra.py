@@ -82,7 +82,9 @@ class Spectrum:
     solver saw the nodes reordered: row k of ``packed`` belongs to node
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
     solver saw and ``closed`` the closed ones among them, the multiplicity
-    of the eigenvalue 1 of S.  Residuals and PARs do not depend on the row
+    of the eigenvalue 1 of S.  ``lumped`` counts the columns that repeated
+    an earlier one bit for bit and were lumped into it before dgeev (see
+    :func:`eigendecompose`).  Residuals and PARs do not depend on the row
     order.
     """
 
@@ -95,6 +97,7 @@ class Spectrum:
     rows: np.ndarray | None = None
     blocks: int = 1
     closed: int = 1
+    lumped: int = 0
 
     @property
     def n(self) -> int:
@@ -105,25 +108,34 @@ class Spectrum:
         """Unit-norm right eigenvectors as columns aligned with
         ``eigenvalues``, rows in node order (read-only), built from the
         packed matrix on first use: complex when the solver returned a
-        conjugate pair.  For :func:`eigendecompose` of a matrix they are
-        bitwise the columns of ``scipy.linalg.eig`` divided by their norms;
-        below alpha = 1, :func:`operator_spectrum` keeps the eigenvectors of
-        S except on the eigenvalues 1 and alpha, and the spectra of
+        conjugate pair.  For :func:`eigendecompose` of a matrix whose
+        columns are all distinct they are bitwise the columns of
+        ``scipy.linalg.eig`` divided by their norms; a matrix that repeats
+        a column has ``(e_j - e_rep(j)) / sqrt(2)`` for each repeat j of
+        column ``rep(j)``, with eigenvalue exactly 0, and lifts of the
+        lumped matrix's eigenvectors for the rest.  Below alpha = 1,
+        :func:`operator_spectrum` keeps the eigenvectors of S except on the
+        eigenvalues 1 and alpha, and the spectra of
         :func:`truncated_spectrum_compare` carry none.  The result holds 16
-        bytes per entry, twice the packed storage (32 while it is built, 40
-        with ``rows``)."""
+        bytes per entry, twice the packed storage, and 32 while it is
+        built: one gather puts the rows in node order and the columns in
+        spectrum order."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
-        packed = self.packed if self.rows is None else self.packed[np.argsort(self.rows)]
+        packed = self.packed
         first = np.flatnonzero(self.pair_first)
         if first.size:
-            vecs = packed.astype(np.complex128, order="F")  # also when rows were permuted
+            vecs = packed.astype(np.complex128, order="F")
             vecs.imag[:, first] = packed[:, first + 1]
             vecs[:, first + 1] = vecs[:, first].conj()
         else:
-            vecs = packed.copy(order="F")  # column sums as scipy's layout takes them
+            vecs = packed.copy(order="F")
+        # one gather puts the columns in spectrum order and the rows in node
+        # order; Fortran order, so the norms sum as scipy's layout takes them
+        rows = vecs.T[self.order if self.rows is None else np.ix_(self.order, np.argsort(self.rows))]
+        del vecs
+        vecs = rows.T
         vecs /= np.linalg.norm(vecs, axis=0)
-        vecs = vecs[:, self.order]
         vecs.setflags(write=False)
         return vecs
 
@@ -140,9 +152,15 @@ def _block_columns(n: int) -> int:
 def dense_memory_bytes(n: int) -> int:
     """Bytes the dense path holds at its peak for an n x n operator: the
     operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside).  It grows with n, and a truncation
-    comparison keeps no eigenvectors, so it also bounds diagonalizing the
-    truncations of that operator one after another."""
+    block (the O(n) vectors aside).  A matrix with g < n distinct columns
+    holds less, in this order: the storage of the n x n packed
+    eigenvectors, which first holds the g x g lumped matrix for dgeev to
+    overwrite, and the g x g eigenvectors of that matrix; then the packed
+    eigenvectors lifted from those, the columns whose lifts are checked,
+    and one residual block no larger than the g x g eigenvectors freed
+    before it.  It grows with n, and a truncation comparison
+    keeps no eigenvectors, so it also bounds diagonalizing the truncations
+    of that operator one after another."""
     return 8 * n * (3 * n + _block_columns(n))
 
 
@@ -225,19 +243,180 @@ def _damp(matrix, wr, wi, vr, alpha: float, closed: int, rank) -> None:
     matrix += (1.0 - alpha) / matrix.shape[0]
 
 
+def _column_groups(matrix) -> np.ndarray:
+    """Representative of every column: the first column, in matrix order,
+    whose bits all equal its own.  One key per column (its bit patterns
+    times fixed odd weights, summed modulo 2^64, so equal columns get equal
+    keys), then each candidate group is confirmed on the columns."""
+    bits = matrix.view(np.uint64)
+    n = bits.shape[1]
+    weights = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    _, labels, counts = np.unique(weights @ bits, return_inverse=True, return_counts=True)
+    rep = np.arange(n)
+    cand = np.flatnonzero(counts[labels] > 1)
+    cand = cand[np.argsort(labels[cand], kind="stable")]  # by key, ascending within one
+    for members in np.split(cand, np.flatnonzero(np.diff(labels[cand])) + 1):
+        while members.size > 1:
+            same = (bits[:, members] == bits[:, members[:1]]).all(axis=0)
+            rep[members[same]] = members[0]
+            members = members[~same]
+    return rep
+
+
+def _dgeev(a, overwrite_a: int = 0):
+    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``."""
+    work, _ = lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=1)
+    wr, wi, _, vr, info = lapack.dgeev(
+        a, compute_vl=0, compute_vr=1, lwork=int(work), overwrite_a=overwrite_a
+    )
+    if info != 0:
+        raise EigensolverError(f"QR iteration failed to converge (dgeev info {info})")
+    return wr, wi, vr
+
+
+def _gemm_operand(matrix):
+    """``(a, trans)`` such that dgemm with ``trans_a=trans`` multiplies by
+    ``matrix``: a C-ordered matrix read as its transpose, any other layout
+    copied once rather than by f2py for every block."""
+    if matrix.flags.c_contiguous:
+        return matrix.T, 1
+    return np.asfortranarray(matrix), 0
+
+
+def _blocks(first, step: int):
+    """``(lo, hi)`` column blocks of about ``step`` packed columns that split
+    no conjugate pair."""
+    n = first.size
+    lo = 0
+    while lo < n:
+        hi = min(n, lo + step)
+        hi += bool(first[hi - 1])
+        yield lo, hi
+        lo = hi
+
+
+def _relative_residuals(a, trans: int, vr, wr, wi, first) -> np.ndarray:
+    """``||M psi - lambda psi|| / ||psi||`` of packed columns, M given as
+    by :func:`_gemm_operand` (inf for a zero column)."""
+    rel = np.empty(wr.size)
+    for lo, hi in _blocks(first, _block_columns(vr.shape[0])):
+        s2, _, r2 = _certify_block(a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel[lo:hi] = np.where(s2 > 0, np.sqrt(r2 / s2), np.inf)
+    return rel
+
+
+def _lumped_dgeev(matrix, rep, bound: float):
+    """``(wr, wi, vr)`` of dgeev for the n x n ``matrix``, computed on its
+    lumped matrix, or None when a lift has a residual (relative to the
+    vector's norm) above rounding level or above ``bound``.  Column j of
+    ``matrix`` equals column
+    ``rep[j] <= j`` bit for bit.
+
+    With C the g distinct columns (each group's first, in matrix order) and
+    R the sum of the rows of each group, ``M = R C`` is g x g and
+    ``eig(S) = eig(M) + {0}^(n-g)``.  M sits at the start of the storage
+    of the n x n vectors and dgeev overwrites it, so no other n x n buffer
+    is made.  An eigenvector s of M lifts to
+    ``psi = C s``: on the row of a node alone in its group that is
+    ``lambda s`` (in the packed form of :func:`_certify_block`), and the
+    other rows take one GEMM.  A lift much shorter than s has lost digits
+    (s lies near the null space of C, whose columns are then dependent):
+    its residual is checked against that of ``E s``, s on the
+    representatives, which ``S E s = C s`` makes small, and the smaller
+    one is kept if it is at rounding level.  The other members j of each
+    group get ``e_j - e_rep(j)`` with the eigenvalue 0.0, in the last
+    n - g columns.
+    """
+    n = matrix.shape[0]
+    reps = np.flatnonzero(rep == np.arange(n))
+    extra = np.flatnonzero(rep != np.arange(n))
+    g = reps.size
+    group = np.searchsorted(reps, rep)  # the group of every node
+    alone = np.bincount(group, minlength=g)[group] == 1
+    rows, singles = np.flatnonzero(~alone), np.flatnonzero(alone)
+    # M in Fortran order at the start of the storage that later holds vr
+    storage = np.empty(n * n)
+    m = storage[: g * g].reshape(g, g, order="F")
+    step = max(1, g // 16)  # columns per pass, so that the gathered blocks stay small
+    for lo in range(0, g, step):
+        m[:, lo:lo + step] = matrix[np.ix_(reps, reps[lo:lo + step])]
+    np.add.at(m, group[extra], matrix[np.ix_(extra, reps)])  # plus the other members' rows
+    lost = 16 * np.finfo(float).eps * np.linalg.norm(m, "fro")
+    wr, wi, s = _dgeev(m, overwrite_a=1)
+    del m
+    first = wi > 0
+    f = np.flatnonzero(first)
+    cs = blas.dgemm(1.0, matrix[np.ix_(rows, reps)], s)  # the rows of C s on grouped nodes
+    # squared norms of s and of its lift, a pair's two columns taken together
+    s2 = np.einsum("ij,ij->j", s, s)
+    sg = s[np.unique(group[rows])]
+    lift2 = (wr * wr + wi * wi) * (s2 - np.einsum("ij,ij->j", sg, sg))
+    lift2 += np.einsum("ij,ij->j", cs, cs)
+    del sg
+    for arr in (s2, lift2):
+        arr[f] = arr[f + 1] = arr[f] + arr[f + 1]
+    # the lift's residual is about lost * |s| / |psi|
+    weak = np.flatnonzero(lift2 * bound * bound < lost * lost * s2)
+    on_reps = s[:, weak]
+    for lo in range(0, f.size, step):
+        p = f[lo:lo + step]
+        u, v = s[:, p], s[:, p + 1]
+        s[:, p] *= wr[p]
+        s[:, p] += wi[p + 1] * v
+        s[:, p + 1] *= wr[p + 1]
+        s[:, p + 1] += wi[p] * u
+    real = np.flatnonzero(wi == 0)
+    vr = storage.reshape(n, n, order="F")
+    vr.fill(0.0)
+    for lo in range(0, g, step):
+        hi = min(g, lo + step)
+        r = real[(real >= lo) & (real < hi)]
+        s[:, r] *= wr[r]
+        vr[singles, lo:hi] = s[group[singles], lo:hi]
+    del s
+    vr[rows, :g] = cs
+    del cs
+    if weak.size:
+        a, trans = _gemm_operand(matrix)
+        lam = (wr[weak], wi[weak], first[weak])
+        lifted = _relative_residuals(a, trans, vr[:, weak], *lam)
+        e_s = np.zeros((n, weak.size), order="F")
+        e_s[reps] = on_reps
+        spread = _relative_residuals(a, trans, e_s, *lam)
+        if np.any(np.minimum(lifted, spread) > min(lost, bound)):
+            return None  # not at rounding level: let dgeev resolve S whole
+        use = spread < lifted
+        vr[:, weak[use]] = e_s[:, use]
+    cols = np.arange(g, n)
+    vr[extra, cols] = 1.0
+    vr[rep[extra], cols] = -1.0
+    zeros = np.zeros(n - g)
+    return np.concatenate([wr, zeros]), np.concatenate([wi, zeros]), vr
+
+
 def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     """Full eigendecomposition of a dense real nonsymmetric matrix.
 
     Any method is acceptable as long as every pair satisfies
     ``||M psi - lambda psi||_2 <= tol * ||M||_F``; this calls LAPACK
     ``dgeev`` (balanced Hessenberg/QR, the routine behind
-    ``scipy.linalg.eig``, so the eigenvalues are bitwise the same) and
-    keeps its packed real eigenvectors.  The contract is then checked in
-    real arithmetic, column block by column block (see
+    ``scipy.linalg.eig``) and keeps its packed real eigenvectors.  Columns
+    that are bitwise identical (such as the uniform columns of dangling
+    nodes) are lumped first, so dgeev sees one column per group (see
+    :func:`_lumped_dgeev`); each column j lumped into an earlier one gets
+    the exact null vector ``e_j - e_rep(j)`` with eigenvalue 0.0, and
+    ``lumped`` counts them.  When every column is distinct, or some lift
+    misses rounding level (a defective cluster near 0 that lumping cannot
+    resolve), dgeev sees the whole matrix, ``lumped`` is 0, and the
+    eigenvalues and eigenvectors are bitwise those of
+    ``scipy.linalg.eig``.  The contract
+    is then checked in real arithmetic, column block by column block (see
     :func:`_certify_block`), and each eigenvector's participation ratio is
     taken in the same pass.  The traced peak is about 18 bytes per matrix
-    entry beyond the input: dgeev's copy of the matrix and the packed
-    eigenvectors.
+    entry beyond the input: the packed eigenvectors with dgeev's copy of
+    the matrix (or the lumped matrix's eigenvectors), then with one
+    residual block.
 
     With ``damping = (alpha, closed, rank)``, ``matrix`` holds a
     column-stochastic S whose eigenvalue 1 has multiplicity ``closed``, and
@@ -255,26 +434,24 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         raise ValueError("matrix must be at least 1x1")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    work, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=1)
-    wr, wi, _, vr, info = lapack.dgeev(matrix, compute_vl=0, compute_vr=1, lwork=int(work))
-    if info != 0:
-        raise EigensolverError(f"QR iteration failed to converge (dgeev info {info})")
+    rep = _column_groups(matrix)
+    lumped = n - int(np.count_nonzero(rep == np.arange(n)))
+    lifted = _lumped_dgeev(matrix, rep, tol * np.linalg.norm(matrix, "fro")) if lumped else None
+    if lifted is None:
+        lumped = 0
+    wr, wi, vr = lifted or _dgeev(matrix)
     first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
     if damping is not None:
         _damp(matrix, wr, wi, vr, *damping)
-    # dgemm reads M in Fortran order: a C-ordered M as its transpose, any
-    # other layout copied once rather than by f2py for every block
-    a, trans = (matrix.T, 1) if matrix.flags.c_contiguous else (np.asfortranarray(matrix), 0)
+    a, trans = _gemm_operand(matrix)
     s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
     step = _block_columns(n)
-    lo = 0
-    while lo < n:
-        hi = min(n, lo + step)
-        hi += bool(first[hi - 1])  # never split a pair
+    if lumped:  # residual blocks that fit where the lumped matrix's eigenvectors were
+        step = min(step, max(2, (n - lumped) ** 2 // n))
+    for lo, hi in _blocks(first, step):
         s2[lo:hi], s4[lo:hi], r2[lo:hi] = _certify_block(
             a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi]
         )
-        lo = hi
     if np.any(s2 == 0):
         raise EigensolverError(
             f"solver returned a zero eigenvector at index {int(np.argmin(s2))}"
@@ -300,6 +477,7 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         packed=vr,
         order=order,
         pair_first=first,
+        lumped=lumped,
     )
 
 

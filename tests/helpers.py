@@ -80,6 +80,16 @@ def strong_components(graph):
     return {frozenset(c) for c in nx.strongly_connected_components(g)}
 
 
+def repeated_columns(graph):
+    """N minus the number of distinct columns of S, from the edge list
+    alone: nodes grouped by their set of out-neighbours, with every
+    dangling node in one group (for graphs without parallel edges)."""
+    targets = [set() for _ in range(graph.n_nodes)]
+    for u, v in graph.edges.tolist():
+        targets[u].add(v)
+    return graph.n_nodes - len({frozenset(t) for t in targets})
+
+
 def closed_class_count(graph):
     """Number of strongly connected classes with no link leaving them, where
     a dangling node links to every node (its column of S is uniform)."""

@@ -54,6 +54,36 @@ def test_summarize_counts_wins_by_direction_and_column_equality():
     assert out["correct"] == {"parent": True, "change": True}
 
 
+def test_run_order_interleaves_the_control_with_each_pair():
+    assert bench_record.run_order(0) == ("parent", "change", "control")
+    assert bench_record.run_order(1) == ("control", "change", "parent")
+    assert bench_record.run_order(2) == bench_record.run_order(0)
+
+
+def test_summarize_records_the_control_next_to_each_metric():
+    runs = [(1.0, 0.5, 1.1), (1.2, 0.6, 1.0), (1.1, 1.3, 1.4), (0.9, 0.7, 0.8)]
+    pairs = [pair(side(p, 10.0), side(c, 10.0)) | {"control": side(k, 10.0 * k)}
+             for p, c, k in runs]
+    pairs[2]["control"]["result"]["correct"] = False
+    out = bench_record.summarize(pairs, DECLARED)
+    t = out["metrics"]["spectrum_s"]
+    assert t["control"]["runs"] == [1.1, 1.0, 1.4, 0.8]
+    assert t["control"]["median"] == pytest.approx(1.05)
+    assert t["control"]["q1"] == pytest.approx(0.95) and t["control"]["q3"] == pytest.approx(1.175)
+    assert t["control_ratio"] == pytest.approx(1.05 / 1.05)
+    assert out["metrics"]["rate"]["control_ratio"] == pytest.approx(10.5 / 10.0)
+    # the bound and the pair counts still compare the change with the parent alone
+    without = bench_record.summarize([{k: v for k, v in p.items() if k != "control"}
+                                      for p in pairs], DECLARED)
+    for name, metric in without["metrics"].items():
+        assert {k: v for k, v in out["metrics"][name].items()
+                if not k.startswith("control")} == metric
+        assert "control" not in metric
+    assert out["correct"] == {"parent": True, "change": True, "control": False}
+    assert out["failed"] == {"parent": 0, "change": 0, "control": 0}
+    assert without["correct"] == {"parent": True, "change": True}
+
+
 def test_within_bound_follows_the_direction_of_each_metric():
     def within(spectrum_s, rate):
         pairs = [pair(side(1.0, 10.0), side(spectrum_s, rate))]
@@ -129,3 +159,6 @@ def test_checkouts_are_siblings_holding_parent_commit_and_working_tree(tmp_path)
     assert (change / "pkg" / "mod.py").read_text() == "x = 2\n"
     assert (change / "pkg" / "new.py").exists() and not (change / "gone.txt").exists()
     assert not (change / ".bench_work").exists()
+    control = bench_record.archive(repo, "HEAD", tmp_path / "runs" / "control")
+    assert (control / "pkg" / "mod.py").read_text() == "x = 1\n"
+    assert (control / "gone.txt").exists() and not (control / "pkg" / "new.py").exists()

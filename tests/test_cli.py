@@ -562,7 +562,7 @@ SWEEP_KEYS = {"converged", "iterations", "residual"}
 MANIFEST_CASES = {
     "spectrum": (
         ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES,
-        {"scc_blocks", "closed_classes"},
+        {"scc_blocks", "closed_classes", "repeated_columns"},
     ),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
@@ -587,7 +587,7 @@ MANIFEST_CASES = {
     "truncate-spectrum": (
         ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
         ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"],
-        {"hausdorff", "scc_blocks", "closed_classes"},
+        {"hausdorff", "scc_blocks", "closed_classes", "repeated_columns"},
     ),
     "generate ab": (
         ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
@@ -624,6 +624,8 @@ def test_manifest_contract(command, tmp_path, capsys):
     # the 12-node circulant is one closed component, and so is each truncation
     one = {"spectrum": 1, "truncate-spectrum": {"full": 1, "12": 1, "6": 1}}.get(command)
     assert manifest.get("scc_blocks") == manifest.get("closed_classes") == one
+    if command == "spectrum":  # the circulant's columns are all distinct
+        assert manifest["repeated_columns"] == 0
     assert manifest["outputs"] == {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files
     }
@@ -671,6 +673,35 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
             closed_m[str(res.m)] = closed_class_count(sub)
         assert manifest["scc_blocks"] == blocks_m
         assert manifest["closed_classes"] == closed_m
+
+
+def test_manifest_records_repeated_columns(tmp_path):
+    from netspectra.netcore import load_edge_list
+    from netspectra.spectra import truncated_spectrum_compare
+
+    from helpers import repeated_columns
+
+    # 2, 3 and 4 link to 0 alone, 5 and 6 to {1, 2}; 7 and 8 are dangling
+    path = tmp_path / "repeated.edges"
+    edges = [(0, 1), (1, 2), (2, 0), (3, 0), (4, 0), (5, 1), (5, 2), (6, 1), (6, 2), (9, 7)]
+    path.write_text("# nodes=10\n" + "".join(f"{a} {b}\n" for a, b in edges))
+    graph = load_edge_list(str(path))
+    assert repeated_columns(graph) == 4
+    for alpha in ("1", "0.85"):
+        out = tmp_path / f"spectrum{alpha}"
+        assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["repeated_columns"] == 4
+        out = tmp_path / f"truncate{alpha}"
+        assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
+                     "--out-dir", str(out)]) == 0
+        expected = {"full": 4}
+        for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
+            inside = np.isin(graph.edges, res.kept).all(axis=1)
+            sub = dataclasses.replace(
+                graph, n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside])
+            )
+            expected[str(res.m)] = repeated_columns(sub)
+        assert json.loads((out / "manifest.json").read_text())["repeated_columns"] == expected
 
 
 def test_manifest_with_a_non_finite_value_is_not_written(tmp_path, capsys, monkeypatch):

@@ -45,6 +45,7 @@ from helpers import (
     directed_cycle,
     leaky_pairs,
     random_small_graph,
+    repeated_columns,
     ring_plus_random,
     sparse_random,
     spectrum_from_eigenvalues,
@@ -482,6 +483,7 @@ def packed_core_cases():
     """Real, complex, repeated and zero eigenvalues."""
     color, _ = generate_color(ColorParams(ab=AbParams(n_target=200, seed=4)))
     return {
+        "distinct 0.85": GoogleMatrix.from_graph(ring_plus_random(120, seed=3), 0.85).to_dense(),
         "random 0.85": GoogleMatrix.from_graph(sparse_random(120, seed=8), 0.85).to_dense(),
         "colour 1.0": GoogleMatrix.from_graph(color, 1.0).to_dense(),
         "rank one": GoogleMatrix.from_graph(sparse_random(40, seed=9), 0.0).to_dense(),
@@ -505,14 +507,23 @@ def complex_residuals(matrix, spec):
     return np.linalg.norm(matrix @ vecs - vecs * spec.eigenvalues, axis=0)
 
 
+# the packed core cases whose matrices repeat a column, so they are lumped
+LUMPED_CASES = ("random 0.85", "colour 1.0", "rank one")
+
+
+def distinct_column_count(matrix):
+    return np.unique(matrix, axis=1).shape[1]
+
+
 class TestPackedCore:
     """The packed real eigenvectors against complex arithmetic on scipy's
     unpacked ones."""
 
-    @pytest.mark.parametrize("name", list(packed_core_cases()))
+    @pytest.mark.parametrize("name", [k for k in packed_core_cases() if k not in LUMPED_CASES])
     def test_against_scipy_and_complex_residual(self, name):
         matrix = packed_core_cases()[name]
         spec = eigendecompose(matrix)
+        assert spec.lumped == 0 and distinct_column_count(matrix) == matrix.shape[0]
         lam, vecs = scipy_sorted(matrix)
         assert spec.eigenvalues.tobytes() == lam.tobytes()
         assert spec.eigenvectors.dtype == vecs.dtype
@@ -522,6 +533,53 @@ class TestPackedCore:
         oracle = complex_residuals(matrix, spec)
         assert np.max(np.abs(spec.residuals - oracle)) <= 4 * eps * fro
         assert spec.residuals.max() <= EIG_TOL * fro
+
+    @pytest.mark.parametrize("name", LUMPED_CASES)
+    def test_lumped_against_scipy_and_complex_residual(self, name):
+        matrix = packed_core_cases()[name]
+        n = matrix.shape[0]
+        spec = eigendecompose(matrix)
+        assert spec.lumped == n - distinct_column_count(matrix) > 0
+        assert np.sum(spec.eigenvalues == 0.0) >= spec.lumped
+        far = [lam[np.abs(lam) > 1e-3] for lam in (spec.eigenvalues, scipy.linalg.eig(matrix)[0])]
+        assert far[0].size == far[1].size
+        assert _greedy_pair_error(*far) <= 1e-8  # multiple eigenvalues at 1 and -1 split
+        fro = np.linalg.norm(matrix, "fro")
+        oracle = complex_residuals(matrix, spec)
+        assert np.max(np.abs(spec.residuals - oracle)) <= 4 * np.finfo(float).eps * fro
+        assert spec.residuals.max() <= EIG_TOL * fro
+
+    def test_lumped_null_vectors_are_exact(self):
+        matrix = packed_core_cases()["random 0.85"]
+        spec = eigendecompose(matrix)
+        zero = np.flatnonzero(spec.eigenvalues == 0.0)
+        vecs = spec.eigenvectors[:, zero]
+        # e_j - e_rep(j) up to the norm: two entries of opposite sign, PAR 2
+        pairs = vecs[:, np.sum(vecs != 0, axis=0) == 2]
+        assert pairs.shape[1] >= spec.lumped
+        for col in pairs.T:
+            j, r = np.flatnonzero(col)
+            assert col[j] == -col[r] and np.array_equal(matrix[:, j], matrix[:, r])
+        assert np.all(spec.pars[zero][np.sum(vecs != 0, axis=0) == 2] == 2.0)
+        assert np.all(spec.residuals[zero][np.sum(vecs != 0, axis=0) == 2] == 0.0)
+
+    def test_dependent_distinct_columns_lift_through_the_representatives(self):
+        # column 3 repeats column 0, and c2 = (c0 + c1)/2, so the lumped
+        # matrix has a null vector s = (1, 1, -2) with C s = 0: its lift is
+        # s on the representatives, not the zero vector C s
+        c0, c1 = np.array([0.5, 0.5, 0.0, 0.0]), np.array([0.0, 0.0, 0.5, 0.5])
+        matrix = np.column_stack([c0, c1, (c0 + c1) / 2, c0])
+        spec = eigendecompose(matrix)
+        assert spec.lumped == 1
+        norms = np.linalg.norm(spec.eigenvectors, axis=0)
+        assert np.all(norms > 0.5)
+        fro = np.linalg.norm(matrix, "fro")
+        assert complex_residuals(matrix, spec).max() <= EIG_TOL * fro
+        assert spec.residuals.max() <= EIG_TOL * fro
+        far = [lam[np.abs(lam) > 1e-3] for lam in (spec.eigenvalues, scipy.linalg.eig(matrix)[0])]
+        assert _greedy_pair_error(*far) <= 1e-14 and far[0].size == 2
+        lift = np.array([1.0, 1.0, -2.0, 0.0]) / np.sqrt(6.0)
+        assert any(abs(abs(np.vdot(v, lift)) - 1.0) <= 1e-12 for v in spec.eigenvectors.T)
 
     def test_cases_cover_each_kind_of_eigenvalue(self):
         lam = np.concatenate([eigendecompose(m).eigenvalues for m in packed_core_cases().values()])
@@ -578,7 +636,7 @@ class TestPackedCore:
             assert spec.pars.tobytes() == specs[0].pars.tobytes()
             assert spec.residuals.max() <= 8 * np.finfo(float).eps * fro
 
-    @pytest.mark.parametrize("name", ["random 0.85", "complex repeated and zero"])
+    @pytest.mark.parametrize("name", ["distinct 0.85", "complex repeated and zero"])
     def test_residual_formula_off_rounding_level(self, name, monkeypatch):
         # perturbed vectors give residuals far above rounding, where the
         # packed formula must match complex arithmetic to many digits
@@ -595,13 +653,17 @@ class TestPackedCore:
         np.testing.assert_allclose(spec.residuals, oracle, rtol=1e-8)
 
     def test_zero_eigenvector_raises(self, monkeypatch):
+        zeroed = []
+
         def zero_column(wr, wi, vl, vr, info):
-            vr[:, 3] = 0.0
+            zeroed.append(int(np.flatnonzero(wi == 0)[-1]))  # a real eigenvalue's column
+            vr[:, zeroed[-1]] = 0.0
             return wr, wi, vl, vr, info
 
         self.patched_dgeev(monkeypatch, zero_column)
-        with pytest.raises(EigensolverError, match="zero eigenvector at index 3"):
-            eigendecompose(packed_core_cases()["random 0.85"])
+        with pytest.raises(EigensolverError, match="zero eigenvector at index") as err:
+            eigendecompose(packed_core_cases()["distinct 0.85"])
+        assert str(err.value).endswith(f"index {zeroed[0]}")
 
     def test_wrong_eigenvector_fails_the_contract(self, monkeypatch):
         def swapped(wr, wi, vl, vr, info):
@@ -833,6 +895,73 @@ class TestOperatorSpectrum:
         cells = [c for line in buf.getvalue().splitlines()[1:] for c in line.split(",")]
         assert "-0" not in cells
         assert np.array_equal(np.unique(spec.eigenvalues), [0.0, 1.0])
+
+    @staticmethod
+    def lumped_cases():
+        return {
+            **{f"sparse {seed}": sparse_random(150, seed=seed) for seed in (1, 2, 3)},
+            "sparse without dangling nodes": multi_block_cases()["sparse without dangling nodes"],
+            **{f"random small {seed}": random_small_graph(seed) for seed in (1, 4, 8)},
+        }
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.85])
+    @pytest.mark.parametrize("name", list(lumped_cases()))
+    def test_lumped_spectrum_against_scipy_and_the_edge_list(self, name, alpha):
+        graph = self.lumped_cases()[name]
+        g = GoogleMatrix.from_graph(graph, alpha)
+        spec = operator_spectrum(g)
+        assert spec.lumped == repeated_columns(graph) > 0
+        assert np.sum(spec.eigenvalues == 0.0) >= spec.lumped
+        matrix = g.to_dense()
+        # scipy's solve of the whole matrix spreads its defective cluster at
+        # 0 to |lambda| of about 2e-3 on these graphs
+        far = [lam[np.abs(lam) > 0.05] for lam in (spec.eigenvalues, scipy.linalg.eig(matrix)[0])]
+        assert far[0].size == far[1].size
+        assert _greedy_pair_error(*far) <= 1e-8
+        assert abs(spec.eigenvalues.sum() - np.trace(matrix)) <= 1e-12 * g.n
+        fro = np.linalg.norm(matrix, "fro")
+        assert complex_residuals(matrix, spec).max() <= EIG_TOL * fro
+        assert spec.residuals.max() <= EIG_TOL * fro
+
+    def test_unresolved_lift_decomposes_s_whole(self):
+        # the colour graph's lumped matrix has a defective cluster near 0
+        # whose lifts miss rounding level, so dgeev sees all of S
+        graph = multi_block_cases()["colour without cross links"]
+        g = GoogleMatrix.from_graph(graph, 1.0)
+        spec = operator_spectrum(g)
+        assert spec.lumped == 0 < repeated_columns(graph)
+        lam, _ = scipy_sorted(g.to_dense()[np.ix_(spec.rows, spec.rows)])
+        assert spec.eigenvalues.tobytes() == lam.tobytes()
+
+    def test_eigenvectors_gather_rows_and_columns_at_once(self):
+        # the unpacked vectors are bitwise those of gathering the rows into
+        # node order first, without that gather's extra 8 bytes per entry
+        def rows_first(spec):
+            packed = spec.packed[np.argsort(spec.rows)]
+            first = np.flatnonzero(spec.pair_first)
+            vecs = packed.astype(np.complex128 if first.size else np.float64, order="F")
+            if first.size:
+                vecs.imag[:, first] = packed[:, first + 1]
+                vecs[:, first + 1] = vecs[:, first].conj()
+            vecs /= np.linalg.norm(vecs, axis=0)
+            return vecs[:, spec.order]
+
+        permuted = 0
+        for graph in multi_block_cases().values():
+            spec = operator_spectrum(GoogleMatrix.from_graph(graph, 0.85))
+            permuted += not np.array_equal(spec.rows, np.arange(graph.n_nodes))
+            assert spec.eigenvectors.tobytes() == rows_first(spec).tobytes()
+        assert permuted >= 3
+        n = 512
+        spec = operator_spectrum(GoogleMatrix.from_graph(ring_plus_random(n, seed=2), 0.85))
+        assert spec.pair_first.any()
+        tracemalloc.start()
+        try:
+            spec.eigenvectors
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 33 * n * n  # the complex copy and its gathered columns, 32 B/N^2
 
     def test_truncation_at_alpha_one_uses_the_block_order(self):
         graph = multi_block_cases()["colour without cross links"]

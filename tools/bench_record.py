@@ -6,12 +6,16 @@ Run from the repository root::
 
 Each pair runs ``perfbench/run.py --trace 0`` once on the parent commit and
 once on the working tree, for every workload in ``--workloads``; odd pairs
-run the parent first, even pairs the change.  Both sides run from sibling
-directories of one temporary directory (removed afterwards): the parent
-from ``git archive`` of its commit, the change from a copy of the working
-tree's tracked and unignored files.  Where a side runs from can move whole
-workloads by several per cent, so neither runs from the repository itself.
-Both sides run the same benchmark settings from ``BENCHMARK.json``.
+run the parent first, even pairs the change.  Each pair also holds a
+control run: the parent once more, from a second copy, last in odd pairs
+and first in even ones, so that the parent and its control form a
+parent-against-parent pair interleaved with the real ones.  All sides run
+from sibling directories of one temporary directory (removed afterwards):
+the parent and the control from ``git archive`` of its commit, the change
+from a copy of the working tree's tracked and unignored files.  Where a
+side runs from can move whole workloads by several per cent, so none runs
+from the repository itself.  All sides run the same benchmark settings
+from ``BENCHMARK.json``.
 
 The output holds, per workload: the seeds and the side that ran first in
 each pair; per end-to-end metric, each side's runs, median and quartiles,
@@ -19,7 +23,11 @@ the ratio of the medians (change over parent), whether that ratio is
 within the metric's bound (at most ``1 + bound`` when lower is better, at
 least ``1 - bound`` when higher is better), the pairs the change won, lost
 and tied, and whether the gap between the medians exceeds the parent's
-interquartile range; whether every run was correct; and, per output
+interquartile range; next to those, the control's runs, median and
+quartiles and the control ratio (control over parent), which shows how
+far the host drifted between two runs of the same code while the pairs
+were recorded (the bounds ignore it); whether every run was correct; and,
+per output
 column of each job (``<job id>/<file>:<column>`` for a CSV file with a
 header row, ``<job id>/<file>`` for any other non-JSON output), whether the
 bytes were equal on both sides in every pair and, for a column that
@@ -53,15 +61,29 @@ def parse_seeds(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
+SIDES = ("parent", "change", "control")
+
+
+def run_order(i: int) -> tuple[str, ...]:
+    """The sides of pair ``i`` in the order they run: the parent before the
+    change and the control last in even pairs, all reversed in odd ones."""
+    return SIDES if i % 2 == 0 else SIDES[::-1]
+
+
+def archive(root: Path, rev: str, dest: Path) -> Path:
+    """Write commit ``rev`` of the repository at ``root`` into ``dest``."""
+    tar_bytes = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
+                               capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar_bytes)) as tar:
+        tar.extractall(dest, filter="data")
+    return dest
+
+
 def checkouts(root: Path, rev: str, into: Path) -> tuple[Path, Path]:
     """Write the parent (commit ``rev`` of the repository at ``root``) and
     the change (the working tree's tracked and unignored files) into the
     sibling directories ``into/parent`` and ``into/change``."""
-    parent, change = into / "parent", into / "change"
-    archive = subprocess.run(["git", "archive", "--format=tar", rev], cwd=root,
-                             capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(parent, filter="data")
+    parent, change = archive(root, rev, into / "parent"), into / "change"
     listed = subprocess.run(
         ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
         cwd=root, capture_output=True, check=True,
@@ -144,6 +166,13 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
         losses = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         ps, cs = side_stats(par), side_stats(chg)
         ratio = cs["median"] / ps["median"] if ps["median"] else None
+        control = {}
+        if "control" in pairs[0]:
+            ctl = side_stats([p["control"]["result"]["metrics"][name]["value"] for p in pairs])
+            control = {
+                "control": ctl,
+                "control_ratio": ctl["median"] / ps["median"] if ps["median"] else None,
+            }
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
@@ -158,7 +187,7 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             "losses": losses,
             "ties": len(pairs) - wins - losses,
             "gap_exceeds_parent_iqr": abs(cs["median"] - ps["median"]) > ps["iqr"],
-        }
+        } | control
     equal: dict[str, bool] = {}
     moved: dict[str, float | None] = {}
     for p in pairs:
@@ -168,14 +197,11 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
         for key, diff in differences.items():
             known = moved.get(key, 0.0)
             moved[key] = None if diff is None or known is None else max(known, diff)
+    sides = [side for side in SIDES if side in pairs[0]]
     return {
         "metrics": metrics,
-        "correct": {
-            side: all(p[side]["result"]["correct"] for p in pairs) for side in ("parent", "change")
-        },
-        "failed": {
-            side: sum(p[side]["result"]["failed"] for p in pairs) for side in ("parent", "change")
-        },
+        "correct": {side: all(p[side]["result"]["correct"] for p in pairs) for side in sides},
+        "failed": {side: sum(p[side]["result"]["failed"] for p in pairs) for side in sides},
         "digests_equal": dict(sorted(equal.items())),
         "max_abs_diff": dict(sorted(moved.items())),
     }
@@ -210,16 +236,18 @@ def main(argv=None) -> int:
             record["environment"] = kept["environment"]
     with tempfile.TemporaryDirectory() as tmp:
         dirs = dict(zip(("parent", "change"), checkouts(ROOT, rev, Path(tmp))))
+        dirs["control"] = archive(ROOT, rev, Path(tmp) / "control")
         for name in names:
             pairs, order = [], []
             for i, seed in enumerate(args.seeds):
-                sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+                sides = run_order(i)
                 pair = {}
                 for side in sides:
                     pair[side] = run_bench(dirs[side], name, seed, bench["run_seconds"])
                     rss = pair[side]["result"]["metrics"]["peak_rss_mb"]["value"]
                     print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
-                # both sides' outputs of this pair are still in their checkouts
+                # every side's outputs of this pair are still in its checkout
+                del pair["control"]["jobs"]
                 a, b = (column_cells(pair[side].pop("jobs")) for side in ("parent", "change"))
                 pair["columns"] = sorted(a.keys() | b.keys())
                 pair["differences"] = column_differences(a, b)
