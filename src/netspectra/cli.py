@@ -177,6 +177,19 @@ def _check_dense_memory(n: int) -> None:
         )
 
 
+def _health(spec) -> dict:
+    """Manifest record of one spectrum: its diagonal blocks, closed
+    classes, lumped columns and classes solved apart, and its largest
+    residual relative to ``||G||_F``."""
+    return {
+        "scc_blocks": spec.blocks,
+        "closed_classes": spec.closed,
+        "repeated_columns": spec.lumped,
+        "classes_apart": spec.apart,
+        "max_residual_rel": float(spec.residuals.max() / spec.fro),
+    }
+
+
 def cmd_spectrum(args, graph) -> _Result:
     from . import gmatrix, spectra
 
@@ -195,15 +208,7 @@ def cmd_spectrum(args, graph) -> _Result:
         "degeneracy.csv": partial(spectra.degeneracy_to_csv, report),
         "eigenvector_par.csv": partial(spectra.eigenvector_pars_to_csv, par_gammas, pars),
     }
-    return _Result(
-        outputs,
-        f"n={graph.n_nodes} alpha={args.alpha}",
-        extra={
-            "scc_blocks": spec.blocks,
-            "closed_classes": spec.closed,
-            "repeated_columns": spec.lumped,
-        },
-    )
+    return _Result(outputs, f"n={graph.n_nodes} alpha={args.alpha}", extra=_health(spec))
 
 
 def cmd_pagerank(args, graph) -> _Result:
@@ -326,17 +331,24 @@ def cmd_truncate_spectrum(args, graph) -> _Result:
     cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
     hausdorff = {}
-    counts = {"scc_blocks": "blocks", "closed_classes": "closed", "repeated_columns": "lumped"}
-    extra = {key: {"full": getattr(cmp.full, field)} for key, field in counts.items()}
+    extra = {}
+    for name, spec in [("full", cmp.full)] + [(str(res.m), res.spectrum) for res in cmp.results]:
+        for key, value in _health(spec).items():
+            extra.setdefault(key, {})[name] = value
     for res in cmp.results:
         outputs[f"eigenvalues_m{res.m}.csv"] = partial(spectra.spectrum_to_csv, res.spectrum)
         hausdorff[str(res.m)] = res.hausdorff
-        for key, field in counts.items():
-            extra[key][str(res.m)] = getattr(res.spectrum, field)
+    rank = cmp.rank
     return _Result(
         outputs,
         " ".join(f"m={m}: hausdorff={h:.6g}" for m, h in hausdorff.items()),
-        extra={"hausdorff": hausdorff, **extra},
+        extra={
+            "hausdorff": hausdorff,
+            **extra,
+            "rank": {"converged": rank.converged, "iterations": rank.iterations, "residual": rank.residual},
+        },
+        # the truncations keep the nodes this vector ranks first, converged or not
+        failure=None if rank.converged else "rank iteration did not reach tolerance",
     )
 
 

@@ -12,11 +12,11 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import blas, lapack
+from scipy.linalg import blas, lapack, schur
 
 from .gmatrix import GoogleMatrix, scc_order, truncate_by_rank
 from .netcore import DirectedGraph, _check_positive, _write_table
-from .ranking import pagerank
+from .ranking import RankVector, pagerank
 
 __all__ = [
     "EIG_TOL",
@@ -83,9 +83,11 @@ class Spectrum:
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
     solver saw and ``closed`` the closed ones among them, the multiplicity
     of the eigenvalue 1 of S.  ``lumped`` counts the columns that repeated
-    an earlier one bit for bit and were lumped into it before dgeev (see
-    :func:`eigendecompose`).  Residuals and PARs do not depend on the row
-    order.
+    an earlier one bit for bit and were lumped into it before dgeev, and
+    ``apart`` the closed classes diagonalized on their own (see
+    :func:`eigendecompose`).  ``fro`` is ``||M||_F`` of the matrix whose
+    spectrum this is, the scale of the residual contract.  Residuals and
+    PARs do not depend on the row order.
     """
 
     eigenvalues: np.ndarray
@@ -98,6 +100,8 @@ class Spectrum:
     blocks: int = 1
     closed: int = 1
     lumped: int = 0
+    apart: int = 0
+    fro: float = np.nan
 
     @property
     def n(self) -> int:
@@ -109,10 +113,12 @@ class Spectrum:
         ``eigenvalues``, rows in node order (read-only), built from the
         packed matrix on first use: complex when the solver returned a
         conjugate pair.  For :func:`eigendecompose` of a matrix whose
-        columns are all distinct they are bitwise the columns of
-        ``scipy.linalg.eig`` divided by their norms; a matrix that repeats
-        a column has ``(e_j - e_rep(j)) / sqrt(2)`` for each repeat j of
-        column ``rep(j)``, with eigenvalue exactly 0, and lifts of the
+        columns are all distinct and none of whose closed classes is solved
+        apart they are bitwise the columns of ``scipy.linalg.eig`` divided
+        by their norms; a class solved apart has its own eigenvectors, zero
+        outside it, and gives the others their rows in it; a matrix that
+        repeats a column has ``(e_j - e_rep(j)) / sqrt(2)`` for each repeat
+        j of column ``rep(j)``, with eigenvalue exactly 0, and lifts of the
         lumped matrix's eigenvectors for the rest.  Below alpha = 1,
         :func:`operator_spectrum` keeps the eigenvectors of S except on the
         eigenvalues 1 and alpha, and the spectra of
@@ -152,15 +158,20 @@ def _block_columns(n: int) -> int:
 def dense_memory_bytes(n: int) -> int:
     """Bytes the dense path holds at its peak for an n x n operator: the
     operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside).  A matrix with g < n distinct columns
-    holds less, in this order: the storage of the n x n packed
-    eigenvectors, which first holds the g x g lumped matrix for dgeev to
-    overwrite, and the g x g eigenvectors of that matrix; then the packed
+    block (the O(n) vectors aside).  Closed classes solved apart take the
+    place of dgeev's copy: the rest's matrix is gathered into the storage
+    of the packed eigenvectors, and beside those the rows the rest links
+    into the classes with are held, with the rest's r x r eigenvectors
+    first and then one class's c x c blocks.  A matrix with g < n
+    distinct columns holds less, in this order: the storage of the n x n
+    packed eigenvectors, which first holds the g x g lumped matrix for
+    dgeev (or the split) to overwrite, and the g x g eigenvectors of that
+    matrix (none beyond the storage after a split); then the packed
     eigenvectors lifted from those, the columns whose lifts are checked,
     and one residual block no larger than the g x g eigenvectors freed
-    before it.  It grows with n, and a truncation comparison
-    keeps no eigenvectors, so it also bounds diagonalizing the truncations
-    of that operator one after another."""
+    before it.  It grows with n, and a truncation
+    comparison keeps no eigenvectors, so it also bounds diagonalizing the
+    truncations of that operator one after another."""
     return 8 * n * (3 * n + _block_columns(n))
 
 
@@ -171,7 +182,7 @@ def _power_sums(mod2):
     return s2, np.square(mod2, out=mod2).sum(axis=1)
 
 
-def _certify_block(a, trans: int, vb, wr, wi, first):
+def _certify_block(a, trans: int, vb, wr, wi, first, parts=None):
     """Squared norm, sum of fourth powers of the entry moduli, and squared
     residual norm of the eigenvectors in one block of packed columns that
     splits no conjugate pair; a pair's two columns both get the values of
@@ -180,9 +191,12 @@ def _certify_block(a, trans: int, vb, wr, wi, first):
     ``M VR = VR D`` holds with D block diagonal: ``a`` on the diagonal for
     a real eigenvalue, and ``[[a, b], [-b, a]]`` for a pair, so that
     ``M u = a u - b v`` and ``M v = b u + a v``.  The residual block
-    ``M VR - VR D`` is one real GEMM accumulated into ``VR D``.  Every sum
-    runs along one contiguous row of a transposed block, so a column's
-    norm and PAR do not depend on the blocking.
+    ``M VR - VR D`` is real GEMMs accumulated into ``VR D``: one per
+    ``(lo, hi, rows)`` of ``parts`` (by default the whole block), for
+    columns ``lo:hi`` that are zero outside ``rows``, over M's columns
+    ``rows`` only.  Every sum runs along one contiguous row of a
+    transposed block, so a column's norm and PAR do not depend on the
+    blocking.
     """
     k = vb.shape[1]
     f = np.flatnonzero(first)
@@ -192,7 +206,11 @@ def _certify_block(a, trans: int, vb, wr, wi, first):
         g = f[lo:lo + step]
         r[:, g] += wi[g + 1] * vb[:, g + 1]
         r[:, g + 1] += wi[g] * vb[:, g]
-    r = blas.dgemm(1.0, a, vb, beta=-1.0, c=r, trans_a=trans, overwrite_c=1)
+    for lo, hi, rows in parts or [(0, k, slice(None))]:
+        r[:, lo:hi] = blas.dgemm(
+            1.0, a[rows] if trans else a[:, rows], vb[rows, lo:hi], beta=-1.0, c=r[:, lo:hi],
+            trans_a=trans, overwrite_c=1,
+        )
     r2 = np.square(r, out=r).T.sum(axis=1)
     del r
     rows = vb.T  # one packed column per contiguous row
@@ -226,7 +244,7 @@ def _damp(matrix, wr, wi, vr, alpha: float, closed: int, rank) -> None:
     ``psi_j - (e^T psi_j / e^T psi_p) psi_p``, which sums to zero, so G
     maps it to alpha times itself; psi_p becomes the rank vector ``rank``
     (unit L2 norm), G's eigenvector for 1.  A column mapped wrongly fails
-    the residual contract that follows.
+    the residual contract that follows.  Returns those ``closed`` columns.
     """
     unit = np.argsort(np.hypot(wr - 1.0, wi), kind="stable")[:closed]
     sums = vr[:, unit].sum(axis=0)
@@ -241,6 +259,7 @@ def _damp(matrix, wr, wi, vr, alpha: float, closed: int, rank) -> None:
     wi += 0.0
     matrix *= alpha
     matrix += (1.0 - alpha) / matrix.shape[0]
+    return unit
 
 
 def _column_groups(matrix) -> np.ndarray:
@@ -263,8 +282,9 @@ def _column_groups(matrix) -> np.ndarray:
     return rep
 
 
-def _dgeev(a, overwrite_a: int = 0):
-    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``."""
+def _geev(a, overwrite_a: int = 0):
+    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a`` by
+    one dgeev."""
     work, _ = lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=1)
     wr, wi, _, vr, info = lapack.dgeev(
         a, compute_vl=0, compute_vr=1, lwork=int(work), overwrite_a=overwrite_a
@@ -272,6 +292,124 @@ def _dgeev(a, overwrite_a: int = 0):
     if info != 0:
         raise EigensolverError(f"QR iteration failed to converge (dgeev info {info})")
     return wr, wi, vr
+
+
+def _closed_blocks(a):
+    """``(lo, hi, linked)`` of every closed diagonal block ``a[lo:hi, lo:hi]``:
+    a block none of whose columns has an entry outside it, and whether a
+    column outside it has an entry in its rows.
+
+    The diagonal blocks are the finest contiguous ones with only zeros below
+    them; with the nodes in :func:`gmatrix.scc_order` they are the strongly
+    connected components, and the closed ones the closed classes.  An empty
+    row or column counts as linking everywhere."""
+    n = a.shape[0]
+    nz = a != 0
+    top = nz.argmax(axis=0)  # first row of each column's entries
+    bottom = n - 1 - nz[::-1].argmax(axis=0)  # last row of each column's entries
+    right = n - 1 - nz[:, ::-1].argmax(axis=1)  # last column of each row's entries
+    hi = np.flatnonzero(np.maximum.accumulate(bottom) <= np.arange(n)) + 1
+    lo = np.concatenate(([0], hi[:-1]))
+    closed = np.minimum.reduceat(top, lo) >= lo
+    return lo[closed], hi[closed], (np.maximum.reduceat(right, lo) >= hi)[closed]
+
+
+def _sylvester(vr, rest, l, h, block, link, wr, wi, first) -> None:
+    """Rows ``l:h`` of the rest's eigenvectors, the first ``rest.size``
+    columns of ``vr``, for the closed block ``block`` that the rest links
+    into through ``link`` (its rows, the rest's columns).
+
+    With the rest's eigenvectors V in packed form, ``R V = V D`` (see
+    :func:`_certify_block`), so the block's rows X solve
+    ``block X - X D = -link V``; in the real Schur form
+    ``block = Q T Q^T`` that is dtrsyl's ``T Y - Y D = scale * (-Q^T link V)``
+    with ``X = Q Y / scale``, solved for up to 256 columns of D at a time.
+    dtrsyl shrinks ``scale`` below 1 only to keep Y finite, so the rest of
+    those columns is multiplied by it rather than Y divided.  An eigenvalue
+    of the rest that the block shares makes T - lambda singular; dtrsyl
+    then perturbs it, and the large Y spans the block's own eigenvector.
+    """
+    t, q = schur(block)
+    for lo, hi in _blocks(first, 256):
+        f = np.flatnonzero(first[lo:hi])
+        d = np.diag(wr[lo:hi])
+        d[f, f + 1] = wi[lo:hi][f]
+        d[f + 1, f] = wi[lo:hi][f + 1]
+        y = q.T @ (link @ vr[rest, lo:hi])
+        np.negative(y, out=y)
+        y, scale, _ = lapack.dtrsyl(t, d, y, isgn=-1, overwrite_c=1)
+        if scale != 1.0:
+            vr[:, lo:hi] *= scale
+        vr[l:h, lo:hi] = q @ y
+
+
+def _dgeev(a, overwrite_a: int = 0):
+    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``, and
+    the ``(lo, hi)`` range of columns of each closed diagonal block solved
+    on its own.
+
+    Each closed block of :func:`_closed_blocks` gets its own dgeev, and its
+    eigenvectors padded with zeros are eigenvectors of ``a``; the other
+    indices, the rest, get one dgeev, and each closed block that the rest
+    links into gives the rest's eigenvectors their rows there (see
+    :func:`_sylvester`).  Such a block costs its dgeev and a Schur form,
+    about ``2 c^3``, apart, and ``(r + c)^3 - r^3`` in the rest's dgeev, so
+    it stays with the rest when that is cheaper.  With no block apart, dgeev
+    sees ``a`` itself.  Apart, no QR work runs on all of ``a``: the rest's
+    matrix is gathered into the storage of the packed eigenvectors (into
+    ``a`` itself when ``overwrite_a`` and ``a`` is Fortran-ordered, after the
+    closed blocks are copied out), so the split holds no n x n buffer beyond
+    the one dgeev of ``a`` would.  The rest's columns come first, and each of
+    them is scaled by its largest entry (a conjugate pair's two by one
+    factor).
+    """
+    n = a.shape[0]
+    lo, hi, linked = _closed_blocks(a)
+    size = hi - lo
+    r = n - size.sum()
+    apart = (size < n) & (~linked | (2 * size**3 <= (r + size) ** 3 - r**3))
+    if not apart.any():
+        return (*_geev(a, overwrite_a), [])
+    keep = np.ones(n, dtype=bool)
+    for l, h in zip(lo[apart], hi[apart]):
+        keep[l:h] = False
+    rest = np.flatnonzero(keep)
+    m = rest.size
+    reuse = bool(overwrite_a) and a.flags.f_contiguous
+    classes = []
+    for l, h, link in zip(lo[apart], hi[apart], linked[apart]):
+        block = a[l:h, l:h].copy(order="F") if reuse else a[l:h, l:h]
+        classes.append((l, h, block, a[l:h][:, rest] if link else None))
+    buf = a.reshape(-1, order="F") if reuse else np.empty(n * n)
+    b = buf[: m * m].reshape(m, m, order="F")
+    # each block of columns is gathered before it is written, and the later
+    # ones lie beyond it in a's storage
+    step = max(1, m // 16)
+    for j in range(0, m, step):
+        b[:, j:j + step] = a[np.ix_(rest, rest[j:j + step])]
+    wr, wi, v = _geev(b, overwrite_a=1) if m else (np.empty(0), np.empty(0), None)
+    del b
+    vr = buf.reshape(n, n, order="F")
+    vr.fill(0.0)
+    if m:
+        vr[rest, :m] = v
+    del v
+    first = wi > 0
+    wrs, wis, parts = [wr], [wi], []
+    for l, h, block, link in classes:
+        if link is not None:
+            _sylvester(vr, rest, l, h, block, link, wr, wi, first)
+        w, wim, vc = _geev(block, overwrite_a=int(reuse))
+        col = parts[-1][1] if parts else m
+        vr[l:h, col:col + h - l] = vc
+        wrs.append(w)
+        wis.append(wim)
+        parts.append((col, col + h - l))
+    f = np.flatnonzero(first)
+    top = np.abs(vr[:, :m]).max(axis=0)
+    top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
+    vr[:, :m] /= top
+    return np.concatenate(wrs), np.concatenate(wis), vr, parts
 
 
 def _gemm_operand(matrix):
@@ -307,26 +445,29 @@ def _relative_residuals(a, trans: int, vr, wr, wi, first) -> np.ndarray:
 
 
 def _lumped_dgeev(matrix, rep, bound: float):
-    """``(wr, wi, vr)`` of dgeev for the n x n ``matrix``, computed on its
-    lumped matrix, or None when a lift has a residual (relative to the
-    vector's norm) above rounding level or above ``bound``.  Column j of
-    ``matrix`` equals column
-    ``rep[j] <= j`` bit for bit.
+    """``(wr, wi, vr, parts)`` of :func:`_dgeev` for the n x n ``matrix``,
+    computed on its lumped matrix, or None when a lift has a residual
+    (relative to the vector's norm) above rounding level or above
+    ``bound``.  Column j of ``matrix`` equals column ``rep[j] <= j`` bit for
+    bit.
 
     With C the g distinct columns (each group's first, in matrix order) and
     R the sum of the rows of each group, ``M = R C`` is g x g and
-    ``eig(S) = eig(M) + {0}^(n-g)``.  M sits at the start of the storage
-    of the n x n vectors and dgeev overwrites it, so no other n x n buffer
-    is made.  An eigenvector s of M lifts to
+    ``eig(S) = eig(M) + {0}^(n-g)``.  M sits at the end of the storage of
+    the n x n vectors, and :func:`_dgeev` overwrites it (and may return
+    its eigenvectors there), so no other n x n buffer is made.  An
+    eigenvector s of M lifts to
     ``psi = C s``: on the row of a node alone in its group that is
     ``lambda s`` (in the packed form of :func:`_certify_block`), and the
     other rows take one GEMM.  A lift much shorter than s has lost digits
     (s lies near the null space of C, whose columns are then dependent):
     its residual is checked against that of ``E s``, s on the
     representatives, which ``S E s = C s`` makes small, and the smaller
-    one is kept if it is at rounding level.  The other members j of each
-    group get ``e_j - e_rep(j)`` with the eigenvalue 0.0, in the last
-    n - g columns.
+    one is kept if it is at rounding level; if neither is, the lift less
+    its mean over each group, which S maps to 0, is kept if that is.  A
+    kept lift whose entries are too small for their fourth powers is scaled
+    up.  The other members j of each group get ``e_j - e_rep(j)`` with the
+    eigenvalue 0.0, in the last n - g columns.
     """
     n = matrix.shape[0]
     reps = np.flatnonzero(rep == np.arange(n))
@@ -335,15 +476,15 @@ def _lumped_dgeev(matrix, rep, bound: float):
     group = np.searchsorted(reps, rep)  # the group of every node
     alone = np.bincount(group, minlength=g)[group] == 1
     rows, singles = np.flatnonzero(~alone), np.flatnonzero(alone)
-    # M in Fortran order at the start of the storage that later holds vr
+    # M in Fortran order at the end of the storage that later holds vr
     storage = np.empty(n * n)
-    m = storage[: g * g].reshape(g, g, order="F")
+    m = storage[n * n - g * g:].reshape(g, g, order="F")
     step = max(1, g // 16)  # columns per pass, so that the gathered blocks stay small
     for lo in range(0, g, step):
         m[:, lo:lo + step] = matrix[np.ix_(reps, reps[lo:lo + step])]
     np.add.at(m, group[extra], matrix[np.ix_(extra, reps)])  # plus the other members' rows
     lost = 16 * np.finfo(float).eps * np.linalg.norm(m, "fro")
-    wr, wi, s = _dgeev(m, overwrite_a=1)
+    wr, wi, s, parts = _dgeev(m, overwrite_a=1)
     del m
     first = wi > 0
     f = np.flatnonzero(first)
@@ -368,13 +509,17 @@ def _lumped_dgeev(matrix, rep, bound: float):
         s[:, p + 1] += wi[p] * u
     real = np.flatnonzero(wi == 0)
     vr = storage.reshape(n, n, order="F")
-    vr.fill(0.0)
     for lo in range(0, g, step):
         hi = min(g, lo + step)
         r = real[(real >= lo) & (real < hi)]
         s[:, r] *= wr[r]
-        vr[singles, lo:hi] = s[group[singles], lo:hi]
-    del s
+        # s may be M's storage, which columns lo:hi of vr end before the
+        # column hi of s starts: gathered before they are written
+        lifted = s[group[singles], lo:hi]
+        vr[:, lo:hi] = 0.0
+        vr[singles, lo:hi] = lifted
+    del s, lifted
+    vr[:, g:] = 0.0
     vr[rows, :g] = cs
     del cs
     if weak.size:
@@ -384,15 +529,33 @@ def _lumped_dgeev(matrix, rep, bound: float):
         e_s = np.zeros((n, weak.size), order="F")
         e_s[reps] = on_reps
         spread = _relative_residuals(a, trans, e_s, *lam)
-        if np.any(np.minimum(lifted, spread) > min(lost, bound)):
-            return None  # not at rounding level: let dgeev resolve S whole
-        use = spread < lifted
+        miss = np.minimum(lifted, spread) > min(lost, bound)
+        use = (spread < lifted) & ~miss
         vr[:, weak[use]] = e_s[:, use]
+        if miss.any():
+            # the group sums of a lift are M s = lambda s plus dgeev's
+            # residual; less its mean over each group, S maps it to 0
+            miss = weak[miss]
+            centred = vr[:, miss]
+            sums = np.zeros((g, miss.size))
+            np.add.at(sums, group, centred)
+            centred -= (sums / np.bincount(group)[:, None])[group]
+            lam = (wr[miss], wi[miss], first[miss])
+            if np.any(_relative_residuals(a, trans, centred, *lam) > min(lost, bound)):
+                return None  # not at rounding level: let dgeev resolve S whole
+            vr[:, miss] = centred
+        # a lift so short that the fourth powers of its entries underflow
+        # would have no PAR: scale it up, a pair's two columns by one factor
+        top = np.abs(vr[:, weak]).max(axis=0)
+        f = np.flatnonzero(first[weak])
+        top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
+        short = top < np.finfo(float).tiny ** 0.25
+        vr[:, weak[short]] /= top[short]
     cols = np.arange(g, n)
     vr[extra, cols] = 1.0
     vr[rep[extra], cols] = -1.0
     zeros = np.zeros(n - g)
-    return np.concatenate([wr, zeros]), np.concatenate([wi, zeros]), vr
+    return np.concatenate([wr, zeros]), np.concatenate([wi, zeros]), vr, parts
 
 
 def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
@@ -408,15 +571,20 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     the exact null vector ``e_j - e_rep(j)`` with eigenvalue 0.0, and
     ``lumped`` counts them.  When every column is distinct, or some lift
     misses rounding level (a defective cluster near 0 that lumping cannot
-    resolve), dgeev sees the whole matrix, ``lumped`` is 0, and the
-    eigenvalues and eigenvectors are bitwise those of
-    ``scipy.linalg.eig``.  The contract
-    is then checked in real arithmetic, column block by column block (see
-    :func:`_certify_block`), and each eigenvector's participation ratio is
-    taken in the same pass.  The traced peak is about 18 bytes per matrix
-    entry beyond the input: the packed eigenvectors with dgeev's copy of
-    the matrix (or the lumped matrix's eigenvectors), then with one
-    residual block.
+    resolve), the whole matrix is solved, and ``lumped`` is 0.  The matrix
+    solved, lumped or whole, has its closed diagonal blocks split off
+    first (see :func:`_dgeev`): each closed class that is cheaper apart
+    gets its own dgeev, the other indices one more, and ``apart`` counts
+    those classes.  With no column lumped and no class apart, dgeev sees
+    the whole matrix and the eigenvalues and eigenvectors are bitwise those
+    of ``scipy.linalg.eig``.  The contract is then checked in real
+    arithmetic, column block by column block (see :func:`_certify_block`),
+    and each eigenvector's participation ratio is taken in the same pass;
+    the eigenvectors of a class solved apart are zero outside a few rows,
+    so their residual GEMM runs over those columns of the matrix only.
+    The traced peak is about 18 bytes per matrix entry beyond the input:
+    the packed eigenvectors with dgeev's copy of the matrix (or the lumped
+    matrix's eigenvectors), then with one residual block.
 
     With ``damping = (alpha, closed, rank)``, ``matrix`` holds a
     column-stochastic S whose eigenvalue 1 has multiplicity ``closed``, and
@@ -439,18 +607,29 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     lifted = _lumped_dgeev(matrix, rep, tol * np.linalg.norm(matrix, "fro")) if lumped else None
     if lifted is None:
         lumped = 0
-    wr, wi, vr = lifted or _dgeev(matrix)
+    wr, wi, vr, parts = lifted or _dgeev(matrix)
     first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
+    # the rows outside which each column is zero: a class solved apart has
+    # its own, the other columns all of them
+    top, bottom = np.zeros(n, dtype=np.int64), np.full(n, n)
+    for lo, hi in parts:
+        live = np.flatnonzero(vr[:, lo:hi].any(axis=1))
+        if live.size:
+            top[lo:hi], bottom[lo:hi] = live[0], live[-1] + 1
     if damping is not None:
-        _damp(matrix, wr, wi, vr, *damping)
+        unit = _damp(matrix, wr, wi, vr, *damping)
+        top[unit], bottom[unit] = 0, n
     a, trans = _gemm_operand(matrix)
     s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
     step = _block_columns(n)
     if lumped:  # residual blocks that fit where the lumped matrix's eigenvectors were
         step = min(step, max(2, (n - lumped) ** 2 // n))
+    cuts = np.flatnonzero(np.diff(top) | np.diff(bottom)) + 1
     for lo, hi in _blocks(first, step):
+        edges = [lo, *cuts[(cuts > lo) & (cuts < hi)], hi]
+        runs = [(b - lo, e - lo, slice(top[b], bottom[b])) for b, e in zip(edges, edges[1:])]
         s2[lo:hi], s4[lo:hi], r2[lo:hi] = _certify_block(
-            a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi]
+            a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi], runs
         )
     if np.any(s2 == 0):
         raise EigensolverError(
@@ -478,6 +657,8 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         order=order,
         pair_first=first,
         lumped=lumped,
+        apart=len(parts),
+        fro=float(fro),
     )
 
 
@@ -486,10 +667,13 @@ def operator_spectrum(g: GoogleMatrix, tol: float = EIG_TOL) -> Spectrum:
     its link matrix S.
 
     The nodes are first put in :func:`gmatrix.scc_order`, so the dense S is
-    block upper triangular and dgeev's Hessenberg reduction and QR sweeps
-    deflate at every block boundary, one block per strongly connected
-    component; the spectrum records that order in ``rows``, the component
-    count in ``blocks`` and the closed count in ``closed``.  Below
+    block upper triangular, one block per strongly connected component, and
+    each closed class is a diagonal block with nothing else in its columns:
+    :func:`eigendecompose` diagonalizes those on their own where that is
+    cheaper, and dgeev's Hessenberg reduction and QR sweeps on the rest
+    deflate at every block boundary.  The spectrum records that order in
+    ``rows``, the component count in ``blocks``, the closed count in
+    ``closed`` and the classes solved on their own in ``apart``.  Below
     alpha = 1, :func:`eigendecompose` maps the spectrum of S to G: every
     eigenvalue lambda != 1 becomes alpha*lambda with the same eigenvector,
     the eigenvalue 1 gets the rank vector of :func:`ranking.pagerank`, and
@@ -737,8 +921,12 @@ class TruncationResult:
 
 @dataclass(frozen=True)
 class TruncationComparison:
+    """The full operator's spectrum, one result per size, and the rank
+    vector that chose the kept nodes."""
+
     full: Spectrum
     results: list[TruncationResult]
+    rank: RankVector
 
 
 def cloud_hausdorff(eigs_a: np.ndarray, eigs_b: np.ndarray) -> float:
@@ -772,15 +960,18 @@ def truncated_spectrum_compare(
     Orders nodes by rank score, restricts the operator to the top m for each
     requested size, diagonalizes both (see :func:`operator_spectrum`), and
     records the Hausdorff distance between the eigenvalue clouds for overlay
-    plots.  Every size must lie in ``[1, N]``; all are checked before any
-    work.  The spectra keep no eigenvectors, so each one's are freed before
-    the next operator is diagonalized.
+    plots.  Every size must lie in ``[1, N]`` and appear once; all are
+    checked before any work.  The spectra keep no eigenvectors, so each
+    one's are freed before the next operator is diagonalized.  The rank
+    vector is returned whether or not it converged.
     """
     g = GoogleMatrix.from_graph(graph, alpha)
     sizes = [int(m) for m in m_list]
-    for m in sizes:
+    for k, m in enumerate(sizes):
         if not 1 <= m <= g.n:
             raise ValueError(f"sizes must lie in [1, {g.n}], got {m}")
+        if m in sizes[:k]:
+            raise ValueError(f"sizes must not repeat, got {m} more than once")
     rank = pagerank(g)
     full = replace(_spectrum(g, tol, rank if alpha < 1.0 else None), packed=None)
     results = []
@@ -795,7 +986,7 @@ def truncated_spectrum_compare(
                 hausdorff=cloud_hausdorff(spec_m.eigenvalues, full.eigenvalues),
             )
         )
-    return TruncationComparison(full=full, results=results)
+    return TruncationComparison(full=full, results=results, rank=rank)
 
 
 def spectrum_to_csv(spec: Spectrum, target, lambda_cutoff: float = ZERO_MODE_CUTOFF) -> None:

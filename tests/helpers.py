@@ -80,6 +80,41 @@ def strong_components(graph):
     return {frozenset(c) for c in nx.strongly_connected_components(g)}
 
 
+def closed_classes(graph):
+    """Strongly connected classes with no link leaving them, as a set of
+    frozensets, from networkx's attracting components of the link graph
+    where a dangling node links to every node."""
+    import networkx as nx
+
+    n = graph.n_nodes
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(map(tuple, graph.edges.tolist()))
+    for d in np.flatnonzero(graph.out_degrees() == 0).tolist():
+        g.add_edges_from((d, j) for j in range(n))
+    return {frozenset(c) for c in nx.attracting_components(g)}
+
+
+def communities(n, n_comm, seed, p_cross=1e-3, mean_out=6.0):
+    """Graph of ``n_comm`` communities of near-equal size without dangling
+    nodes: each out-link stays in its source's community, skewed toward
+    low member index, except with probability ``p_cross``, when it goes to
+    a uniform node.  Most communities hold a closed class."""
+    rng = np.random.default_rng(seed)
+    comm = rng.permutation(np.arange(n) % n_comm)
+    members = np.argsort(comm, kind="stable")
+    size = np.bincount(comm, minlength=n_comm)
+    start = np.concatenate([[0], np.cumsum(size)[:-1]])
+    src = np.repeat(np.arange(n), 1 + rng.poisson(mean_out - 1.0, size=n))
+    c = comm[src]
+    dst = members[start[c] + (rng.random(src.size) ** 2 * size[c]).astype(np.int64)]
+    cross = rng.random(src.size) < p_cross
+    dst[cross] = rng.integers(n, size=int(cross.sum()))
+    keep = src != dst
+    edges = np.unique(np.column_stack([src[keep], dst[keep]]), axis=0)
+    return DirectedGraph(n_nodes=n, edges=edges)
+
+
 def repeated_columns(graph):
     """N minus the number of distinct columns of S, from the edge list
     alone: nodes grouped by their set of out-neighbours, with every

@@ -140,10 +140,12 @@ def test_c05_fidelity_grid_properties():
           f"6x6 grid on N=1000 in {elapsed:.2f}s")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_c06_color_model_second_eigenvalue_equals_alpha():
     # pure node growth (p=q=0) never touches the seed communities, so the
     # three intra-color seed triangles stay closed and pin lambda_2 at alpha;
-    # the spectrum is S's, mapped to G(alpha) by operator_spectrum
+    # the spectrum is S's, mapped to G(alpha) by operator_spectrum, with the
+    # triangles solved apart from the rest
     worst = 0.0
     worst_imag = 0.0
     for seed in range(5):
@@ -153,10 +155,17 @@ def test_c06_color_model_second_eigenvalue_equals_alpha():
                 epsilon=0.0,
             )
         )
-        spec = checked_spectrum(GoogleMatrix.from_graph(graph, 0.85))
+        g = GoogleMatrix.from_graph(graph, 0.85)
+        spec = checked_spectrum(g)
         lam2 = spec.eigenvalues[1]
         worst = max(worst, abs(lam2 - 0.85))
         worst_imag = max(worst_imag, abs(lam2.imag))
+        assert spec.apart == spec.closed == 3
+        # the complex residual on the operator in node order
+        matrix = g.to_dense()
+        vecs = spec.eigenvectors
+        residual = np.linalg.norm(matrix @ vecs - vecs * spec.eigenvalues, axis=0).max()
+        assert residual <= 1e-9 * np.linalg.norm(matrix, "fro")
     assert worst <= 1e-8
     assert worst_imag <= 1e-8
     print(f"\n[criterion 6] PASS: color model eps=0 lambda_2 real and equal "

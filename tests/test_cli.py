@@ -562,7 +562,7 @@ SWEEP_KEYS = {"converged", "iterations", "residual"}
 MANIFEST_CASES = {
     "spectrum": (
         ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES,
-        {"scc_blocks", "closed_classes", "repeated_columns"},
+        {"scc_blocks", "closed_classes", "repeated_columns", "classes_apart", "max_residual_rel"},
     ),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
@@ -587,7 +587,8 @@ MANIFEST_CASES = {
     "truncate-spectrum": (
         ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
         ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"],
-        {"hausdorff", "scc_blocks", "closed_classes", "repeated_columns"},
+        {"hausdorff", "scc_blocks", "closed_classes", "repeated_columns", "classes_apart",
+         "max_residual_rel", "rank"},
     ),
     "generate ab": (
         ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
@@ -626,6 +627,16 @@ def test_manifest_contract(command, tmp_path, capsys):
     assert manifest.get("scc_blocks") == manifest.get("closed_classes") == one
     if command == "spectrum":  # the circulant's columns are all distinct
         assert manifest["repeated_columns"] == 0
+    # one closed component is the whole matrix, so no class is solved apart
+    zero = {"spectrum": 0, "truncate-spectrum": {"full": 0, "12": 0, "6": 0}}.get(command)
+    assert manifest.get("classes_apart") == zero
+    if command in ("spectrum", "truncate-spectrum"):
+        worst = manifest["max_residual_rel"]
+        for value in worst.values() if isinstance(worst, dict) else [worst]:
+            assert 0.0 <= value <= 1e-9
+    if command == "truncate-spectrum":
+        assert manifest["rank"]["converged"] is True
+        assert 0 < manifest["rank"]["iterations"] and manifest["rank"]["residual"] <= 1e-12
     assert manifest["outputs"] == {
         name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in files
     }
@@ -660,8 +671,10 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
         assert (manifest["scc_blocks"], manifest["closed_classes"]) == (blocks, 2)
     for alpha in ("1", "0.85"):
         out = tmp_path / f"truncate{alpha}"
+        # at alpha 1 power iteration oscillates on the closed cycles: the
+        # outputs are written, and the unconverged rank vector exits 3
         assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
-                     "--out-dir", str(out)]) == 0
+                     "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
         manifest = json.loads((out / "manifest.json").read_text())
         blocks_m, closed_m = {"full": blocks}, {"full": 2}
         for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
@@ -673,6 +686,75 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
             closed_m[str(res.m)] = closed_class_count(sub)
         assert manifest["scc_blocks"] == blocks_m
         assert manifest["closed_classes"] == closed_m
+
+
+def test_manifest_records_classes_apart_and_the_largest_residual(tmp_path):
+    from netspectra.gmatrix import GoogleMatrix
+    from netspectra.netcore import load_edge_list
+    from netspectra.spectra import operator_spectrum, truncated_spectrum_compare
+
+    from helpers import closed_classes
+
+    # closed {0, 1} and {5, 6, 7}, both small beside the five other nodes
+    path = tmp_path / "blocks.edges"
+    edges = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (4, 0), (2, 5), (5, 6), (6, 7), (7, 5), (8, 9)]
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges))
+    graph = load_edge_list(str(path))
+    assert len(closed_classes(graph)) == 2
+    for alpha in ("1", "0.85"):
+        out = tmp_path / f"spectrum{alpha}"
+        assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["classes_apart"] == 2
+        # the complex residual of every eigenvector on G in node order
+        g = GoogleMatrix.from_graph(graph, float(alpha))
+        matrix, spec = g.to_dense(), operator_spectrum(g)
+        vecs = spec.eigenvectors
+        worst = np.linalg.norm(matrix @ vecs - vecs * spec.eigenvalues, axis=0).max()
+        assert manifest["max_residual_rel"] == pytest.approx(
+            worst / np.linalg.norm(matrix, "fro"), rel=0.5, abs=1e-16
+        )
+        out = tmp_path / f"truncate{alpha}"
+        # at alpha 1 power iteration oscillates on the closed cycles: the
+        # outputs are written, and the unconverged rank vector exits 3
+        assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
+                     "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
+        manifest = json.loads((out / "manifest.json").read_text())
+        cmp = truncated_spectrum_compare(graph, float(alpha), [8, 4])
+        assert manifest["classes_apart"] == {"full": 2, **{str(r.m): r.spectrum.apart for r in cmp.results}}
+        assert set(manifest["max_residual_rel"]) == {"full", "8", "4"}
+        assert all(0.0 <= v <= 1e-9 for v in manifest["max_residual_rel"].values())
+
+
+def test_truncation_on_an_unconverged_rank_vector_exits_3(tmp_path, capsys):
+    # at alpha 1 power iteration on 0 <-> {1, 2} oscillates and never converges
+    path = tmp_path / "bipartite.edges"
+    path.write_text("0 1\n0 2\n1 0\n2 0\n")
+    out = tmp_path / "out"
+    assert main(["pagerank", str(path), "--alpha", "1", "--out-dir", str(tmp_path / "pr")]) == 3
+    capsys.readouterr()
+    code = main(["truncate-spectrum", str(path), "--alpha", "1", "--sizes", "2", "--out-dir", str(out)])
+    assert code == 3
+    assert capsys.readouterr().err == "truncate-spectrum: rank iteration did not reach tolerance\n"
+    # the outputs are written all the same, and the manifest says why it failed
+    assert (out / "eigenvalues_full.csv").exists() and (out / "eigenvalues_m2.csv").exists()
+    rank = json.loads((out / "manifest.json").read_text())["rank"]
+    assert rank["converged"] is False and rank["iterations"] == 10_000
+    assert rank["residual"] == pytest.approx(2 / 3)
+
+
+def test_repeated_size_exits_1_before_dense_work(k5_file, tmp_path, capsys, monkeypatch):
+    from netspectra import spectra
+
+    def never(*args, **kwargs):
+        raise AssertionError("diagonalized before the sizes were checked")
+
+    monkeypatch.setattr(spectra, "eigendecompose", never)
+    monkeypatch.setattr(spectra, "pagerank", never)
+    out = tmp_path / "o"
+    assert main(["truncate-spectrum", k5_file, "--sizes", "3,2,3", "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "netspectra: sizes must not repeat, got 3 more than once\n"
+    assert not out.exists()
 
 
 def test_manifest_records_repeated_columns(tmp_path):
@@ -692,8 +774,10 @@ def test_manifest_records_repeated_columns(tmp_path):
         assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
         assert json.loads((out / "manifest.json").read_text())["repeated_columns"] == 4
         out = tmp_path / f"truncate{alpha}"
+        # at alpha 1 power iteration oscillates on the closed cycles: the
+        # outputs are written, and the unconverged rank vector exits 3
         assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
-                     "--out-dir", str(out)]) == 0
+                     "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
         expected = {"full": 4}
         for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
             inside = np.isin(graph.edges, res.kept).all(axis=1)

@@ -14,11 +14,12 @@ from scipy.spatial import cKDTree
 from scipy.spatial.distance import directed_hausdorff, pdist
 
 from netspectra.genmodels import AbParams, ColorParams, generate_color
-from netspectra.gmatrix import GoogleMatrix
+from netspectra.gmatrix import GoogleMatrix, scc_order
 from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power, participation_ratio
 from netspectra.spectra import (
     EIG_TOL,
+    _closed_blocks,
     ZERO_MODE_CUTOFF,
     EigensolverError,
     cloud_hausdorff,
@@ -41,6 +42,8 @@ from helpers import (
     _greedy_pair_error,
     alpha_scaling_check,
     closed_class_count,
+    closed_classes,
+    communities,
     complete_graph,
     directed_cycle,
     leaky_pairs,
@@ -598,9 +601,9 @@ class TestPackedCore:
         blocks = []
         certify = spectra._certify_block
 
-        def recorded(a, trans, vb, wr, wi, first):
+        def recorded(a, trans, vb, wr, wi, first, *parts):
             blocks.append(first)
-            return certify(a, trans, vb, wr, wi, first)
+            return certify(a, trans, vb, wr, wi, first, *parts)
 
         monkeypatch.setattr(spectra, "_certify_block", recorded)
         monkeypatch.setattr(spectra, "_BLOCK_BYTES", 8 * n * (j + 1))
@@ -690,18 +693,24 @@ class TestPackedCore:
         with pytest.raises(ValueError, match="no eigenvectors"):
             spec.eigenvectors
 
-    def test_traced_peak_bytes_per_entry(self):
+    @pytest.mark.parametrize("apart", [False, True], ids=["whole", "classes apart"])
+    def test_traced_peak_bytes_per_entry(self, apart):
         # dgeev's copy of the matrix and the packed eigenvectors are 16 B/N^2;
-        # the complex path this replaced peaked at 48.5
+        # the complex path this replaced peaked at 48.5.  The community
+        # graph's S in block order has closed classes that are solved apart.
         n = 256
-        matrix = GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense()
+        if apart:
+            g = GoogleMatrix.from_graph(communities(n, 16, seed=0), 1.0)
+            matrix = g.permuted(scc_order(g.s)[0]).to_dense()
+        else:
+            matrix = GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense()
         tracemalloc.start()
         try:
             spec = eigendecompose(matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.n == n
+        assert spec.n == n and (spec.apart > 0) == apart
         assert peak <= 26 * n * n
         # the preflight's estimate covers the input as well
         assert peak + matrix.nbytes <= dense_memory_bytes(n)
@@ -791,6 +800,7 @@ class TestOperatorSpectrum:
     """The spectrum of S in strongly-connected-component order, checked on
     the operator in node order."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("name", list(multi_block_cases()))
     def test_complex_residual_on_the_unpermuted_operator(self, name):
         graph = multi_block_cases()[name]
@@ -924,14 +934,24 @@ class TestOperatorSpectrum:
         assert spec.residuals.max() <= EIG_TOL * fro
 
     def test_unresolved_lift_decomposes_s_whole(self):
-        # the colour graph's lumped matrix has a defective cluster near 0
-        # whose lifts miss rounding level, so dgeev sees all of S
-        graph = multi_block_cases()["colour without cross links"]
+        # this colour graph's lumped matrix has a defective cluster near 0
+        # whose lifts miss rounding level; S is one component, so dgeev sees
+        # all of S
+        graph, _ = generate_color(ColorParams(ab=AbParams(n_target=200, seed=13)))
         g = GoogleMatrix.from_graph(graph, 1.0)
         spec = operator_spectrum(g)
         assert spec.lumped == 0 < repeated_columns(graph)
+        assert spec.blocks == 1 and spec.apart == 0
         lam, _ = scipy_sorted(g.to_dense()[np.ix_(spec.rows, spec.rows)])
         assert spec.eigenvalues.tobytes() == lam.tobytes()
+
+    def test_short_lift_keeps_a_finite_par(self):
+        # a lumped matrix's eigenvalue of about 1e-117 lifts to a vector
+        # whose entries' fourth powers underflow
+        graph, _ = generate_color(ColorParams(ab=AbParams(n_target=240, seed=5)))
+        spec = operator_spectrum(GoogleMatrix.from_graph(graph, 1.0))
+        assert spec.lumped > 0
+        assert np.all(np.isfinite(spec.pars)) and np.all(spec.pars >= 1.0)
 
     def test_eigenvectors_gather_rows_and_columns_at_once(self):
         # the unpacked vectors are bitwise those of gathering the rows into
@@ -972,6 +992,74 @@ class TestOperatorSpectrum:
             sub = DirectedGraph(n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside]))
             assert res.spectrum.blocks == len(strong_components(sub))
             assert abs(res.spectrum.eigenvalues[0] - 1.0) <= 1e-9
+
+
+def shared_eigenvalue_graph():
+    """A transient 2-cycle {3, 4}, eigenvalues +-1/2, that links into the
+    closed triangle {0, 1, 2}, eigenvalues 1, -1/2, -1/2: the rest shares
+    -1/2 with the class, where S has a Jordan block."""
+    triangle = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    return DirectedGraph(n_nodes=5, edges=np.array(triangle + [(3, 4), (3, 0), (4, 3), (4, 1)]))
+
+
+class TestClassesApart:
+    """Closed classes of S solved on their own, checked against oracles
+    that do not use the split."""
+
+    @staticmethod
+    def cases():
+        return {**multi_block_cases(), "communities": communities(256, 16, seed=0)}
+
+    @pytest.mark.parametrize("name", list(cases()))
+    def test_closed_blocks_are_networkx_closed_classes(self, name):
+        graph = self.cases()[name]
+        g = GoogleMatrix.from_graph(graph, 1.0)
+        rows = scc_order(g.s)[0]
+        lo, hi, _ = _closed_blocks(g.permuted(rows).to_dense())
+        found = {frozenset(rows[l:h].tolist()) for l, h in zip(lo, hi)}
+        assert found == closed_classes(graph)
+        assert operator_spectrum(g).apart <= len(found)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [1.0, 0.85])
+    def test_community_graph_solves_every_class_apart(self, alpha):
+        graph = communities(256, 16, seed=0)
+        g = GoogleMatrix.from_graph(graph, alpha)
+        spec = operator_spectrum(g)
+        assert spec.apart == spec.closed == len(closed_classes(graph)) >= 10
+        matrix = g.to_dense()
+        fro = np.linalg.norm(matrix, "fro")
+        oracle = complex_residuals(matrix, spec)
+        assert oracle.max() <= EIG_TOL * fro
+        # a class's residual GEMM runs over its own rows only
+        assert np.max(np.abs(spec.residuals - oracle)) <= 4 * np.finfo(float).eps * fro
+        far = [lam[np.abs(lam) > 0.05] for lam in (spec.eigenvalues, scipy.linalg.eig(matrix)[0])]
+        assert far[0].size == far[1].size
+        assert _greedy_pair_error(*far) <= 1e-8
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [1.0, 0.85])
+    def test_rest_sharing_an_eigenvalue_with_a_class(self, alpha):
+        g = GoogleMatrix.from_graph(shared_eigenvalue_graph(), alpha)
+        spec = operator_spectrum(g)
+        assert spec.apart == 1
+        matrix = g.to_dense()
+        assert complex_residuals(matrix, spec).max() <= EIG_TOL * np.linalg.norm(matrix, "fro")
+        assert np.all(spec.eigenvalues.imag == 0)
+        expected = [1.0, alpha / 2, -alpha / 2, -alpha / 2, -alpha / 2]
+        np.testing.assert_allclose(spec.eigenvalues.real, expected, rtol=0, atol=1e-14)
+
+    def test_large_class_that_sources_link_into_stays_with_them(self):
+        # 10 sources link into a 120-node closed class: apart, the class
+        # would cost 2 * 120^3 against 130^3 - 10^3 with the sources
+        ring = ring_plus_random(120, seed=1)
+        sources = [(120 + k, (7 * k + j) % 120) for k in range(10) for j in range(k % 3 + 1)]
+        graph = DirectedGraph(n_nodes=130, edges=np.concatenate([ring.edges, sources]))
+        g = GoogleMatrix.from_graph(graph, 1.0)
+        spec = operator_spectrum(g)
+        assert spec.closed == len(closed_classes(graph)) == 1 and spec.apart == 0
+        lam, _ = scipy_sorted(g.to_dense()[np.ix_(spec.rows, spec.rows)])
+        assert spec.eigenvalues.tobytes() == lam.tobytes()
 
 
 class TestDomainChecks:
