@@ -179,12 +179,13 @@ def _check_dense_memory(n: int) -> None:
 
 def _health(spec) -> dict:
     """Manifest record of one spectrum: its diagonal blocks, closed
-    classes, lumped columns and classes solved apart, and its largest
-    residual relative to ``||G||_F``."""
+    classes, lumped columns and rows and classes solved apart, and its
+    largest residual relative to ``||G||_F``."""
     return {
         "scc_blocks": spec.blocks,
         "closed_classes": spec.closed,
         "repeated_columns": spec.lumped,
+        "repeated_rows": spec.lumped_rows,
         "classes_apart": spec.apart,
         "max_residual_rel": float(spec.residuals.max() / spec.fro),
     }
@@ -352,11 +353,7 @@ def cmd_truncate_spectrum(args, graph) -> _Result:
     )
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="netspectra", description=__doc__.split("\n\n")[0])
-    parser.add_argument("--version", action="version", version=f"netspectra {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
+def _ingest_parent():
     ingest = argparse.ArgumentParser(add_help=False)
     ingest.add_argument("input", help="edge-list file")
     ingest.add_argument("--index-base", type=int, choices=(0, 1), default=0)
@@ -367,13 +364,39 @@ def build_parser() -> _Parser:
         action="store_true",
         help="drop nodes without outlinks (single pass) before computing",
     )
+    return ingest
 
+
+def _outdir_parent():
     outdir = argparse.ArgumentParser(add_help=False)
     outdir.add_argument("--out-dir", default=".", help="directory for CSV outputs")
+    return outdir
 
-    p = sub.add_parser(
-        "spectrum", parents=[ingest, outdir], help="full complex spectrum and observables"
-    )
+
+class _Unbuilt:
+    """Stands in for the parser of a subcommand that is not parsed: every
+    call on it does nothing and returns it, so no argument is built."""
+
+    def __getattr__(self, name):
+        return lambda *args, **kwargs: self
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The command-line parser.  Every subcommand is registered with its
+    help line, but only ``command`` gets its arguments (every subcommand
+    when None), so parsing one command does not build the others."""
+    parser = _Parser(prog="netspectra", description=__doc__.split("\n\n")[0])
+    parser.add_argument("--version", action="version", version=f"netspectra {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+
+    def add(name, help, *parents):
+        if command is None or name == command:
+            return sub.add_parser(name, help=help, parents=[make() for make in parents])
+        sub.add_parser(name, help=help)
+        return _Unbuilt()
+
+    analysis = (_ingest_parent, _outdir_parent)
+    p = add("spectrum", "full complex spectrum and observables", *analysis)
     p.add_argument("--alpha", type=_UNIT, default=0.85)
     p.add_argument("--tol", type=_POSITIVE, default=1e-9, help="residual contract, relative to ||G||_F")
     p.add_argument("--window", type=_POSITIVE, default=0.1, help="rate-density smoothing window")
@@ -382,37 +405,36 @@ def build_parser() -> _Parser:
     p.add_argument("--lambda-cutoff", type=_NONNEGATIVE, default=1e-8, help="zero-mode magnitude cutoff")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser(
-        "pagerank", parents=[ingest, outdir],
-        help="certified rank vector: BiCGSTAB below alpha 1, power iteration at 1",
+    p = add(
+        "pagerank", "certified rank vector: BiCGSTAB below alpha 1, power iteration at 1", *analysis
     )
     p.add_argument("--alpha", type=_UNIT, default=0.85)
     p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_pagerank)
 
-    p = sub.add_parser("fidelity", parents=[ingest, outdir], help="rank overlap grid over damping values")
+    p = add("fidelity", "rank overlap grid over damping values", *analysis)
     p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True, help='e.g. "0.49,0.59,0.69"')
     p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_fidelity)
 
-    p = sub.add_parser("par-curve", parents=[ingest, outdir], help="rank participation ratio vs damping")
+    p = add("par-curve", "rank participation ratio vs damping", *analysis)
     p.add_argument("--alphas", type=_parse_list(float, "floats"), required=True)
     p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
     p.set_defaults(func=cmd_par_curve)
 
-    p = sub.add_parser("degree-dist", parents=[ingest, outdir], help="in/out degree distributions")
+    p = add("degree-dist", "in/out degree distributions", *analysis)
     p.set_defaults(func=cmd_degree_dist)
 
-    p = sub.add_parser("randomize", parents=[ingest], help="degree-preserving edge rewiring")
+    p = add("randomize", "degree-preserving edge rewiring", _ingest_parent)
     p.add_argument("--swaps", type=int, default=None, help="swap attempts (default 10x edges)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output edge-list file")
     p.set_defaults(func=cmd_randomize)
 
-    p = sub.add_parser("generate", help="random-network generators")
+    p = add("generate", "random-network generators")
     gsub = p.add_subparsers(dest="model", required=True, metavar="MODEL")
     for model, desc in (
         ("ab", "scale-free growth with link addition and rewiring"),
@@ -433,11 +455,7 @@ def build_parser() -> _Parser:
         gp.add_argument("--out", required=True, help="output edge-list file")
         gp.set_defaults(func=cmd_generate, model=model)
 
-    p = sub.add_parser(
-        "truncate-spectrum",
-        parents=[ingest, outdir],
-        help="spectra of rank-truncated operators vs the full one",
-    )
+    p = add("truncate-spectrum", "spectra of rank-truncated operators vs the full one", *analysis)
     p.add_argument("--alpha", type=_UNIT, default=0.85)
     p.add_argument("--sizes", type=_parse_list(int, "integers"), required=True, help='e.g. "8192,4096"')
     p.add_argument("--tol", type=_POSITIVE, default=1e-9)
@@ -498,8 +516,12 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word that is no option names the command (the top level
+    # takes no option values); an unknown one fails as with every command
+    command = next((a for a in argv if not a.startswith("-")), "")
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK
     return _run(args)

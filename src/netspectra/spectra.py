@@ -82,9 +82,10 @@ class Spectrum:
     solver saw the nodes reordered: row k of ``packed`` belongs to node
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
     solver saw and ``closed`` the closed ones among them, the multiplicity
-    of the eigenvalue 1 of S.  ``lumped`` counts the columns that repeated
-    an earlier one bit for bit and were lumped into it before dgeev, and
-    ``apart`` the closed classes diagonalized on their own (see
+    of the eigenvalue 1 of S.  ``apart`` counts the closed classes
+    diagonalized on their own, and ``lumped`` and ``lumped_rows`` the
+    columns and then the rows of the other indices that repeated an earlier
+    one bit for bit and were lumped before dgeev (see
     :func:`eigendecompose`).  ``fro`` is ``||M||_F`` of the matrix whose
     spectrum this is, the scale of the residual contract.  Residuals and
     PARs do not depend on the row order.
@@ -100,6 +101,7 @@ class Spectrum:
     blocks: int = 1
     closed: int = 1
     lumped: int = 0
+    lumped_rows: int = 0
     apart: int = 0
     fro: float = np.nan
 
@@ -116,10 +118,11 @@ class Spectrum:
         columns are all distinct and none of whose closed classes is solved
         apart they are bitwise the columns of ``scipy.linalg.eig`` divided
         by their norms; a class solved apart has its own eigenvectors, zero
-        outside it, and gives the others their rows in it; a matrix that
-        repeats a column has ``(e_j - e_rep(j)) / sqrt(2)`` for each repeat
-        j of column ``rep(j)``, with eigenvalue exactly 0, and lifts of the
-        lumped matrix's eigenvectors for the rest.  Below alpha = 1,
+        outside it, and gives the others their rows in it; where the other
+        indices repeat a column, each repeat j of column ``rep(j)`` has
+        ``(e_j - e_rep(j)) / sqrt(2)`` there, with eigenvalue exactly 0,
+        each repeated row a copy of one of those, and the rest are lifts
+        of the core's eigenvectors (see :func:`_lift`).  Below alpha = 1,
         :func:`operator_spectrum` keeps the eigenvectors of S except on the
         eigenvalues 1 and alpha, and the spectra of
         :func:`truncated_spectrum_compare` carry none.  The result holds 16
@@ -158,20 +161,16 @@ def _block_columns(n: int) -> int:
 def dense_memory_bytes(n: int) -> int:
     """Bytes the dense path holds at its peak for an n x n operator: the
     operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside).  Closed classes solved apart take the
-    place of dgeev's copy: the rest's matrix is gathered into the storage
-    of the packed eigenvectors, and beside those the rows the rest links
-    into the classes with are held, with the rest's r x r eigenvectors
-    first and then one class's c x c blocks.  A matrix with g < n
-    distinct columns holds less, in this order: the storage of the n x n
-    packed eigenvectors, which first holds the g x g lumped matrix for
-    dgeev (or the split) to overwrite, and the g x g eigenvectors of that
-    matrix (none beyond the storage after a split); then the packed
-    eigenvectors lifted from those, the columns whose lifts are checked,
-    and one residual block no larger than the g x g eigenvectors freed
-    before it.  It grows with n, and a truncation
-    comparison keeps no eigenvectors, so it also bounds diagonalizing the
-    truncations of that operator one after another."""
+    block (the O(n) vectors aside).  With a closed class apart or a column
+    repeated, the storage of the packed eigenvectors takes the place of
+    dgeev's copy: the rest's matrix is gathered there and its k x k core is
+    lumped in place (see :func:`_lump`), and beside it are held the
+    repeated columns' rows, the core's k x k eigenvectors while they are
+    lifted, then the rows the rest links into the classes with and one
+    class's c x c blocks, and at last one residual block no larger than
+    the core's eigenvectors freed before it.  It grows with n, and a
+    truncation comparison keeps no eigenvectors, so it also bounds
+    diagonalizing the truncations of that operator one after another."""
     return 8 * n * (3 * n + _block_columns(n))
 
 
@@ -180,6 +179,19 @@ def _power_sums(mod2):
     eigenvector per contiguous row (overwritten)."""
     s2 = mod2.sum(axis=1)
     return s2, np.square(mod2, out=mod2).sum(axis=1)
+
+
+def _times_d(vb, wr, wi, f):
+    """``VR D`` in Fortran order for a block of packed columns VR that
+    splits no conjugate pair, ``f`` the first columns of its pairs (see
+    :func:`_certify_block`)."""
+    r = np.multiply(vb, wr, order="F")
+    step = max(16, vb.shape[1] // 16)  # pairs per pass, so that the gathered columns stay small
+    for lo in range(0, f.size, step):
+        g = f[lo:lo + step]
+        r[:, g] += wi[g + 1] * vb[:, g + 1]
+        r[:, g + 1] += wi[g] * vb[:, g]
+    return r
 
 
 def _certify_block(a, trans: int, vb, wr, wi, first, parts=None):
@@ -200,12 +212,7 @@ def _certify_block(a, trans: int, vb, wr, wi, first, parts=None):
     """
     k = vb.shape[1]
     f = np.flatnonzero(first)
-    r = np.multiply(vb, wr, order="F")  # VR D in the layout dgemm overwrites
-    step = max(1, k // 16)  # pairs per pass, so that the gathered columns stay small
-    for lo in range(0, f.size, step):
-        g = f[lo:lo + step]
-        r[:, g] += wi[g + 1] * vb[:, g + 1]
-        r[:, g + 1] += wi[g] * vb[:, g]
+    r = _times_d(vb, wr, wi, f)
     for lo, hi, rows in parts or [(0, k, slice(None))]:
         r[:, lo:hi] = blas.dgemm(
             1.0, a[rows] if trans else a[:, rows], vb[rows, lo:hi], beta=-1.0, c=r[:, lo:hi],
@@ -262,24 +269,42 @@ def _damp(matrix, wr, wi, vr, alpha: float, closed: int, rank) -> None:
     return unit
 
 
-def _column_groups(matrix) -> np.ndarray:
-    """Representative of every column: the first column, in matrix order,
-    whose bits all equal its own.  One key per column (its bit patterns
-    times fixed odd weights, summed modulo 2^64, so equal columns get equal
-    keys), then each candidate group is confirmed on the columns."""
-    bits = matrix.view(np.uint64)
-    n = bits.shape[1]
-    weights = np.arange(1, 2 * n, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    _, labels, counts = np.unique(weights @ bits, return_inverse=True, return_counts=True)
-    rep = np.arange(n)
+def _repeats(lines, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Representative of each of the columns ``cols`` of ``lines``, as a
+    position in ``cols``: the first of them, in matrix order, whose bits in
+    ``rows`` all equal its own.  A column that is all zero there is its
+    own, since dgebal isolates it anyway.  One key per column (its bit
+    patterns in ``rows`` times fixed odd weights, summed modulo 2^64, so
+    equal columns get equal keys), then each candidate group is confirmed
+    on the columns."""
+    bits = lines.view(np.uint64)
+    rows, cols = np.arange(bits.shape[0])[rows], np.arange(bits.shape[1])[cols]
+    weights = np.zeros(bits.shape[0], dtype=np.uint64)
+    weights[rows] = np.arange(1, 2 * rows.size, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys = (weights @ bits)[cols]
+    _, labels, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    rep = np.arange(cols.size)
     cand = np.flatnonzero(counts[labels] > 1)
     cand = cand[np.argsort(labels[cand], kind="stable")]  # by key, ascending within one
     for members in np.split(cand, np.flatnonzero(np.diff(labels[cand])) + 1):
+        if members.size and keys[members[0]] == 0:  # where the zero columns are
+            members = members[bits[np.ix_(rows, cols[members])].any(axis=0)]
         while members.size > 1:
-            same = (bits[:, members] == bits[:, members[:1]]).all(axis=0)
+            block = bits[np.ix_(rows, cols[members])]
+            same = (block == block[:, :1]).all(axis=0)
             rep[members[same]] = members[0]
             members = members[~same]
     return rep
+
+
+def _gather(dst, src, rows, cols) -> None:
+    """``dst = src[rows][:, cols]`` for a Fortran-ordered ``dst``, by blocks
+    of columns, each gathered before it is written.  With ``cols``
+    ascending, ``dst`` may start where a Fortran-ordered ``src`` starts: the
+    later blocks' columns then lie beyond what is written."""
+    step = max(1, cols.size // 16)  # so that the gathered blocks stay small
+    for j in range(0, cols.size, step):
+        dst[:, j:j + step] = src[np.ix_(rows, cols[j:j + step])]
 
 
 def _geev(a, overwrite_a: int = 0):
@@ -294,15 +319,13 @@ def _geev(a, overwrite_a: int = 0):
     return wr, wi, vr
 
 
-def _closed_blocks(a):
-    """``(lo, hi, linked)`` of every closed diagonal block ``a[lo:hi, lo:hi]``:
-    a block none of whose columns has an entry outside it, and whether a
-    column outside it has an entry in its rows.
-
-    The diagonal blocks are the finest contiguous ones with only zeros below
-    them; with the nodes in :func:`gmatrix.scc_order` they are the strongly
-    connected components, and the closed ones the closed classes.  An empty
-    row or column counts as linking everywhere."""
+def _diagonal_blocks(a):
+    """``(lo, hi, closed, linked)`` of every diagonal block ``a[lo:hi, lo:hi]``,
+    the finest contiguous ones with only zeros below them: whether none of
+    its columns has an entry outside it, and whether a column outside it has
+    an entry in its rows.  With the nodes in :func:`gmatrix.scc_order` the
+    blocks are the strongly connected components, and the closed ones the
+    closed classes.  An empty row or column counts as linking everywhere."""
     n = a.shape[0]
     nz = a != 0
     top = nz.argmax(axis=0)  # first row of each column's entries
@@ -310,8 +333,7 @@ def _closed_blocks(a):
     right = n - 1 - nz[:, ::-1].argmax(axis=1)  # last column of each row's entries
     hi = np.flatnonzero(np.maximum.accumulate(bottom) <= np.arange(n)) + 1
     lo = np.concatenate(([0], hi[:-1]))
-    closed = np.minimum.reduceat(top, lo) >= lo
-    return lo[closed], hi[closed], (np.maximum.reduceat(right, lo) >= hi)[closed]
+    return lo, hi, np.minimum.reduceat(top, lo) >= lo, np.maximum.reduceat(right, lo) >= hi
 
 
 def _sylvester(vr, rest, l, h, block, link, wr, wi, first) -> None:
@@ -343,55 +365,157 @@ def _sylvester(vr, rest, l, h, block, link, wr, wi, first) -> None:
         vr[l:h, lo:hi] = q @ y
 
 
-def _dgeev(a, overwrite_a: int = 0):
-    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``, and
-    the ``(lo, hi)`` range of columns of each closed diagonal block solved
-    on its own.
+def _lump(a, rest, rep, buf):
+    """The core of the m x m ``src``, in Fortran order at the start of
+    ``buf``, and what :func:`_lift` needs, for ``src = a[rest][:, rest]``,
+    whose column j equals column ``rep[j] <= j`` bit for bit.
 
-    Each closed block of :func:`_closed_blocks` gets its own dgeev, and its
-    eigenvectors padded with zeros are eigenvectors of ``a``; the other
-    indices, the rest, get one dgeev, and each closed block that the rest
-    links into gives the rest's eigenvectors their rows there (see
-    :func:`_sylvester`).  Such a block costs its dgeev and a Schur form,
-    about ``2 c^3``, apart, and ``(r + c)^3 - r^3`` in the rest's dgeev, so
-    it stays with the rest when that is cheaper.  With no block apart, dgeev
-    sees ``a`` itself.  Apart, no QR work runs on all of ``a``: the rest's
-    matrix is gathered into the storage of the packed eigenvectors (into
-    ``a`` itself when ``overwrite_a`` and ``a`` is Fortran-ordered, after the
-    closed blocks are copied out), so the split holds no n x n buffer beyond
-    the one dgeev of ``a`` would.  The rest's columns come first, and each of
-    them is scaled by its largest entry (a conjugate pair's two by one
-    factor).
+    With J the columns that repeat an earlier one, ``U = I - sum_j
+    e_rep(j) e_j^T`` zeroes each column j of ``U^-1 src U`` and adds row j
+    into row ``rep(j)``: the representatives' rows and columns are then the
+    g x g lumped matrix M (Ipsen & Selee), and below M sit X, the rows J on
+    the representatives' columns.  Then T zeroes each nonzero row i of M
+    that repeats an earlier one, ``k(i)``, and adds column i into column
+    ``k(i)``; scaled by the size of each group, so that its column is its
+    members' mean and its row their sum (the lumped Markov chain of a
+    stochastic M, stochastic too), the rows and columns left, K, are the
+    core.  An all-zero row or column is not lumped (dgebal isolates it),
+    nor is a row unless some column is.  Both transforms act on a few rows
+    and columns of a matrix already gathered, so no other n x n buffer is
+    made.  The spectrum of ``src`` is that of the core and ``m - |K|``
+    zeros.  Returns the core and ``(rep, reps, extra, x, pos, size, lost)``:
+    ``rep``, the representatives, J, X, the row of the core and the size of
+    the group of each row of M, and the rounding level of the core's
+    eigenvectors.
+    """
+    m = rest.size
+    reps, extra = np.flatnonzero(rep == np.arange(m)), np.flatnonzero(rep != np.arange(m))
+    g = reps.size
+    x = a[np.ix_(rest[extra], rest[reps])]
+    core = buf[: g * g].reshape(g, g, order="F")
+    _gather(core, a, rest[reps], rest[reps])
+    np.add.at(core, np.searchsorted(reps, rep[extra]), x)
+    row = _repeats(core.T)
+    folded = row != np.arange(g)
+    np.add.at(core.T, row[folded], core.T[folded])  # column i into column k(i)
+    keep = np.flatnonzero(~folded)
+    k = keep.size
+    if k < g:
+        _gather(buf[: k * k].reshape(k, k, order="F"), core, keep, keep)
+        core = buf[: k * k].reshape(k, k, order="F")
+    size = np.bincount(row)[row].astype(float)  # the members of each row's group
+    big = np.flatnonzero(size[keep] > 1)
+    core[:, big] /= size[keep[big]]  # each group's column is its members' mean
+    core[big] *= size[keep[big], None]
+    lost = 16 * np.finfo(float).eps * np.linalg.norm(core, "fro")
+    return core, (rep, reps, extra, x, np.searchsorted(keep, row), size, lost)
+
+
+def _lift(vr, rows, lumping, wr, wi, v) -> None:
+    """The packed eigenvectors of ``src`` in rows ``rows`` of ``vr[:, :m]``
+    from those of its core (see :func:`_lump`), ``(wr + i wi, v)``.
+
+    An eigenpair ``(lambda, c)`` of the core is one of ``T U^-1 src U T^-1``
+    with the vector ``phi = [lambda c on K; X c' on J; 0 on the repeated
+    rows]``, where ``c'`` is c with each member of a row group taking its
+    representative's entry over the group's size; ``psi = U T^-1 phi`` is
+    then ``lambda c'`` on the representatives, less the entries of X c' of
+    each one's group, and X c' on J (lambda applied in the packed form of
+    :func:`_certify_block`).
+    dgeev's residual on the core enters psi on the core's rows only, and
+    rounding on J only along ``e_j - e_rep(j)``, which ``src`` maps to 0, so
+    the residual is at rounding level relative to ``|phi|``.  Where phi is
+    below ``lost`` relative to ``|c'|`` (an exact null direction of the
+    core), psi is c' on the representatives instead, which ``src`` maps to
+    ``C c'`` with C the distinct columns, within ``lost`` of zero.  Each
+    j in J gets ``e_j - e_rep(j)`` with the eigenvalue 0.0, and each
+    repeated row, whose zero is defective, a copy of the first of those.
+    """
+    rep, reps, extra, x, pos, size, lost = lumping
+    k = v.shape[1]
+    first = wi > 0
+    group = np.searchsorted(reps, rep[extra])
+    for lo, hi in _blocks(first, max(2, k // 16)):
+        c = v[pos, lo:hi] / size[:, None]
+        y = x @ c
+        f = np.flatnonzero(first[lo:hi])
+        phi = _times_d(c, wr[lo:hi], wi[lo:hi], f)
+        norms = np.einsum("ij,ij->j", phi, phi) + np.einsum("ij,ij->j", y, y)
+        c2 = np.einsum("ij,ij->j", c, c)
+        for arr in (norms, c2):
+            arr[f] = arr[f + 1] = arr[f] + arr[f + 1]
+        np.subtract.at(phi, group, y)
+        weak = norms <= lost * lost * c2
+        phi[:, weak], y[:, weak] = c[:, weak], 0.0
+        vr[rows[reps], lo:hi] = phi
+        vr[rows[extra], lo:hi] = y
+    cols = np.arange(k, k + extra.size)
+    vr[rows[extra], cols] = 1.0
+    vr[rows[rep[extra]], cols] = -1.0
+    copies = slice(k + extra.size, rows.size)
+    vr[rows[extra[0]], copies] = 1.0
+    vr[rows[rep[extra[0]]], copies] = -1.0
+
+
+def _dgeev(a):
+    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``, the
+    ``(lo, hi)`` range of columns of each closed diagonal block solved on
+    its own, and the columns and rows lumped.
+
+    Each closed block of :func:`_diagonal_blocks` gets its own dgeev, and its
+    eigenvectors padded with zeros are eigenvectors of ``a``.  Such a block
+    costs its dgeev and a Schur form, about ``2 c^3``, apart, and
+    ``(r + c)^3 - r^3`` in the rest's dgeev, so it stays with the rest when
+    that is cheaper.  The other indices, the rest, have their repeated
+    columns and then their repeated rows lumped (see :func:`_lump`), one
+    dgeev solves the core, and its eigenvectors are lifted to the rest's
+    (see :func:`_lift`); each closed block that the rest links into gives
+    them their rows there (see :func:`_sylvester`).  The rest is lumped
+    only when one of its diagonal blocks holds an eighth of it or more:
+    dgeev's QR work is cubic in those blocks, and on a rest of smaller
+    ones, nearly triangular, lumping's passes over the rest cost more than
+    the smaller dgeev saves.  With no block apart and nothing lumped, dgeev
+    sees ``a`` itself.  Otherwise no QR work runs on all of ``a``: the
+    rest's matrix, or its core, is gathered into the storage of the packed
+    eigenvectors and solved there, so the split holds no n x n buffer
+    beyond the one dgeev of ``a`` would.  The rest's columns come first,
+    and with a block apart each of them is scaled by its largest entry (a
+    conjugate pair's two by one factor).
     """
     n = a.shape[0]
-    lo, hi, linked = _closed_blocks(a)
+    lo, hi, closed, linked = _diagonal_blocks(a)
     size = hi - lo
-    r = n - size.sum()
-    apart = (size < n) & (~linked | (2 * size**3 <= (r + size) ** 3 - r**3))
-    if not apart.any():
-        return (*_geev(a, overwrite_a), [])
+    r = n - size[closed].sum()
+    apart = closed & (size < n) & (~linked | (2 * size**3 <= (r + size) ** 3 - r**3))
     keep = np.ones(n, dtype=bool)
     for l, h in zip(lo[apart], hi[apart]):
         keep[l:h] = False
     rest = np.flatnonzero(keep)
     m = rest.size
-    reuse = bool(overwrite_a) and a.flags.f_contiguous
-    classes = []
-    for l, h, link in zip(lo[apart], hi[apart], linked[apart]):
-        block = a[l:h, l:h].copy(order="F") if reuse else a[l:h, l:h]
-        classes.append((l, h, block, a[l:h][:, rest] if link else None))
-    buf = a.reshape(-1, order="F") if reuse else np.empty(n * n)
-    b = buf[: m * m].reshape(m, m, order="F")
-    # each block of columns is gathered before it is written, and the later
-    # ones lie beyond it in a's storage
-    step = max(1, m // 16)
-    for j in range(0, m, step):
-        b[:, j:j + step] = a[np.ix_(rest, rest[j:j + step])]
-    wr, wi, v = _geev(b, overwrite_a=1) if m else (np.empty(0), np.empty(0), None)
-    del b
+    classes = [
+        (l, h, a[l:h, l:h], a[l:h][:, rest] if link else None)
+        for l, h, link in zip(lo[apart], hi[apart], linked[apart])
+    ]
+    cubic = 8 * size[~apart].max(initial=0) >= m  # worth lumping
+    rep = _repeats(a, rest, rest) if cubic else np.arange(m)
+    lumped = m - int(np.count_nonzero(rep == np.arange(m)))
+    if not (classes or lumped):
+        return (*_geev(a), [], 0, 0)
+    buf = np.empty(n * n)
+    if lumped:
+        core, lumping = _lump(a, rest, rep, buf)
+    else:
+        core = buf[: m * m].reshape(m, m, order="F")
+        _gather(core, a, rest, rest)
+    wr, wi, v = _geev(core, overwrite_a=1) if m else (np.empty(0), np.empty(0), None)
+    del core
+    k = wr.size
     vr = buf.reshape(n, n, order="F")
     vr.fill(0.0)
-    if m:
+    if lumped:
+        _lift(vr, rest, lumping, wr, wi, v)
+        wr, wi = (np.concatenate([w, np.zeros(m - k)]) for w in (wr, wi))
+    elif m:
         vr[rest, :m] = v
     del v
     first = wi > 0
@@ -399,17 +523,18 @@ def _dgeev(a, overwrite_a: int = 0):
     for l, h, block, link in classes:
         if link is not None:
             _sylvester(vr, rest, l, h, block, link, wr, wi, first)
-        w, wim, vc = _geev(block, overwrite_a=int(reuse))
+        w, wim, vc = _geev(block)
         col = parts[-1][1] if parts else m
         vr[l:h, col:col + h - l] = vc
         wrs.append(w)
         wis.append(wim)
         parts.append((col, col + h - l))
-    f = np.flatnonzero(first)
-    top = np.abs(vr[:, :m]).max(axis=0)
-    top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
-    vr[:, :m] /= top
-    return np.concatenate(wrs), np.concatenate(wis), vr, parts
+    if classes:
+        f = np.flatnonzero(first)
+        top = np.abs(vr[:, :m]).max(axis=0)
+        top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
+        vr[:, :m] /= top
+    return np.concatenate(wrs), np.concatenate(wis), vr, parts, lumped, m - k - lumped
 
 
 def _gemm_operand(matrix):
@@ -433,158 +558,32 @@ def _blocks(first, step: int):
         lo = hi
 
 
-def _relative_residuals(a, trans: int, vr, wr, wi, first) -> np.ndarray:
-    """``||M psi - lambda psi|| / ||psi||`` of packed columns, M given as
-    by :func:`_gemm_operand` (inf for a zero column)."""
-    rel = np.empty(wr.size)
-    for lo, hi in _blocks(first, _block_columns(vr.shape[0])):
-        s2, _, r2 = _certify_block(a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel[lo:hi] = np.where(s2 > 0, np.sqrt(r2 / s2), np.inf)
-    return rel
-
-
-def _lumped_dgeev(matrix, rep, bound: float):
-    """``(wr, wi, vr, parts)`` of :func:`_dgeev` for the n x n ``matrix``,
-    computed on its lumped matrix, or None when a lift has a residual
-    (relative to the vector's norm) above rounding level or above
-    ``bound``.  Column j of ``matrix`` equals column ``rep[j] <= j`` bit for
-    bit.
-
-    With C the g distinct columns (each group's first, in matrix order) and
-    R the sum of the rows of each group, ``M = R C`` is g x g and
-    ``eig(S) = eig(M) + {0}^(n-g)``.  M sits at the end of the storage of
-    the n x n vectors, and :func:`_dgeev` overwrites it (and may return
-    its eigenvectors there), so no other n x n buffer is made.  An
-    eigenvector s of M lifts to
-    ``psi = C s``: on the row of a node alone in its group that is
-    ``lambda s`` (in the packed form of :func:`_certify_block`), and the
-    other rows take one GEMM.  A lift much shorter than s has lost digits
-    (s lies near the null space of C, whose columns are then dependent):
-    its residual is checked against that of ``E s``, s on the
-    representatives, which ``S E s = C s`` makes small, and the smaller
-    one is kept if it is at rounding level; if neither is, the lift less
-    its mean over each group, which S maps to 0, is kept if that is.  A
-    kept lift whose entries are too small for their fourth powers is scaled
-    up.  The other members j of each group get ``e_j - e_rep(j)`` with the
-    eigenvalue 0.0, in the last n - g columns.
-    """
-    n = matrix.shape[0]
-    reps = np.flatnonzero(rep == np.arange(n))
-    extra = np.flatnonzero(rep != np.arange(n))
-    g = reps.size
-    group = np.searchsorted(reps, rep)  # the group of every node
-    alone = np.bincount(group, minlength=g)[group] == 1
-    rows, singles = np.flatnonzero(~alone), np.flatnonzero(alone)
-    # M in Fortran order at the end of the storage that later holds vr
-    storage = np.empty(n * n)
-    m = storage[n * n - g * g:].reshape(g, g, order="F")
-    step = max(1, g // 16)  # columns per pass, so that the gathered blocks stay small
-    for lo in range(0, g, step):
-        m[:, lo:lo + step] = matrix[np.ix_(reps, reps[lo:lo + step])]
-    np.add.at(m, group[extra], matrix[np.ix_(extra, reps)])  # plus the other members' rows
-    lost = 16 * np.finfo(float).eps * np.linalg.norm(m, "fro")
-    wr, wi, s, parts = _dgeev(m, overwrite_a=1)
-    del m
-    first = wi > 0
-    f = np.flatnonzero(first)
-    cs = blas.dgemm(1.0, matrix[np.ix_(rows, reps)], s)  # the rows of C s on grouped nodes
-    # squared norms of s and of its lift, a pair's two columns taken together
-    s2 = np.einsum("ij,ij->j", s, s)
-    sg = s[np.unique(group[rows])]
-    lift2 = (wr * wr + wi * wi) * (s2 - np.einsum("ij,ij->j", sg, sg))
-    lift2 += np.einsum("ij,ij->j", cs, cs)
-    del sg
-    for arr in (s2, lift2):
-        arr[f] = arr[f + 1] = arr[f] + arr[f + 1]
-    # the lift's residual is about lost * |s| / |psi|
-    weak = np.flatnonzero(lift2 * bound * bound < lost * lost * s2)
-    on_reps = s[:, weak]
-    for lo in range(0, f.size, step):
-        p = f[lo:lo + step]
-        u, v = s[:, p], s[:, p + 1]
-        s[:, p] *= wr[p]
-        s[:, p] += wi[p + 1] * v
-        s[:, p + 1] *= wr[p + 1]
-        s[:, p + 1] += wi[p] * u
-    real = np.flatnonzero(wi == 0)
-    vr = storage.reshape(n, n, order="F")
-    for lo in range(0, g, step):
-        hi = min(g, lo + step)
-        r = real[(real >= lo) & (real < hi)]
-        s[:, r] *= wr[r]
-        # s may be M's storage, which columns lo:hi of vr end before the
-        # column hi of s starts: gathered before they are written
-        lifted = s[group[singles], lo:hi]
-        vr[:, lo:hi] = 0.0
-        vr[singles, lo:hi] = lifted
-    del s, lifted
-    vr[:, g:] = 0.0
-    vr[rows, :g] = cs
-    del cs
-    if weak.size:
-        a, trans = _gemm_operand(matrix)
-        lam = (wr[weak], wi[weak], first[weak])
-        lifted = _relative_residuals(a, trans, vr[:, weak], *lam)
-        e_s = np.zeros((n, weak.size), order="F")
-        e_s[reps] = on_reps
-        spread = _relative_residuals(a, trans, e_s, *lam)
-        miss = np.minimum(lifted, spread) > min(lost, bound)
-        use = (spread < lifted) & ~miss
-        vr[:, weak[use]] = e_s[:, use]
-        if miss.any():
-            # the group sums of a lift are M s = lambda s plus dgeev's
-            # residual; less its mean over each group, S maps it to 0
-            miss = weak[miss]
-            centred = vr[:, miss]
-            sums = np.zeros((g, miss.size))
-            np.add.at(sums, group, centred)
-            centred -= (sums / np.bincount(group)[:, None])[group]
-            lam = (wr[miss], wi[miss], first[miss])
-            if np.any(_relative_residuals(a, trans, centred, *lam) > min(lost, bound)):
-                return None  # not at rounding level: let dgeev resolve S whole
-            vr[:, miss] = centred
-        # a lift so short that the fourth powers of its entries underflow
-        # would have no PAR: scale it up, a pair's two columns by one factor
-        top = np.abs(vr[:, weak]).max(axis=0)
-        f = np.flatnonzero(first[weak])
-        top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
-        short = top < np.finfo(float).tiny ** 0.25
-        vr[:, weak[short]] /= top[short]
-    cols = np.arange(g, n)
-    vr[extra, cols] = 1.0
-    vr[rep[extra], cols] = -1.0
-    zeros = np.zeros(n - g)
-    return np.concatenate([wr, zeros]), np.concatenate([wi, zeros]), vr, parts
-
-
 def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     """Full eigendecomposition of a dense real nonsymmetric matrix.
 
     Any method is acceptable as long as every pair satisfies
     ``||M psi - lambda psi||_2 <= tol * ||M||_F``; this calls LAPACK
     ``dgeev`` (balanced Hessenberg/QR, the routine behind
-    ``scipy.linalg.eig``) and keeps its packed real eigenvectors.  Columns
-    that are bitwise identical (such as the uniform columns of dangling
-    nodes) are lumped first, so dgeev sees one column per group (see
-    :func:`_lumped_dgeev`); each column j lumped into an earlier one gets
-    the exact null vector ``e_j - e_rep(j)`` with eigenvalue 0.0, and
-    ``lumped`` counts them.  When every column is distinct, or some lift
-    misses rounding level (a defective cluster near 0 that lumping cannot
-    resolve), the whole matrix is solved, and ``lumped`` is 0.  The matrix
-    solved, lumped or whole, has its closed diagonal blocks split off
-    first (see :func:`_dgeev`): each closed class that is cheaper apart
-    gets its own dgeev, the other indices one more, and ``apart`` counts
-    those classes.  With no column lumped and no class apart, dgeev sees
-    the whole matrix and the eigenvalues and eigenvectors are bitwise those
-    of ``scipy.linalg.eig``.  The contract is then checked in real
+    ``scipy.linalg.eig``) and keeps its packed real eigenvectors.  The
+    closed diagonal blocks are split off first (see :func:`_dgeev`): each
+    closed class that is cheaper apart gets its own dgeev, and ``apart``
+    counts those classes.  The other indices, the rest, then have their
+    bitwise identical columns (such as the uniform columns of dangling
+    nodes) and after those their identical rows lumped (see :func:`_lump`),
+    so one more dgeev sees only the core; each column j lumped into an
+    earlier one gets the exact null vector ``e_j - e_rep(j)`` with
+    eigenvalue 0.0, each row lumped a copy of one of those, and ``lumped``
+    and ``lumped_rows`` count them.  With no column lumped and no class
+    apart, dgeev sees the whole matrix and the eigenvalues and
+    eigenvectors are bitwise those of ``scipy.linalg.eig``.  The contract
+    is then checked in real
     arithmetic, column block by column block (see :func:`_certify_block`),
     and each eigenvector's participation ratio is taken in the same pass;
     the eigenvectors of a class solved apart are zero outside a few rows,
     so their residual GEMM runs over those columns of the matrix only.
     The traced peak is about 18 bytes per matrix entry beyond the input:
-    the packed eigenvectors with dgeev's copy of the matrix (or the lumped
-    matrix's eigenvectors), then with one residual block.
+    the packed eigenvectors with dgeev's copy of the matrix (or the core's
+    eigenvectors), then with one residual block.
 
     With ``damping = (alpha, closed, rank)``, ``matrix`` holds a
     column-stochastic S whose eigenvalue 1 has multiplicity ``closed``, and
@@ -602,12 +601,7 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         raise ValueError("matrix must be at least 1x1")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    rep = _column_groups(matrix)
-    lumped = n - int(np.count_nonzero(rep == np.arange(n)))
-    lifted = _lumped_dgeev(matrix, rep, tol * np.linalg.norm(matrix, "fro")) if lumped else None
-    if lifted is None:
-        lumped = 0
-    wr, wi, vr, parts = lifted or _dgeev(matrix)
+    wr, wi, vr, parts, lumped, lumped_rows = _dgeev(matrix)
     first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
     # the rows outside which each column is zero: a class solved apart has
     # its own, the other columns all of them
@@ -622,8 +616,8 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     a, trans = _gemm_operand(matrix)
     s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
     step = _block_columns(n)
-    if lumped:  # residual blocks that fit where the lumped matrix's eigenvectors were
-        step = min(step, max(2, (n - lumped) ** 2 // n))
+    if lumped:  # residual blocks that fit where the core's eigenvectors were
+        step = min(step, max(2, (n - lumped - lumped_rows) ** 2 // n))
     cuts = np.flatnonzero(np.diff(top) | np.diff(bottom)) + 1
     for lo, hi in _blocks(first, step):
         edges = [lo, *cuts[(cuts > lo) & (cuts < hi)], hi]
@@ -657,6 +651,7 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         order=order,
         pair_first=first,
         lumped=lumped,
+        lumped_rows=lumped_rows,
         apart=len(parts),
         fro=float(fro),
     )
@@ -792,10 +787,25 @@ class DegeneracyCluster:
 @dataclass(frozen=True)
 class DegeneracyReport:
     """Eigenvalue clusters at the given linkage tolerance, sorted by
-    decreasing multiplicity then decreasing ``|representative|``."""
+    decreasing multiplicity then decreasing ``|representative|``.
 
-    clusters: list[DegeneracyCluster]
+    Held as arrays in that order: each cluster's representative and
+    multiplicity, and ``members``, every cluster's members one cluster after
+    another.  :attr:`clusters` builds one :class:`DegeneracyCluster` per
+    cluster on first read."""
+
+    representatives: np.ndarray
+    multiplicities: np.ndarray
+    members: np.ndarray
     tolerance: float
+
+    @cached_property
+    def clusters(self) -> list[DegeneracyCluster]:
+        groups = np.split(self.members, np.cumsum(self.multiplicities)[:-1])
+        return [
+            DegeneracyCluster(representative=complex(rep), multiplicity=int(size), members=members)
+            for rep, size, members in zip(self.representatives, self.multiplicities, groups)
+        ]
 
 
 # Candidate pairs tested at once by the clustering sweep: a few tens of MB
@@ -882,21 +892,21 @@ def degeneracy_clusters(spec: Spectrum, tol: float = DEGENERACY_TOL) -> Degenera
     # each root is the smallest member of its component, so the labels
     # number the components by smallest member, as connected_components does
     roots, labels = np.unique(root, return_inverse=True)
-    n_comp = roots.size
-    # members by one stable sort of the labels; splitting at every group end
-    # leaves one empty tail, also when there are no eigenvalues at all
-    ends = np.cumsum(np.bincount(labels, minlength=n_comp))
-    groups = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
-    clusters = [
-        DegeneracyCluster(
-            representative=complex(lam[members].mean()),
-            multiplicity=members.size,
-            members=members,
-        )
-        for members in groups
-    ]
-    clusters.sort(key=lambda c: (-c.multiplicity, -abs(c.representative)))
-    return DegeneracyReport(clusters=clusters, tolerance=tol)
+    sizes = np.bincount(labels, minlength=roots.size)
+    members = np.argsort(labels, kind="stable")  # by component, ascending within one
+    starts = np.cumsum(sizes) - sizes
+    # a single member's mean is itself (+ 0.0, as the sum starts from 0.0)
+    reps = lam[roots] + 0.0
+    for c in np.flatnonzero(sizes > 1):
+        reps[c] = lam[members[starts[c]:starts[c] + sizes[c]]].mean()
+    # stable, as the sort of the list was; hypot is Python's abs(complex)
+    order = np.lexsort((-np.hypot(reps.real, reps.imag), -sizes))
+    moved = np.empty_like(starts)
+    moved[order] = np.cumsum(sizes[order]) - sizes[order]  # each component's new start
+    comp = labels[members]
+    out = np.empty_like(members)
+    out[moved[comp] + np.arange(n) - starts[comp]] = members
+    return DegeneracyReport(reps[order], sizes[order], out, tol)
 
 
 def eigenvector_pars(
@@ -1019,6 +1029,6 @@ def dos_to_csv(hist: DosHistogram, target) -> None:
 def degeneracy_to_csv(report: DegeneracyReport, target) -> None:
     """``re,im,multiplicity`` per cluster in the report's order."""
     head = f"# tolerance={report.tolerance:.17g}\nre,im,multiplicity\n"
-    reps = np.array([c.representative for c in report.clusters], dtype=np.complex128)
-    columns = (reps.real, reps.imag, [c.multiplicity for c in report.clusters])
+    reps = report.representatives
+    columns = (reps.real, reps.imag, report.multiplicities)
     _write_table(target, head, "%.17g,%.17g,%d\n", columns)

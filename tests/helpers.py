@@ -125,6 +125,78 @@ def repeated_columns(graph):
     return graph.n_nodes - len({frozenset(t) for t in targets})
 
 
+def _targets(graph):
+    """Each node's out-neighbours, every node for a dangling one."""
+    targets = [set() for _ in range(graph.n_nodes)]
+    for u, v in graph.edges.tolist():
+        targets[u].add(v)
+    return [t or set(range(graph.n_nodes)) for t in targets]
+
+
+def rest_nodes(graph):
+    """The nodes outside the closed classes that go apart: a closed class
+    of c nodes goes apart when no other node links into it, or when
+    ``2 c^3 <= (r + c)^3 - r^3`` for the r nodes outside every closed
+    class (and it is not all of the graph)."""
+    n = graph.n_nodes
+    classes = closed_classes(graph)
+    r = n - sum(len(c) for c in classes)
+    targets = _targets(graph)
+    rest = set(range(n))
+    for c in classes:
+        linked = any(targets[u] & c for u in range(n) if u not in c)
+        if len(c) < n and (not linked or 2 * len(c) ** 3 <= (r + len(c)) ** 3 - r**3):
+            rest -= c
+    return rest
+
+
+def _rest_keys(graph):
+    """The rest (see :func:`rest_nodes`) and, for each of its nodes, its
+    column of S there as its out-neighbours in the rest and its out-degree
+    (a dangling node links to all N nodes); None for a column that is zero
+    on the rest (for graphs without parallel edges)."""
+    rest = rest_nodes(graph)
+    keys = {u: (frozenset(t & rest), len(t)) for u, t in enumerate(_targets(graph)) if u in rest}
+    return rest, {u: k if k[0] else None for u, k in keys.items()}
+
+
+def rest_repeated_columns(graph):
+    """Columns of S that repeat another one on the rest, from the edge list
+    alone; columns that are zero there are not lumped."""
+    _, keys = _rest_keys(graph)
+    keys = [k for k in keys.values() if k is not None]
+    return len(keys) - len(set(keys))
+
+
+def lumped_columns(graph):
+    """The columns the solver lumps: the rest's repeated columns when one
+    of the rest's strongly connected components holds at least an eighth
+    of it, else none."""
+    rest = rest_nodes(graph)
+    largest = max((len(c) for c in strong_components(graph) if c <= rest), default=0)
+    return rest_repeated_columns(graph) if 8 * largest >= len(rest) else 0
+
+
+def repeated_rows_at_least(graph):
+    """A lower bound on the rows of the rest that are lumped, from the edge
+    list alone.  Once the dangling nodes' columns are lumped, a node of the
+    rest that is not dangling, whose column repeats no other one there, and
+    that only dangling nodes link to has the row ``1/N`` on the dangling
+    nodes' one column, so all but one of those nodes repeat that row."""
+    rest, keys = _rest_keys(graph)
+    out = [set() for _ in range(graph.n_nodes)]
+    for u, v in graph.edges.tolist():
+        out[u].add(v)
+    dangling = {u for u in rest if not out[u]}
+    linked = set().union(*out)
+    count = {}
+    for k in keys.values():
+        count[k] = count.get(k, 0) + 1
+    pages = [u for u, k in keys.items()
+             if out[u] and u not in linked and (k is None or count[k] == 1)]
+    return max(0, len(pages) - 1) if len(dangling) > 1 else 0
+
+
 def closed_class_count(graph):
     """Number of strongly connected classes with no link leaving them, where
     a dangling node links to every node (its column of S is uniform)."""
@@ -238,3 +310,28 @@ def alpha_scaling_check(spec_at_one, spec_at_alpha, alpha, tol=1e-8):
             f"worst eigenvalue pairing error {worst:.3e} exceeds tol {tol:.1e}"
         )
     return worst
+
+
+def degeneracy_clusters_reference(spec, tol):
+    """The clusters of ``spectra.degeneracy_clusters`` built one
+    ``DegeneracyCluster`` at a time, each with its own mean, then sorted
+    as a list: the implementation the array-held report replaced."""
+    from netspectra.spectra import DegeneracyCluster, _near_pairs, _union
+
+    lam = spec.eigenvalues
+    root = np.arange(lam.size, dtype=np.int32)
+    for a, b in _near_pairs(lam, tol):
+        _union(root, a, b)
+    roots, labels = np.unique(root, return_inverse=True)
+    ends = np.cumsum(np.bincount(labels, minlength=roots.size))
+    groups = np.split(np.argsort(labels, kind="stable"), ends)[:-1]
+    clusters = [
+        DegeneracyCluster(
+            representative=complex(lam[members].mean()),
+            multiplicity=members.size,
+            members=members,
+        )
+        for members in groups
+    ]
+    clusters.sort(key=lambda c: (-c.multiplicity, -abs(c.representative)))
+    return clusters

@@ -79,9 +79,35 @@ def test_summarize_records_the_control_next_to_each_metric():
         assert {k: v for k, v in out["metrics"][name].items()
                 if not k.startswith("control")} == metric
         assert "control" not in metric
+    # per-pair ratios: change 0.5, 0.5, 1.18, 0.78 and control 1.1, 0.83, 1.27, 0.89
+    assert t["pair_ratio"]["runs"] == pytest.approx([0.5, 0.5, 1.3 / 1.1, 0.7 / 0.9])
+    assert t["pair_ratio"]["median"] == pytest.approx((0.5 + 0.7 / 0.9) / 2)
+    assert t["control_pair_ratio"]["runs"] == pytest.approx([1.1, 1.0 / 1.2, 1.4 / 1.1, 0.8 / 0.9])
+    assert t["control_pair_ratio"]["median"] == pytest.approx((0.8 / 0.9 + 1.1) / 2)
+    assert t["control_iqr_clear"] is False  # the change's q3 is above the control's q1
+    assert out["metrics"]["rate"]["control_iqr_clear"] is False
     assert out["correct"] == {"parent": True, "change": True, "control": False}
     assert out["failed"] == {"parent": 0, "change": 0, "control": 0}
     assert without["correct"] == {"parent": True, "change": True}
+
+
+def test_pair_ratios_resolve_a_gain_beyond_the_control():
+    # the change is 0.8 of its own pair's parent, the control within 5 %
+    runs = [(1.0, 0.8, 1.02), (1.4, 1.12, 1.35), (0.9, 0.72, 0.92), (1.2, 0.96, 1.18)]
+    pairs = [pair(side(p, 10.0 / p), side(c, 10.0 / c)) | {"control": side(k, 10.0 / k)}
+             for p, c, k in runs]
+    out = bench_record.summarize(pairs, DECLARED)
+    t, r = out["metrics"]["spectrum_s"], out["metrics"]["rate"]
+    assert t["pair_ratio"]["runs"] == pytest.approx([0.8] * 4)
+    assert t["pair_ratio"]["iqr"] == pytest.approx(0.0, abs=1e-12)
+    assert t["control_iqr_clear"] is True
+    assert r["pair_ratio"]["median"] == pytest.approx(1.25)  # higher is better
+    assert r["control_iqr_clear"] is True
+    # the medians alone overlap: the parent's runs spread wider than the gain
+    assert t["gap_exceeds_parent_iqr"] is False
+    # a zero parent value has no ratio
+    zero = [pair(side(0.0, 1.0), side(1.0, 1.0)) | {"control": side(1.0, 1.0)}]
+    assert bench_record.summarize(zero, DECLARED)["metrics"]["spectrum_s"]["pair_ratio"] is None
 
 
 def test_within_bound_follows_the_direction_of_each_metric():

@@ -562,7 +562,8 @@ SWEEP_KEYS = {"converged", "iterations", "residual"}
 MANIFEST_CASES = {
     "spectrum": (
         ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES,
-        {"scc_blocks", "closed_classes", "repeated_columns", "classes_apart", "max_residual_rel"},
+        {"scc_blocks", "closed_classes", "repeated_columns", "repeated_rows", "classes_apart",
+         "max_residual_rel"},
     ),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
@@ -587,8 +588,8 @@ MANIFEST_CASES = {
     "truncate-spectrum": (
         ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
         ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"],
-        {"hausdorff", "scc_blocks", "closed_classes", "repeated_columns", "classes_apart",
-         "max_residual_rel", "rank"},
+        {"hausdorff", "scc_blocks", "closed_classes", "repeated_columns", "repeated_rows",
+         "classes_apart", "max_residual_rel", "rank"},
     ),
     "generate ab": (
         ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
@@ -625,8 +626,8 @@ def test_manifest_contract(command, tmp_path, capsys):
     # the 12-node circulant is one closed component, and so is each truncation
     one = {"spectrum": 1, "truncate-spectrum": {"full": 1, "12": 1, "6": 1}}.get(command)
     assert manifest.get("scc_blocks") == manifest.get("closed_classes") == one
-    if command == "spectrum":  # the circulant's columns are all distinct
-        assert manifest["repeated_columns"] == 0
+    if command == "spectrum":  # the circulant's columns and rows are all distinct
+        assert manifest["repeated_columns"] == manifest["repeated_rows"] == 0
     # one closed component is the whole matrix, so no class is solved apart
     zero = {"spectrum": 0, "truncate-spectrum": {"full": 0, "12": 0, "6": 0}}.get(command)
     assert manifest.get("classes_apart") == zero
@@ -761,30 +762,35 @@ def test_manifest_records_repeated_columns(tmp_path):
     from netspectra.netcore import load_edge_list
     from netspectra.spectra import truncated_spectrum_compare
 
-    from helpers import repeated_columns
+    from helpers import lumped_columns, repeated_columns, repeated_rows_at_least
 
-    # 2, 3 and 4 link to 0 alone, 5 and 6 to {1, 2}; 7 and 8 are dangling
+    # 2, 3 and 4 link to 0 alone, 5 and 6 to {1, 2}; 7 and 8 are dangling.
+    # The closed cycle {0, 1, 2} is solved apart, so on the rest 3 to 6
+    # have zero columns, which are not lumped, and only 8 repeats 7; the
+    # rows of 3, 4, 5, 6 and 9, which only 7 and 8 link to, repeat
     path = tmp_path / "repeated.edges"
     edges = [(0, 1), (1, 2), (2, 0), (3, 0), (4, 0), (5, 1), (5, 2), (6, 1), (6, 2), (9, 7)]
     path.write_text("# nodes=10\n" + "".join(f"{a} {b}\n" for a, b in edges))
     graph = load_edge_list(str(path))
     assert repeated_columns(graph) == 4
+    assert lumped_columns(graph) == 1 and repeated_rows_at_least(graph) == 4
     for alpha in ("1", "0.85"):
         out = tmp_path / f"spectrum{alpha}"
         assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
-        assert json.loads((out / "manifest.json").read_text())["repeated_columns"] == 4
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["repeated_columns"] == 1 and manifest["repeated_rows"] >= 4
         out = tmp_path / f"truncate{alpha}"
         # at alpha 1 power iteration oscillates on the closed cycles: the
         # outputs are written, and the unconverged rank vector exits 3
         assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
                      "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
-        expected = {"full": 4}
+        expected = {"full": 1}
         for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
             inside = np.isin(graph.edges, res.kept).all(axis=1)
             sub = dataclasses.replace(
                 graph, n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside])
             )
-            expected[str(res.m)] = repeated_columns(sub)
+            expected[str(res.m)] = lumped_columns(sub)
         assert json.loads((out / "manifest.json").read_text())["repeated_columns"] == expected
 
 
@@ -938,3 +944,52 @@ class TestUsage:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert "netspectra" in capsys.readouterr().out
+
+
+COMMANDS = ["spectrum", "pagerank", "fidelity", "par-curve", "degree-dist", "randomize",
+            "generate", "truncate-spectrum"]
+PARSE_CASES = [
+    [], ["--help"], ["--version"], ["nope"], ["-x"],
+    *([c, *rest] for c in COMMANDS for rest in ([], ["--help"], ["g", "--bogus"], ["g", "--tol", "nan"])),
+    *(["generate", m, *rest] for m in ("ab", "color", "al") for rest in ([], ["--help"], ["--n", "x"])),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+def test_parser_text_equals_the_fully_built_parser(argv, capsys):
+    # main adds arguments only to the command it parses; help, usage and
+    # error text must be byte for byte those of the parser with them all
+    def full(argv):
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        return None
+
+    expected_code = full(argv)
+    expected = capsys.readouterr()
+    assert expected_code is not None and (expected.out or expected.err)
+    assert main(argv) == expected_code
+    assert capsys.readouterr() == expected
+
+
+def test_main_builds_a_parser_per_call_with_only_its_command(monkeypatch, tmp_path):
+    from netspectra import cli
+
+    built = []
+    build = cli.build_parser
+
+    def recorded(command=None):
+        built.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "build_parser", recorded)
+    path = tmp_path / "g.edges"
+    path.write_text("0 1\n1 0\n")
+    for _ in range(2):
+        assert main(["degree-dist", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+    assert main(["--version"]) == 0
+    assert built == ["degree-dist", "degree-dist", ""]
+    spectrum = build("spectrum")._subparsers._group_actions[0].choices
+    assert [a.dest for a in spectrum["pagerank"]._actions] == ["help"]
+    assert "alpha" in [a.dest for a in spectrum["spectrum"]._actions]

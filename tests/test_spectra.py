@@ -18,8 +18,9 @@ from netspectra.gmatrix import GoogleMatrix, scc_order
 from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power, participation_ratio
 from netspectra.spectra import (
+    DEGENERACY_TOL,
     EIG_TOL,
-    _closed_blocks,
+    _diagonal_blocks,
     ZERO_MODE_CUTOFF,
     EigensolverError,
     cloud_hausdorff,
@@ -45,10 +46,13 @@ from helpers import (
     closed_classes,
     communities,
     complete_graph,
+    degeneracy_clusters_reference,
     directed_cycle,
     leaky_pairs,
+    lumped_columns,
     random_small_graph,
-    repeated_columns,
+    repeated_rows_at_least,
+    rest_repeated_columns,
     ring_plus_random,
     sparse_random,
     spectrum_from_eigenvalues,
@@ -349,6 +353,41 @@ class TestDegeneracyClusters:
         assert report.clusters[0].multiplicity == 4
         assert report.clusters[0].members.tolist() == [0, 1, 2, 3]
         assert len(report.clusters) == 4002
+
+    @staticmethod
+    def reference_cases():
+        rng = np.random.default_rng(3)
+        zero = rng.normal(0, 1e-12, 100) * (1 + 1j)
+        zero[::7] = 0.0
+        zero[3] = -0.0
+        chain = 0.5 + np.array([-0.12, 0.12, 1.11, 1.124]) * 1e-8
+        return {
+            "a 100-member zero cluster": np.concatenate(
+                [zero, rng.random(300) - 0.5 + 1j * (rng.random(300) - 0.5), [complex(-0.0, 0.25), 0.3, 0.3]]
+            ),
+            "4,002 clusters": np.concatenate([chain, 10.0 + np.arange(4001)]),
+            # moduli equal but for rounding, where numpy's abs and Python's differ
+            "the unit circle": np.exp(2j * np.pi * rng.random(2000)),
+            "a damped spectrum": spectrum_of(sparse_random(200, seed=6), 0.85).eigenvalues,
+        }
+
+    @pytest.mark.parametrize("name", list(reference_cases()))
+    def test_equals_one_cluster_at_a_time(self, name):
+        spec = spectrum_from_eigenvalues(self.reference_cases()[name])
+        report = degeneracy_clusters(spec)
+        reference = degeneracy_clusters_reference(spec, DEGENERACY_TOL)
+        assert len(report.clusters) == len(reference)
+        for c, r in zip(report.clusters, reference):
+            assert np.array([c.representative]).tobytes() == np.array([r.representative]).tobytes()
+            assert c.multiplicity == r.multiplicity and type(c.multiplicity) is int
+            assert c.members.tobytes() == r.members.tobytes() and c.members.dtype == r.members.dtype
+        buf = io.StringIO()
+        degeneracy_to_csv(report, buf)
+        reps = np.array([r.representative for r in reference], dtype=np.complex128)
+        expected = "".join(
+            f"{x.real:.17g},{x.imag:.17g},{r.multiplicity}\n" for x, r in zip(reps, reference)
+        )
+        assert buf.getvalue() == f"# tolerance={DEGENERACY_TOL:.17g}\nre,im,multiplicity\n" + expected
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -910,7 +949,6 @@ class TestOperatorSpectrum:
     def lumped_cases():
         return {
             **{f"sparse {seed}": sparse_random(150, seed=seed) for seed in (1, 2, 3)},
-            "sparse without dangling nodes": multi_block_cases()["sparse without dangling nodes"],
             **{f"random small {seed}": random_small_graph(seed) for seed in (1, 4, 8)},
         }
 
@@ -920,8 +958,11 @@ class TestOperatorSpectrum:
         graph = self.lumped_cases()[name]
         g = GoogleMatrix.from_graph(graph, alpha)
         spec = operator_spectrum(g)
-        assert spec.lumped == repeated_columns(graph) > 0
-        assert np.sum(spec.eigenvalues == 0.0) >= spec.lumped
+        # every case repeats a column of the rest; "random small 4" repeats
+        # one of 19, too few to be lumped
+        assert rest_repeated_columns(graph) > 0
+        assert spec.lumped == lumped_columns(graph)
+        assert np.sum(spec.eigenvalues == 0.0) >= spec.lumped + spec.lumped_rows
         matrix = g.to_dense()
         # scipy's solve of the whole matrix spreads its defective cluster at
         # 0 to |lambda| of about 2e-3 on these graphs
@@ -932,18 +973,6 @@ class TestOperatorSpectrum:
         fro = np.linalg.norm(matrix, "fro")
         assert complex_residuals(matrix, spec).max() <= EIG_TOL * fro
         assert spec.residuals.max() <= EIG_TOL * fro
-
-    def test_unresolved_lift_decomposes_s_whole(self):
-        # this colour graph's lumped matrix has a defective cluster near 0
-        # whose lifts miss rounding level; S is one component, so dgeev sees
-        # all of S
-        graph, _ = generate_color(ColorParams(ab=AbParams(n_target=200, seed=13)))
-        g = GoogleMatrix.from_graph(graph, 1.0)
-        spec = operator_spectrum(g)
-        assert spec.lumped == 0 < repeated_columns(graph)
-        assert spec.blocks == 1 and spec.apart == 0
-        lam, _ = scipy_sorted(g.to_dense()[np.ix_(spec.rows, spec.rows)])
-        assert spec.eigenvalues.tobytes() == lam.tobytes()
 
     def test_short_lift_keeps_a_finite_par(self):
         # a lumped matrix's eigenvalue of about 1e-117 lifts to a vector
@@ -994,6 +1023,74 @@ class TestOperatorSpectrum:
             assert abs(res.spectrum.eigenvalues[0] - 1.0) <= 1e-9
 
 
+def dangling_fed_graph():
+    """Four closed communities of 16 nodes, 24 transient nodes linking
+    into them and into each other, 8 dangling nodes, and 20 nodes that link
+    into the communities and that only the dangling nodes link to: the
+    communities go apart, and the rest repeats the dangling nodes' columns
+    and those 20 nodes' rows."""
+    rng = np.random.default_rng(7)
+    comm = communities(64, 4, seed=3, p_cross=0.0)
+    transient = [(u, int(v)) for u in range(64, 88) for v in rng.choice(88, 3, replace=False) if v != u]
+    fed = [(u, int(v)) for u in range(96, 116) for v in rng.choice(88, 2 + u % 3, replace=False)]
+    edges = np.unique(np.concatenate([comm.edges, transient, fed]), axis=0)
+    return DirectedGraph(n_nodes=116, edges=edges)
+
+
+def two_sided_cases():
+    """Graphs whose S repeats rows as well as columns."""
+    color, _ = generate_color(ColorParams(ab=AbParams(n_target=200, seed=13)))
+    return {
+        "scale-free": sparse_random(300, seed=21, lo=1, hi=8, dangling_frac=0.15),
+        "one-component colour": color,
+        "closed classes and a fed rest": dangling_fed_graph(),
+    }
+
+
+class TestTwoSidedLumping:
+    """Repeated columns and then repeated rows of the rest lumped before
+    dgeev, checked against oracles that do not lump."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("alpha", [1.0, 0.85])
+    @pytest.mark.parametrize("name", list(two_sided_cases()))
+    def test_against_scipy_the_trace_and_the_edge_list(self, name, alpha):
+        graph = two_sided_cases()[name]
+        g = GoogleMatrix.from_graph(graph, alpha)
+        spec = operator_spectrum(g)
+        assert spec.lumped == lumped_columns(graph) > 0
+        assert spec.lumped_rows >= repeated_rows_at_least(graph) > 0
+        assert np.sum(spec.eigenvalues == 0.0) >= spec.lumped + spec.lumped_rows
+        matrix = g.to_dense()
+        far = [lam[np.abs(lam) > 0.05] for lam in (spec.eigenvalues, scipy.linalg.eig(matrix)[0])]
+        assert far[0].size == far[1].size
+        assert _greedy_pair_error(*far) <= 1e-8
+        assert abs(spec.eigenvalues.sum() - np.trace(matrix)) <= 1e-12 * g.n
+        fro = np.linalg.norm(matrix, "fro")
+        oracle = complex_residuals(matrix, spec)
+        assert oracle.max() <= EIG_TOL * fro
+        assert np.max(np.abs(spec.residuals - oracle)) <= 4 * np.finfo(float).eps * fro
+
+    @pytest.mark.parametrize("name", ["scale-free", "one-component colour"])
+    def test_repeats_have_exact_null_vectors(self, name):
+        # each repeated column j has e_j - e_rep(j); each repeated row, whose
+        # zero is defective, a copy of one of those (with no class apart, so
+        # that no class gives them rows)
+        graph = two_sided_cases()[name]
+        g = GoogleMatrix.from_graph(graph, 0.85)
+        spec = operator_spectrum(g)
+        matrix = g.to_dense()
+        vecs = spec.eigenvectors
+        pairs = np.flatnonzero(np.sum(vecs != 0, axis=0) == 2)
+        assert pairs.size >= spec.lumped + spec.lumped_rows
+        for i in pairs:
+            j, r = np.flatnonzero(vecs[:, i])
+            assert vecs[j, i] == -vecs[r, i] and np.array_equal(matrix[:, j], matrix[:, r])
+        assert np.all(spec.eigenvalues[pairs] == 0.0) and np.all(spec.pars[pairs] == 2.0)
+        assert np.all(spec.residuals[pairs] == 0.0)
+        assert len({vecs[:, i].tobytes() for i in pairs}) < pairs.size  # the copies
+
+
 def shared_eigenvalue_graph():
     """A transient 2-cycle {3, 4}, eigenvalues +-1/2, that links into the
     closed triangle {0, 1, 2}, eigenvalues 1, -1/2, -1/2: the rest shares
@@ -1015,8 +1112,8 @@ class TestClassesApart:
         graph = self.cases()[name]
         g = GoogleMatrix.from_graph(graph, 1.0)
         rows = scc_order(g.s)[0]
-        lo, hi, _ = _closed_blocks(g.permuted(rows).to_dense())
-        found = {frozenset(rows[l:h].tolist()) for l, h in zip(lo, hi)}
+        lo, hi, closed, _ = _diagonal_blocks(g.permuted(rows).to_dense())
+        found = {frozenset(rows[l:h].tolist()) for l, h in zip(lo[closed], hi[closed])}
         assert found == closed_classes(graph)
         assert operator_spectrum(g).apart <= len(found)
 

@@ -26,7 +26,10 @@ and tied, and whether the gap between the medians exceeds the parent's
 interquartile range; next to those, the control's runs, median and
 quartiles and the control ratio (control over parent), which shows how
 far the host drifted between two runs of the same code while the pairs
-were recorded (the bounds ignore it); whether every run was correct; and,
+were recorded (the bounds ignore it); the ratios change over parent and
+control over parent taken pair by pair, with their median and quartiles,
+and whether the change's interquartile range of those lies clear of the
+control's on the better side; whether every run was correct; and,
 per output
 column of each job (``<job id>/<file>:<column>`` for a CSV file with a
 header row, ``<job id>/<file>`` for any other non-JSON output), whether the
@@ -155,6 +158,12 @@ def side_stats(values: list[float]) -> dict:
     return {"runs": values, "median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def pair_ratios(side: list[float], parent: list[float]) -> dict | None:
+    """:func:`side_stats` of ``side / parent`` pair by pair (None when a
+    parent value is 0)."""
+    return side_stats([s / p for s, p in zip(side, parent)]) if all(parent) else None
+
+
 def summarize(pairs: list[dict], declared: dict) -> dict:
     """Per-metric statistics and per-column equality of one workload."""
     metrics = {}
@@ -166,12 +175,20 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
         losses = sum(sign * (c - p) > 0 for p, c in zip(par, chg))
         ps, cs = side_stats(par), side_stats(chg)
         ratio = cs["median"] / ps["median"] if ps["median"] else None
+        paired = pair_ratios(chg, par)
         control = {}
         if "control" in pairs[0]:
-            ctl = side_stats([p["control"]["result"]["metrics"][name]["value"] for p in pairs])
+            values = [p["control"]["result"]["metrics"][name]["value"] for p in pairs]
+            ctl, ctl_paired = side_stats(values), pair_ratios(values, par)
             control = {
                 "control": ctl,
                 "control_ratio": ctl["median"] / ps["median"] if ps["median"] else None,
+                "control_pair_ratio": ctl_paired,
+                # the change's ratios lie clear of the control's: its worse
+                # quartile beyond the control's better one
+                "control_iqr_clear": None if paired is None or ctl_paired is None else (
+                    paired["q3"] < ctl_paired["q1"] if sign > 0 else paired["q1"] > ctl_paired["q3"]
+                ),
             }
         metrics[name] = {
             "unit": spec["unit"],
@@ -187,6 +204,7 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             "losses": losses,
             "ties": len(pairs) - wins - losses,
             "gap_exceeds_parent_iqr": abs(cs["median"] - ps["median"]) > ps["iqr"],
+            "pair_ratio": paired,
         } | control
     equal: dict[str, bool] = {}
     moved: dict[str, float | None] = {}
