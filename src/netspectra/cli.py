@@ -217,7 +217,8 @@ def cmd_pagerank(args, graph) -> _Result:
 
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
     rank = ranking.pagerank(g, tol=args.tol, max_iter=args.max_iter)
-    # the certificate's L1 error bound; power iteration at alpha = 1 has none
+    # the certificate's L1 error bound; at alpha = 1 a residual bounds no
+    # distance to the limit
     error_bound = rank.residual / (1.0 - rank.alpha) if rank.alpha < 1.0 else None
     return _Result(
         {"pagerank.csv": partial(ranking.rank_to_csv, rank)},
@@ -382,9 +383,11 @@ class _Unbuilt:
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The command-line parser.  Every subcommand is registered with its
-    help line, but only ``command`` gets its arguments (every subcommand
-    when None), so parsing one command does not build the others."""
+    """The command-line parser, with every subcommand, or with ``command``
+    alone when it names one, so parsing one command builds no other.  The
+    top-level usage line names no subcommand, so only the top-level help
+    and the error for an unknown command list them, and those come from
+    the parser with every subcommand."""
     parser = _Parser(prog="netspectra", description=__doc__.split("\n\n")[0])
     parser.add_argument("--version", action="version", version=f"netspectra {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
@@ -392,7 +395,6 @@ def build_parser(command: str | None = None) -> _Parser:
     def add(name, help, *parents):
         if command is None or name == command:
             return sub.add_parser(name, help=help, parents=[make() for make in parents])
-        sub.add_parser(name, help=help)
         return _Unbuilt()
 
     analysis = (_ingest_parent, _outdir_parent)
@@ -405,9 +407,7 @@ def build_parser(command: str | None = None) -> _Parser:
     p.add_argument("--lambda-cutoff", type=_NONNEGATIVE, default=1e-8, help="zero-mode magnitude cutoff")
     p.set_defaults(func=cmd_spectrum)
 
-    p = add(
-        "pagerank", "certified rank vector: BiCGSTAB below alpha 1, power iteration at 1", *analysis
-    )
+    p = add("pagerank", "certified rank vector: BiCGSTAB below alpha 1, lazy steps at 1", *analysis)
     p.add_argument("--alpha", type=_UNIT, default=0.85)
     p.add_argument("--tol", type=_POSITIVE, default=1e-12)
     p.add_argument("--max-iter", type=int, default=10000)
@@ -461,7 +461,7 @@ def build_parser(command: str | None = None) -> _Parser:
     p.add_argument("--tol", type=_POSITIVE, default=1e-9)
     p.set_defaults(func=cmd_truncate_spectrum)
 
-    return parser
+    return parser if command is None or command in sub.choices else build_parser()
 
 
 def _classify_error(exc: Exception) -> int:
@@ -517,9 +517,9 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the first word that is no option names the command (the top level
-    # takes no option values); an unknown one fails as with every command
-    command = next((a for a in argv if not a.startswith("-")), "")
+    # a first word that is no option names the command; after an option
+    # (help or version) the top level answers, with every command
+    command = argv[0] if argv and not argv[0].startswith("-") else None
     try:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:

@@ -9,7 +9,6 @@ v to ``alpha*S v + (1-alpha)/N * sum(v) * ones``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -163,7 +162,8 @@ class GoogleMatrix:
 def _components(link) -> np.ndarray:
     """Strongly connected component of every node of the graph whose node j
     links to the rows of column j of the CSC matrix ``link``, by an
-    iterative Tarjan search."""
+    iterative Tarjan search: components are numbered as the search
+    completes them, so each after every component it links to."""
     indptr, indices = link.indptr.tolist(), link.indices.tolist()
     n = len(indptr) - 1
     index, low, label = [-1] * n, [0] * n, [-1] * n
@@ -200,49 +200,24 @@ def _components(link) -> np.ndarray:
     return np.array(label, dtype=np.int64)
 
 
-def scc_order(s: StochasticMatrix) -> tuple[np.ndarray, int, int]:
+def scc_order(s: StochasticMatrix) -> np.ndarray:
     """Node order that makes S block upper triangular, one diagonal block
-    per strongly connected component of the link graph, the number of
-    components, and the number of closed ones (no link leaving them).
+    per strongly connected component of the link graph.
 
-    A component comes after every component it links to, so the first one
-    is closed and the component holding every page that reaches a dangling
-    one (which links to every page) comes last; among the components free
-    to go next the one with the smallest node id goes first, and each lists
-    its nodes in ascending order, so a strongly connected graph keeps
-    ``np.arange(n)``.  Eigensolvers then deflate at every block boundary,
-    since the spectrum of S is the union of the spectra of its diagonal
-    blocks.  Each closed component adds one eigenvalue 1, so the closed
-    count is its multiplicity.
+    The components come in the order Tarjan's search completes them, with
+    roots and link targets visited in ascending id: a component is
+    completed after every component it links to, so the first one is
+    closed and the component holding every page that reaches a dangling
+    one (which links to every page) comes last.  Each lists its nodes in
+    ascending order, so a strongly connected graph keeps ``np.arange(n)``.
+    Eigensolvers then deflate at every block boundary, since the spectrum
+    of S is the union of the spectra of its diagonal blocks.
     """
     n = s.n
     link = s.matrix
     if s.n_dangling:  # a dangling node links to every node: through one hub node n
         link = sparse.bmat([[link, np.ones((n, 1))], [s.dangling[None, :], None]], format="csc")
-    label = _components(link)
-    n_comp = int(label.max()) + 1
-    # every link between two components, once
-    src = label[np.repeat(np.arange(link.shape[1]), np.diff(link.indptr))]
-    src, dst = np.divmod(np.unique(src * n_comp + label[link.indices]), n_comp)
-    between = src != dst
-    src, dst = src[between], dst[between]
-    pending = np.bincount(src, minlength=n_comp).tolist()  # targets not yet placed
-    sources = [[] for _ in range(n_comp)]
-    for a, b in zip(src.tolist(), dst.tolist()):
-        sources[b].append(a)
-    first = np.unique(label[:n], return_index=True)[1].tolist()  # smallest node of each
-    ready = [(first[c], c) for c in range(n_comp) if not pending[c]]
-    closed = len(ready)
-    heapq.heapify(ready)
-    position = np.empty(n_comp, dtype=np.int64)
-    for k in range(n_comp):
-        _, c = heapq.heappop(ready)
-        position[c] = k
-        for a in sources[c]:
-            pending[a] -= 1
-            if not pending[a]:
-                heapq.heappush(ready, (first[a], a))
-    return np.argsort(position[label[:n]], kind="stable"), n_comp, closed
+    return np.argsort(_components(link)[:n], kind="stable")
 
 
 def truncate_by_rank(

@@ -47,7 +47,7 @@ class RankVector:
     ``order`` lists node ids by decreasing score, ties broken toward the
     lower id.  ``iterations`` counts applications of the operator (0 for a
     direct solve).  ``residual`` is ``||Gx - x||_1`` of the returned vector
-    for :func:`pagerank` below alpha = 1, so ``residual / (1 - alpha)``
+    for :func:`pagerank`, so below alpha = 1 ``residual / (1 - alpha)``
     bounds its L1 distance to the exact rank vector; power iteration
     reports its last L1 step, an upper bound on that residual (0 for a
     direct solve).
@@ -117,14 +117,18 @@ def pagerank(
     then at most ``alpha * tol / (1 - alpha)``, the bound the power
     iteration's stop rule gives.  A vector that fails the check, or a
     breakdown of the recurrence, restarts the solve from the certified
-    iterate.  ``max_iter`` (at least 1) caps the operator applications.  At
-    alpha = 1 the system is singular and :func:`pagerank_power` runs instead.
+    iterate.  ``max_iter`` (at least 1) caps the operator applications.
+
+    At alpha = 1 the system is singular, and each sweep is one lazy step
+    ``x -> (x + Sx) / 2`` until ``||Sx - x||_1 <= tol``: ``(I + S) / 2`` has
+    the fixed points of S and its other eigenvalues inside the unit disk,
+    periodic closed classes too, so from the uniform vector it converges to
+    the alpha -> 1 limit of the rank vector (Boldi, Santini & Vigna, 2005),
+    to which a residual bounds no distance.
     """
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     _check_positive("tol", tol)
-    if g.alpha >= 1.0:
-        return pagerank_power(g, tol=tol, max_iter=max_iter)
     target = max(g.alpha * tol, _RESIDUAL_FLOOR)
     x = np.full(g.n, 1.0 / g.n)
     matvecs = 0
@@ -137,6 +141,9 @@ def pagerank(
         residual = float(np.abs(r).sum())
         if residual <= target or matvecs >= max_iter:
             break
+        if g.alpha >= 1.0:
+            x = x + r / 2
+            continue
         # keep one application for the certificate of the sweep's result
         x_next, used = _bicgstab(g, x, r, target, max_iter - matvecs - 1)
         matvecs += used

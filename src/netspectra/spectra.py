@@ -81,11 +81,12 @@ class Spectrum:
     ``rows`` is set on every spectrum of :func:`operator_spectrum`, whose
     solver saw the nodes reordered: row k of ``packed`` belongs to node
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
-    solver saw and ``closed`` the closed ones among them, the multiplicity
-    of the eigenvalue 1 of S.  ``apart`` counts the closed classes
-    diagonalized on their own, and ``lumped`` and ``lumped_rows`` the
-    columns and then the rows of the other indices that repeated an earlier
-    one bit for bit and were lumped before dgeev (see
+    solver saw and ``closed`` the closed ones among them, on every
+    spectrum; in :func:`gmatrix.scc_order` these are the components and the
+    closed classes, the multiplicity of the eigenvalue 1 of S.  ``apart``
+    counts the closed classes diagonalized on their own, and ``lumped`` and
+    ``lumped_rows`` the columns and then the rows of the other indices that
+    repeated an earlier one bit for bit and were lumped before dgeev (see
     :func:`eigendecompose`).  ``fro`` is ``||M||_F`` of the matrix whose
     spectrum this is, the scale of the residual contract.  Residuals and
     PARs do not depend on the row order.
@@ -237,7 +238,7 @@ def _certify_block(a, trans: int, vb, wr, wi, first, parts=None):
     return s2, s4, r2
 
 
-def _damp(matrix, wr, wi, vr, alpha: float, closed: int, rank) -> None:
+def _damp(matrix, wr, wi, vr, closed: int, alpha: float, rank) -> None:
     """Turn the eigenpairs ``(wr + i wi, vr)`` of a column-stochastic S into
     those of ``G = alpha*S + (1-alpha)/N * ee^T``, and S in ``matrix`` into
     G, all in place.
@@ -457,10 +458,11 @@ def _lift(vr, rows, lumping, wr, wi, v) -> None:
     vr[rows[rep[extra[0]]], copies] = -1.0
 
 
-def _dgeev(a):
-    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``, the
-    ``(lo, hi)`` range of columns of each closed diagonal block solved on
-    its own, and the columns and rows lumped.
+def _dgeev(a, blocks):
+    """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``,
+    given its :func:`_diagonal_blocks` ``blocks``; the ``(lo, hi, l, h)`` of
+    each closed block ``a[l:h, l:h]`` solved on its own, whose eigenvectors
+    are the columns ``lo:hi``; and the columns and rows lumped.
 
     Each closed block of :func:`_diagonal_blocks` gets its own dgeev, and its
     eigenvectors padded with zeros are eigenvectors of ``a``.  Such a block
@@ -483,7 +485,7 @@ def _dgeev(a):
     conjugate pair's two by one factor).
     """
     n = a.shape[0]
-    lo, hi, closed, linked = _diagonal_blocks(a)
+    lo, hi, closed, linked = blocks
     size = hi - lo
     r = n - size[closed].sum()
     apart = closed & (size < n) & (~linked | (2 * size**3 <= (r + size) ** 3 - r**3))
@@ -528,7 +530,7 @@ def _dgeev(a):
         vr[l:h, col:col + h - l] = vc
         wrs.append(w)
         wis.append(wim)
-        parts.append((col, col + h - l))
+        parts.append((col, col + h - l, l, h))
     if classes:
         f = np.flatnonzero(first)
         top = np.abs(vr[:, :m]).max(axis=0)
@@ -565,31 +567,33 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     ``||M psi - lambda psi||_2 <= tol * ||M||_F``; this calls LAPACK
     ``dgeev`` (balanced Hessenberg/QR, the routine behind
     ``scipy.linalg.eig``) and keeps its packed real eigenvectors.  The
-    closed diagonal blocks are split off first (see :func:`_dgeev`): each
-    closed class that is cheaper apart gets its own dgeev, and ``apart``
-    counts those classes.  The other indices, the rest, then have their
-    bitwise identical columns (such as the uniform columns of dangling
-    nodes) and after those their identical rows lumped (see :func:`_lump`),
-    so one more dgeev sees only the core; each column j lumped into an
-    earlier one gets the exact null vector ``e_j - e_rep(j)`` with
-    eigenvalue 0.0, each row lumped a copy of one of those, and ``lumped``
-    and ``lumped_rows`` count them.  With no column lumped and no class
-    apart, dgeev sees the whole matrix and the eigenvalues and
-    eigenvectors are bitwise those of ``scipy.linalg.eig``.  The contract
-    is then checked in real
-    arithmetic, column block by column block (see :func:`_certify_block`),
-    and each eigenvector's participation ratio is taken in the same pass;
-    the eigenvectors of a class solved apart are zero outside a few rows,
-    so their residual GEMM runs over those columns of the matrix only.
-    The traced peak is about 18 bytes per matrix entry beyond the input:
-    the packed eigenvectors with dgeev's copy of the matrix (or the core's
-    eigenvectors), then with one residual block.
+    matrix's diagonal blocks are found once (see :func:`_diagonal_blocks`):
+    ``blocks`` counts them and ``closed`` the closed ones.  Those are split
+    off first (see :func:`_dgeev`): each closed class that is cheaper apart
+    gets its own dgeev, and ``apart`` counts those classes.  The other
+    indices, the rest, then have their bitwise identical columns (such as
+    the uniform columns of dangling nodes) and after those their identical
+    rows lumped (see :func:`_lump`), so one more dgeev sees only the core;
+    each column j lumped into an earlier one gets the exact null vector
+    ``e_j - e_rep(j)`` with eigenvalue 0.0, each row lumped a copy of one
+    of those, and ``lumped`` and ``lumped_rows`` count them.  With no
+    column lumped and no class apart, dgeev sees the whole matrix and the
+    eigenvalues and eigenvectors are bitwise those of ``scipy.linalg.eig``.
+    The contract is then checked in real arithmetic, column block by column
+    block (see :func:`_certify_block`), and each eigenvector's
+    participation ratio is taken in the same pass; the eigenvectors of a
+    class solved apart are zero outside its rows, so their residual GEMM
+    runs over those columns of the matrix only.  The traced peak is about
+    18 bytes per matrix entry beyond the input: the packed eigenvectors
+    with dgeev's copy of the matrix (or the core's eigenvectors), then with
+    one residual block.
 
-    With ``damping = (alpha, closed, rank)``, ``matrix`` holds a
-    column-stochastic S whose eigenvalue 1 has multiplicity ``closed``, and
-    the spectrum is that of ``G = alpha*S + (1-alpha)/N * ee^T``: once
-    dgeev is done, the eigenpairs are mapped to G and G is written over
-    ``matrix`` (see :func:`_damp`), and the contract is checked against G.
+    With ``damping = (alpha, rank)``, ``matrix`` holds a column-stochastic
+    S with its nodes in :func:`gmatrix.scc_order`, so that ``closed`` is
+    the multiplicity of its eigenvalue 1, and the spectrum is that of
+    ``G = alpha*S + (1-alpha)/N * ee^T``: once dgeev is done, the
+    eigenpairs are mapped to G and G is written over ``matrix`` (see
+    :func:`_damp`), and the contract is checked against G.
     ``rank`` is G's rank vector in the rows' order.
     """
     _check_positive("tol", tol)
@@ -601,17 +605,17 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         raise ValueError("matrix must be at least 1x1")
     if not np.isfinite(matrix).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    wr, wi, vr, parts, lumped, lumped_rows = _dgeev(matrix)
+    blocks = _diagonal_blocks(matrix)
+    closed = int(np.count_nonzero(blocks[2]))
+    wr, wi, vr, parts, lumped, lumped_rows = _dgeev(matrix, blocks)
     first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
     # the rows outside which each column is zero: a class solved apart has
     # its own, the other columns all of them
     top, bottom = np.zeros(n, dtype=np.int64), np.full(n, n)
-    for lo, hi in parts:
-        live = np.flatnonzero(vr[:, lo:hi].any(axis=1))
-        if live.size:
-            top[lo:hi], bottom[lo:hi] = live[0], live[-1] + 1
+    for lo, hi, l, h in parts:
+        top[lo:hi], bottom[lo:hi] = l, h
     if damping is not None:
-        unit = _damp(matrix, wr, wi, vr, *damping)
+        unit = _damp(matrix, wr, wi, vr, closed, *damping)
         top[unit], bottom[unit] = 0, n
     a, trans = _gemm_operand(matrix)
     s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
@@ -650,6 +654,8 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         packed=vr,
         order=order,
         pair_first=first,
+        blocks=blocks[0].size,
+        closed=closed,
         lumped=lumped,
         lumped_rows=lumped_rows,
         apart=len(parts),
@@ -681,10 +687,10 @@ def operator_spectrum(g: GoogleMatrix, tol: float = EIG_TOL) -> Spectrum:
 def _spectrum(g: GoogleMatrix, tol: float, rank) -> Spectrum:
     """:func:`operator_spectrum` with the rank vector of ``g`` given (None
     at alpha = 1)."""
-    rows, blocks, closed = scc_order(g.s)
-    damping = None if rank is None else (g.alpha, closed, rank.values[rows])
+    rows = scc_order(g.s)
+    damping = None if rank is None else (g.alpha, rank.values[rows])
     spec = eigendecompose(GoogleMatrix(g.s, 1.0).permuted(rows).to_dense(), tol, damping)
-    return replace(spec, rows=rows, blocks=blocks, closed=closed)
+    return replace(spec, rows=rows)
 
 
 def _rates(spec: Spectrum, lambda_cutoff: float) -> tuple[np.ndarray, np.ndarray]:

@@ -265,6 +265,33 @@ def pagerank_dense_solve(g):
     return RankVector(values=p, alpha=g.alpha, iterations=0, residual=0.0)
 
 
+def rank_limit(graph):
+    """The limit of the rank vector as alpha tends to 1, by dense solves:
+    each closed class's stationary vector, weighted by the mass that
+    reaches the class from the uniform vector.  That is the class's share
+    of the uniform vector plus what the transient nodes T send into it,
+    ``e^T S_CT (I - S_TT)^-1 x_T``; the transient nodes get 0."""
+    n = graph.n_nodes
+    if n > _DENSE_SOLVE_LIMIT:
+        raise ValueError(f"dense solve limited to n <= {_DENSE_SOLVE_LIMIT}")
+    out = graph.out_degrees()
+    s = np.zeros((n, n))
+    np.add.at(s, (graph.edges[:, 1], graph.edges[:, 0]), 1.0 / out[graph.edges[:, 0]])
+    s[:, out == 0] = 1.0 / n
+    classes = [sorted(c) for c in closed_classes(graph)]
+    transient = np.setdiff1d(np.arange(n), np.concatenate(classes))
+    reach = np.linalg.solve(
+        np.eye(transient.size) - s[np.ix_(transient, transient)], np.full(transient.size, 1.0 / n)
+    )
+    limit = np.zeros(n)
+    for c in classes:
+        # the stationary vector: S_CC p = p with sum(p) = 1, in least squares
+        a = np.vstack([s[np.ix_(c, c)] - np.eye(len(c)), np.ones(len(c))])
+        p = np.linalg.lstsq(a, np.r_[np.zeros(len(c)), 1.0], rcond=None)[0]
+        limit[c] = (len(c) / n + s[np.ix_(c, transient)].sum(axis=0) @ reach) * p
+    return limit
+
+
 class ScalingCheckError(ValueError):
     """Eigenvalue pairing error beyond the requested tolerance."""
 

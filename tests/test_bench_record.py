@@ -157,6 +157,24 @@ def test_column_differences_take_the_largest_numeric_change(tmp_path):
     assert out["digests_equal"] == {"j/x": False, "j/y": False, "j/z": True}
 
 
+def test_sorted_differences_read_a_row_swap_as_zero():
+    a = {"j/e.csv:re": ["0.5", "-0.5", "0.25"], "j/e.csv:im": ["1", "2", "3"], "j/g": ["0 1"]}
+    swapped = {**a, "j/e.csv:re": ["-0.5", "0.5", "0.25"]}
+    moved = {**a, "j/e.csv:re": ["-0.5", "0.5", "0.125"], "j/g": ["0 2"]}
+    assert bench_record.column_differences(a, swapped) == {"j/e.csv:re": 1.0}
+    assert bench_record.column_differences(a, swapped, sort=True) == {"j/e.csv:re": 0.0}
+    # a swap and a move: sorted, only the move is left; text is no number
+    assert bench_record.column_differences(a, moved, sort=True) == {"j/e.csv:re": 0.125, "j/g": None}
+
+    pairs = [
+        {**pair(side(1.0, 1.0), side(1.0, 1.0), ["j/x", "j/y"], d), "sorted_differences": sd}
+        for d, sd in (({"j/x": 1.0}, {"j/x": 0.0}), ({"j/x": 0.5, "j/y": 2e-9}, {"j/x": 1e-9, "j/y": 0.0}))
+    ]
+    out = bench_record.summarize(pairs, DECLARED)
+    assert out["max_abs_diff"] == {"j/x": 1.0, "j/y": 2e-9}
+    assert out["max_abs_diff_sorted"] == {"j/x": 1e-9, "j/y": 0.0}
+
+
 def test_checkouts_are_siblings_holding_parent_commit_and_working_tree(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -650,6 +650,19 @@ def test_manifest_contract(command, tmp_path, capsys):
         assert first == f"# manifest: {manifest_name}"
 
 
+def assert_rank_at_alpha_one_is_the_limit(path, tmp_path):
+    """``pagerank --alpha 1`` on the graph at ``path`` converges, to within
+    1e-9 in L1 of the limit of the rank vector as alpha tends to 1."""
+    from netspectra.netcore import load_edge_list
+
+    from helpers import rank_limit
+
+    out = tmp_path / "pagerank1"
+    assert main(["pagerank", str(path), "--alpha", "1", "--out-dir", str(out)]) == 0
+    scores = np.array([row[1] for row in read_csv_floats(out / "pagerank.csv")])
+    assert np.abs(scores - rank_limit(load_edge_list(str(path)))).sum() <= 1e-9
+
+
 def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
     from netspectra.netcore import load_edge_list
     from netspectra.spectra import truncated_spectrum_compare
@@ -664,6 +677,7 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
     graph = load_edge_list(str(path))
     blocks = len(strong_components(graph))
     assert blocks == 4
+    assert_rank_at_alpha_one_is_the_limit(path, tmp_path)
     # every alpha diagonalizes S in block order
     for alpha in ("1", "0.85"):
         out = tmp_path / f"spectrum{alpha}"
@@ -672,10 +686,10 @@ def test_manifest_records_scc_blocks_at_alpha_one(tmp_path):
         assert (manifest["scc_blocks"], manifest["closed_classes"]) == (blocks, 2)
     for alpha in ("1", "0.85"):
         out = tmp_path / f"truncate{alpha}"
-        # at alpha 1 power iteration oscillates on the closed cycles: the
-        # outputs are written, and the unconverged rank vector exits 3
+        # at alpha 1 the rank vector converges too, though the closed
+        # cycles are periodic
         assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
-                     "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
+                     "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         blocks_m, closed_m = {"full": blocks}, {"full": 2}
         for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
@@ -702,6 +716,7 @@ def test_manifest_records_classes_apart_and_the_largest_residual(tmp_path):
     path.write_text("".join(f"{a} {b}\n" for a, b in edges))
     graph = load_edge_list(str(path))
     assert len(closed_classes(graph)) == 2
+    assert_rank_at_alpha_one_is_the_limit(path, tmp_path)
     for alpha in ("1", "0.85"):
         out = tmp_path / f"spectrum{alpha}"
         assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
@@ -716,10 +731,10 @@ def test_manifest_records_classes_apart_and_the_largest_residual(tmp_path):
             worst / np.linalg.norm(matrix, "fro"), rel=0.5, abs=1e-16
         )
         out = tmp_path / f"truncate{alpha}"
-        # at alpha 1 power iteration oscillates on the closed cycles: the
-        # outputs are written, and the unconverged rank vector exits 3
+        # at alpha 1 the rank vector converges too, though the closed
+        # cycles are periodic
         assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
-                     "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
+                     "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         cmp = truncated_spectrum_compare(graph, float(alpha), [8, 4])
         assert manifest["classes_apart"] == {"full": 2, **{str(r.m): r.spectrum.apart for r in cmp.results}}
@@ -727,20 +742,27 @@ def test_manifest_records_classes_apart_and_the_largest_residual(tmp_path):
         assert all(0.0 <= v <= 1e-9 for v in manifest["max_residual_rel"].values())
 
 
-def test_truncation_on_an_unconverged_rank_vector_exits_3(tmp_path, capsys):
-    # at alpha 1 power iteration on 0 <-> {1, 2} oscillates and never converges
+def test_truncation_on_an_unconverged_rank_vector_exits_3(tmp_path, capsys, monkeypatch):
+    from netspectra import ranking, spectra
+
+    # power iteration on 0 <-> {1, 2} oscillates at alpha 1, but the rank
+    # vector converges; one operator application is too few
     path = tmp_path / "bipartite.edges"
     path.write_text("0 1\n0 2\n1 0\n2 0\n")
-    out = tmp_path / "out"
-    assert main(["pagerank", str(path), "--alpha", "1", "--out-dir", str(tmp_path / "pr")]) == 3
+    assert_rank_at_alpha_one_is_the_limit(path, tmp_path)
+    argv = ["pagerank", str(path), "--alpha", "1", "--max-iter", "1", "--out-dir", str(tmp_path / "pr")]
+    assert main(argv) == 3
     capsys.readouterr()
+    # truncate-spectrum has no budget flag: its rank function gets one
+    monkeypatch.setattr(spectra, "pagerank", lambda g: ranking.pagerank(g, max_iter=1))
+    out = tmp_path / "out"
     code = main(["truncate-spectrum", str(path), "--alpha", "1", "--sizes", "2", "--out-dir", str(out)])
     assert code == 3
     assert capsys.readouterr().err == "truncate-spectrum: rank iteration did not reach tolerance\n"
     # the outputs are written all the same, and the manifest says why it failed
     assert (out / "eigenvalues_full.csv").exists() and (out / "eigenvalues_m2.csv").exists()
     rank = json.loads((out / "manifest.json").read_text())["rank"]
-    assert rank["converged"] is False and rank["iterations"] == 10_000
+    assert rank["converged"] is False and rank["iterations"] == 1
     assert rank["residual"] == pytest.approx(2 / 3)
 
 
@@ -774,16 +796,17 @@ def test_manifest_records_repeated_columns(tmp_path):
     graph = load_edge_list(str(path))
     assert repeated_columns(graph) == 4
     assert lumped_columns(graph) == 1 and repeated_rows_at_least(graph) == 4
+    assert_rank_at_alpha_one_is_the_limit(path, tmp_path)
     for alpha in ("1", "0.85"):
         out = tmp_path / f"spectrum{alpha}"
         assert main(["spectrum", str(path), "--alpha", alpha, "--out-dir", str(out)]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["repeated_columns"] == 1 and manifest["repeated_rows"] >= 4
         out = tmp_path / f"truncate{alpha}"
-        # at alpha 1 power iteration oscillates on the closed cycles: the
-        # outputs are written, and the unconverged rank vector exits 3
+        # at alpha 1 the rank vector converges too, though the closed
+        # cycles are periodic
         assert main(["truncate-spectrum", str(path), "--alpha", alpha, "--sizes", "8,4",
-                     "--out-dir", str(out)]) == (3 if alpha == "1" else 0)
+                     "--out-dir", str(out)]) == 0
         expected = {"full": 1}
         for res in truncated_spectrum_compare(graph, float(alpha), [8, 4]).results:
             inside = np.isin(graph.edges, res.kept).all(axis=1)
@@ -989,7 +1012,13 @@ def test_main_builds_a_parser_per_call_with_only_its_command(monkeypatch, tmp_pa
     for _ in range(2):
         assert main(["degree-dist", str(path), "--out-dir", str(tmp_path / "out")]) == 0
     assert main(["--version"]) == 0
-    assert built == ["degree-dist", "degree-dist", ""]
-    spectrum = build("spectrum")._subparsers._group_actions[0].choices
-    assert [a.dest for a in spectrum["pagerank"]._actions] == ["help"]
-    assert "alpha" in [a.dest for a in spectrum["spectrum"]._actions]
+    assert built == ["degree-dist", "degree-dist", None]
+
+    def choices(command=None):
+        return build(command)._subparsers._group_actions[0].choices
+
+    # no other command is registered; an unknown one gets them all, so the
+    # error lists every choice
+    assert list(choices("spectrum")) == ["spectrum"]
+    assert "alpha" in [a.dest for a in choices("spectrum")["spectrum"]._actions]
+    assert len(choices()) == 8 and list(choices("nope")) == list(choices())

@@ -10,6 +10,7 @@ from netspectra.gmatrix import (
 )
 from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power
+from netspectra.spectra import operator_spectrum
 
 from helpers import (
     leaky_pairs,
@@ -168,21 +169,23 @@ class TestSccOrder:
     def test_partition_matches_networkx(self, name):
         graph = scc_cases()[name]
         s = build_stochastic(graph)
-        order, blocks, closed = scc_order(s)
+        order = scc_order(s)
         assert np.array_equal(np.sort(order), np.arange(graph.n_nodes))
         components = strong_components(graph)
-        assert blocks == len(components)
-        if blocks == 1:  # a strongly connected graph keeps its own order
+        if len(components) == 1:  # a strongly connected graph keeps its own order
             assert np.array_equal(order, np.arange(graph.n_nodes))
-        # a dangling node links to every node, so only a component holding
-        # every node can be closed with one inside
+        # the solver counts the diagonal blocks of S in this order: one per
+        # component, and closed where no link leaves it; a dangling node
+        # links to every node, so only a component holding every node can
+        # be closed with one inside
         dangling = set(np.flatnonzero(graph.out_degrees() == 0).tolist())
         leaving = [
             (c & dangling and len(c) < graph.n_nodes)
             or any(a in c and b not in c for a, b in graph.edges.tolist())
             for c in components
         ]
-        assert closed == leaving.count(False)
+        spec = operator_spectrum(GoogleMatrix(s, 1.0))
+        assert (spec.blocks, spec.closed) == (len(components), leaving.count(False))
         # each component is one contiguous run of the order, nodes ascending
         position = np.empty(graph.n_nodes, dtype=np.int64)
         position[order] = np.arange(graph.n_nodes)
@@ -195,32 +198,32 @@ class TestSccOrder:
     def test_zero_below_the_diagonal_blocks(self, name):
         graph = scc_cases()[name]
         g = GoogleMatrix.from_graph(graph, 1.0)
-        order, _, _ = scc_order(g.s)
+        order = scc_order(g.s)
         label = {v: k for k, c in enumerate(strong_components(graph)) for v in c}
         block = np.array([label[v] for v in order.tolist()])
         dense = g.permuted(order).to_dense()
         below = np.tril(np.ones(dense.shape, dtype=bool), -1) & (block[:, None] != block)
         assert np.all(dense[below] == 0.0)
 
-    def test_sinks_first_ties_by_smallest_node(self):
-        # closed {3, 5} and {1}; 0 -> 1, 2 -> 3, and 4 -> 0, 4 -> 2: {0} is
-        # free to go once {1} is placed, and its id is below 3
-        graph = DirectedGraph(
-            n_nodes=6, edges=np.array([[0, 1], [1, 1], [2, 3], [3, 5], [4, 0], [4, 2], [5, 3]])
-        )
-        order, blocks, closed = scc_order(build_stochastic(graph))
-        assert (blocks, closed) == (5, 2)
-        assert order.tolist() == [1, 0, 3, 5, 2, 4]
+    def test_components_in_the_order_tarjan_completes_them(self):
+        # closed {2} and {1}; 0 -> 2.  The search from 0 completes {2}, then
+        # {0}, then starts again from 1; taking the closed components first,
+        # smallest node first, would give [1, 2, 0]
+        graph = DirectedGraph(n_nodes=3, edges=np.array([[0, 2], [2, 2], [1, 1]]))
+        assert scc_order(build_stochastic(graph)).tolist() == [2, 0, 1]
+        spec = operator_spectrum(GoogleMatrix.from_graph(graph, 1.0))
+        assert (spec.blocks, spec.closed) == (3, 2)
 
     def test_dangling_component_goes_last(self):
         # 0 -> 1 with 1 dangling: {0, 1} links to every node; {2, 3} is closed
         graph = DirectedGraph(n_nodes=4, edges=np.array([[0, 1], [2, 3], [3, 2]]))
-        order, blocks, closed = scc_order(build_stochastic(graph))
-        assert (blocks, closed) == (2, 1)
-        assert order.tolist() == [2, 3, 0, 1]
-        order, blocks, closed = scc_order(build_stochastic(leaky_pairs()))
+        assert scc_order(build_stochastic(graph)).tolist() == [2, 3, 0, 1]
+        spec = operator_spectrum(GoogleMatrix.from_graph(graph, 1.0))
+        assert (spec.blocks, spec.closed) == (2, 1)
         # {0, 1} closed, then {2, 3, 4}: already in order
-        assert order.tolist() == [0, 1, 2, 3, 4] and (blocks, closed) == (2, 1)
+        assert scc_order(build_stochastic(leaky_pairs())).tolist() == [0, 1, 2, 3, 4]
+        spec = operator_spectrum(GoogleMatrix.from_graph(leaky_pairs(), 1.0))
+        assert (spec.blocks, spec.closed) == (2, 1)
 
     @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
     def test_permuted_dense_is_the_permuted_matrix(self, alpha):

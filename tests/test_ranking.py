@@ -25,6 +25,7 @@ from helpers import (
     complete_graph,
     directed_cycle,
     pagerank_dense_solve,
+    rank_limit,
     ring_plus_random,
     sparse_random,
     star_bidirectional,
@@ -151,6 +152,20 @@ ORACLE_GRAPHS = {
 }
 
 
+# closed classes of period 2 and 3: 0 <-> {1, 2}; {0, 1} and {5, 6, 7}
+# with a transient cycle leaking into both; the cycle {0, 1, 2} with
+# sources and two dangling nodes
+PERIODIC_GRAPHS = {
+    "bipartite": DirectedGraph(n_nodes=3, edges=np.array([[0, 1], [0, 2], [1, 0], [2, 0]])),
+    "blocks": DirectedGraph(n_nodes=10, edges=np.array(
+        [[0, 1], [1, 0], [2, 3], [3, 4], [4, 2], [4, 0], [2, 5], [5, 6], [6, 7], [7, 5], [8, 9]]
+    )),
+    "repeated": DirectedGraph(n_nodes=10, edges=np.array(
+        [[0, 1], [1, 2], [2, 0], [3, 0], [4, 0], [5, 1], [5, 2], [6, 1], [6, 2], [9, 7]]
+    )),
+}
+
+
 class TestPagerank:
     @pytest.mark.parametrize("alpha", [0.3, 0.85, 0.99, 0.999])
     @pytest.mark.parametrize("name", list(ORACLE_GRAPHS))
@@ -163,13 +178,24 @@ class TestPagerank:
         error = np.abs(r.values - pagerank_dense_solve(gm).values).sum()
         assert error <= r.residual / (1 - alpha) + 1e-12
 
-    def test_alpha_one_is_power_iteration(self):
-        gm = GoogleMatrix.from_graph(sparse_random(60, seed=3), 1.0)
-        r, power = pagerank(gm, max_iter=500), pagerank_power(gm, max_iter=500)
-        assert np.array_equal(r.values, power.values)
-        assert (r.iterations, r.residual, r.converged) == (
-            power.iterations, power.residual, power.converged,
-        )
+    @pytest.mark.parametrize("name", list(PERIODIC_GRAPHS))
+    def test_alpha_one_converges_to_the_limit(self, name):
+        # power iteration oscillates on these periodic closed classes
+        graph = PERIODIC_GRAPHS[name]
+        gm = GoogleMatrix.from_graph(graph, 1.0)
+        assert not pagerank_power(gm).converged
+        r = pagerank(gm)
+        assert r.converged and r.residual <= 1e-12
+        assert r.residual == np.abs(gm.apply(r.values) - r.values).sum()
+        assert np.abs(r.values - rank_limit(graph)).sum() <= 1e-9
+
+    def test_alpha_one_agrees_with_power_iteration_where_it_converges(self):
+        graph = sparse_random(60, seed=3)
+        gm = GoogleMatrix.from_graph(graph, 1.0)
+        r, power = pagerank(gm), pagerank_power(gm)
+        assert r.converged and power.converged
+        assert np.abs(r.values - power.values).sum() <= 1e-11
+        assert np.abs(r.values - rank_limit(graph)).sum() <= 1e-9
 
     @pytest.mark.parametrize("n", [5, 6, 7, 13])
     def test_uniform_start_certified_at_once(self, n):
@@ -186,10 +212,11 @@ class TestPagerank:
 
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
     def test_budget_exhausted_flags_non_convergence(self, max_iter):
-        gm = GoogleMatrix.from_graph(sparse_random(300, seed=2), 0.99)
-        r = pagerank(gm, max_iter=max_iter)
-        assert not r.converged and r.iterations <= max_iter
-        assert r.residual == np.abs(gm.apply(r.values) - r.values).sum()
+        for alpha in (0.99, 1.0):
+            gm = GoogleMatrix.from_graph(sparse_random(300, seed=2), alpha)
+            r = pagerank(gm, max_iter=max_iter)
+            assert not r.converged and r.iterations <= max_iter
+            assert r.residual == np.abs(gm.apply(r.values) - r.values).sum()
 
     @pytest.mark.parametrize("failure", ["no_step", "nan"])
     def test_failed_sweep_falls_back_to_power_steps(self, failure, monkeypatch):

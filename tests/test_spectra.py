@@ -740,7 +740,7 @@ class TestPackedCore:
         n = 256
         if apart:
             g = GoogleMatrix.from_graph(communities(n, 16, seed=0), 1.0)
-            matrix = g.permuted(scc_order(g.s)[0]).to_dense()
+            matrix = g.permuted(scc_order(g.s)).to_dense()
         else:
             matrix = GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense()
         tracemalloc.start()
@@ -1111,11 +1111,28 @@ class TestClassesApart:
     def test_closed_blocks_are_networkx_closed_classes(self, name):
         graph = self.cases()[name]
         g = GoogleMatrix.from_graph(graph, 1.0)
-        rows = scc_order(g.s)[0]
+        rows = scc_order(g.s)
         lo, hi, closed, _ = _diagonal_blocks(g.permuted(rows).to_dense())
         found = {frozenset(rows[l:h].tolist()) for l, h in zip(lo[closed], hi[closed])}
         assert found == closed_classes(graph)
         assert operator_spectrum(g).apart <= len(found)
+
+    def test_plain_eigendecompose_counts_blocks_and_closed(self):
+        # node order, block upper triangular: closed {0, 1} and {2, 3}, and
+        # the transient cycle 4 -> 5 -> 6 -> 4, which links into {2, 3}
+        nx = pytest.importorskip("networkx")
+        matrix = np.zeros((7, 7))
+        matrix[:2, :2] = [[0.5, 1.0], [0.5, 0.0]]
+        matrix[2:4, 2:4] = [[0.3, 0.6], [0.7, 0.4]]
+        matrix[[5, 2], 4] = 0.5
+        matrix[6, 5] = 1.0
+        matrix[[4, 3], 6] = [0.6, 0.4]
+        pattern = nx.DiGraph()
+        pattern.add_nodes_from(range(7))
+        pattern.add_edges_from((j, i) for i, j in zip(*np.nonzero(matrix)))
+        spec = eigendecompose(matrix)
+        assert spec.blocks == nx.number_strongly_connected_components(pattern) == 3
+        assert spec.closed == nx.number_attracting_components(pattern) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("alpha", [1.0, 0.85])

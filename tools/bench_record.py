@@ -29,13 +29,14 @@ far the host drifted between two runs of the same code while the pairs
 were recorded (the bounds ignore it); the ratios change over parent and
 control over parent taken pair by pair, with their median and quartiles,
 and whether the change's interquartile range of those lies clear of the
-control's on the better side; whether every run was correct; and,
-per output
-column of each job (``<job id>/<file>:<column>`` for a CSV file with a
+control's on the better side; whether every run was correct; and, per
+output column of each job (``<job id>/<file>:<column>`` for a CSV file with a
 header row, ``<job id>/<file>`` for any other non-JSON output), whether the
 bytes were equal on both sides in every pair and, for a column that
 differed, the largest absolute difference between the two sides' numbers
-in any pair.  The environment block of the first change run
+in any pair, row by row (``max_abs_diff``) and with each side's numbers
+sorted first (``max_abs_diff_sorted``, which reads 0 for rows that only
+swapped places).  The environment block of the first change run
 is copied in.  Workloads already recorded in ``--out`` against the same
 parent are kept, so workloads can be recorded one run at a time.
 """
@@ -131,11 +132,13 @@ def column_cells(jobs) -> dict[str, list[str]]:
     return columns
 
 
-def column_differences(a: dict, b: dict) -> dict[str, float | None]:
+def column_differences(a: dict, b: dict, sort: bool = False) -> dict[str, float | None]:
     """For each key whose cells differ between two :func:`column_cells`
     results, the largest absolute difference between the numbers in one
     row; None when a cell is not a number, the row counts differ or the
-    difference is not finite (an ``inf`` on one side only)."""
+    difference is not finite (an ``inf`` on one side only).  With ``sort``,
+    each side's numbers are sorted first, so rows that only swapped places
+    (such as lambda and -lambda of equal modulus) differ by 0."""
     out = {}
     for key in sorted(a.keys() | b.keys()):
         x, y = a.get(key), b.get(key)
@@ -144,7 +147,8 @@ def column_differences(a: dict, b: dict) -> dict[str, float | None]:
         worst = None
         if x is not None and y is not None and len(x) == len(y):
             try:
-                worst = max(abs(float(u) - float(v)) for u, v in zip(x, y) if u != v)
+                rows = zip(sorted(map(float, x)), sorted(map(float, y))) if sort else zip(x, y)
+                worst = max((abs(float(u) - float(v)) for u, v in rows if u != v), default=0.0)
             except ValueError:
                 pass
         out[key] = worst if worst is not None and worst < float("inf") else None
@@ -207,21 +211,22 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             "pair_ratio": paired,
         } | control
     equal: dict[str, bool] = {}
-    moved: dict[str, float | None] = {}
+    moved: dict[str, dict[str, float | None]] = {"differences": {}, "sorted_differences": {}}
     for p in pairs:
-        differences = p["differences"]
         for key in p["columns"]:  # equal in a pair exactly when no difference is listed
-            equal[key] = equal.get(key, True) and key not in differences
-        for key, diff in differences.items():
-            known = moved.get(key, 0.0)
-            moved[key] = None if diff is None or known is None else max(known, diff)
+            equal[key] = equal.get(key, True) and key not in p["differences"]
+        for field, worst in moved.items():
+            for key, diff in p.get(field, {}).items():
+                known = worst.get(key, 0.0)
+                worst[key] = None if diff is None or known is None else max(known, diff)
     sides = [side for side in SIDES if side in pairs[0]]
     return {
         "metrics": metrics,
         "correct": {side: all(p[side]["result"]["correct"] for p in pairs) for side in sides},
         "failed": {side: sum(p[side]["result"]["failed"] for p in pairs) for side in sides},
         "digests_equal": dict(sorted(equal.items())),
-        "max_abs_diff": dict(sorted(moved.items())),
+        "max_abs_diff": dict(sorted(moved["differences"].items())),
+        "max_abs_diff_sorted": dict(sorted(moved["sorted_differences"].items())),
     }
 
 
@@ -269,6 +274,7 @@ def main(argv=None) -> int:
                 a, b = (column_cells(pair[side].pop("jobs")) for side in ("parent", "change"))
                 pair["columns"] = sorted(a.keys() | b.keys())
                 pair["differences"] = column_differences(a, b)
+                pair["sorted_differences"] = column_differences(a, b, sort=True)
                 pairs.append(pair)
                 order.append(sides[0])
                 record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
