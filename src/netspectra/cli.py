@@ -141,24 +141,39 @@ class _Result(NamedTuple):
 
 # where the memory preflight reads what the dense path may use
 _MEMINFO = "/proc/meminfo"
-_CGROUP_LIMITS = ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes")
+_PROC_CGROUP = "/proc/self/cgroup"
+# the mount and limit file of the v2 hierarchy and of v1's memory controller
+_CGROUP_ROOTS = (("/sys/fs/cgroup", "memory.max"), ("/sys/fs/cgroup/memory", "memory.limit_in_bytes"))
 
 
 def _available_memory() -> int | None:
-    """``MemAvailable`` in bytes, capped by a cgroup memory limit (v2 or v1);
+    """``MemAvailable`` in bytes, capped by the memory limit of this
+    process's cgroup and of each ancestor up to the mount, for v2 (the
+    ``0::`` line of :data:`_PROC_CGROUP`) and v1 (the line whose controllers
+    include ``memory``), and by the mounts' own where no path is known;
     ``None`` when no figure is readable."""
-    figures = []
+    figures, paths = [], ["/", "/"]  # of the v2 cgroup and the v1 memory one
     try:
         with open(_MEMINFO, encoding="ascii") as fh:
             kb = [line.split()[1] for line in fh if line.startswith("MemAvailable:")]
         figures += [int(k) * 1024 for k in kb]
     except (OSError, ValueError, IndexError):
         pass
-    for path in _CGROUP_LIMITS:
-        try:
-            figures.append(int(Path(path).read_text()))
-        except (OSError, ValueError):  # absent, or "max" for no limit
-            pass
+    try:
+        for line in Path(_PROC_CGROUP).read_text().splitlines():
+            _, controllers, path = line.split(":", 2)
+            if not controllers or "memory" in controllers.split(","):
+                paths[bool(controllers)] = path
+    except (OSError, ValueError):
+        pass
+    for (mount, name), path in zip(_CGROUP_ROOTS, paths):
+        # a path through ".." lies above this namespace's root
+        parts = () if ".." in path.split("/") else Path(path).parts[1:]
+        for depth in range(len(parts) + 1):
+            try:
+                figures.append(int(Path(mount, *parts[:depth], name).read_text()))
+            except (OSError, ValueError):  # absent, or "max" for no limit
+                pass
     return min(figures) if figures else None
 
 

@@ -236,16 +236,17 @@ def load_edge_list(
 
 
 def _build_graph(edges, declared_n, *, dedupe: bool, allow_self_loops: bool) -> DirectedGraph:
-    """The tail both parse paths share: drop self-loops, size the graph from
-    ``declared_n`` or the largest id and check ids against it, then dedupe."""
-    if not allow_self_loops:
-        edges = edges[edges[:, 0] != edges[:, 1]]
+    """The tail both parse paths share: size the graph from ``declared_n``
+    or the largest id and check every id against it, then drop self-loops
+    and dedupe."""
     max_id = int(edges.max()) if edges.size else -1
     n_nodes = declared_n if declared_n is not None else max_id + 1
     if max_id >= n_nodes:
         raise NodeIdError(f"node id {max_id} exceeds declared nodes={n_nodes}")
     if n_nodes > _MAX_INT64:
         raise NodeIdError(f"{n_nodes} nodes exceed the int64 id range")
+    if not allow_self_loops:
+        edges = edges[edges[:, 0] != edges[:, 1]]
     if dedupe:
         edges = edges[_first_occurrences(edges)]
     return DirectedGraph(n_nodes=n_nodes, edges=edges, multi_edges_allowed=not dedupe)

@@ -162,16 +162,15 @@ def _block_columns(n: int) -> int:
 def dense_memory_bytes(n: int) -> int:
     """Bytes the dense path holds at its peak for an n x n operator: the
     operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside).  With a closed class apart or a column
-    repeated, the storage of the packed eigenvectors takes the place of
-    dgeev's copy: the rest's matrix is gathered there and its k x k core is
-    lumped in place (see :func:`_lump`), and beside it are held the
-    repeated columns' rows, the core's k x k eigenvectors while they are
+    block (the O(n) vectors aside).  dgeev's copy is of the k x k core (all
+    of the operator when nothing is split or lumped), freed before the
+    packed eigenvectors are allocated; beside those are then held the
+    repeated columns' rows and the core's k x k eigenvectors while they are
     lifted, then the rows the rest links into the classes with and one
-    class's c x c blocks, and at last one residual block no larger than
-    the core's eigenvectors freed before it.  It grows with n, and a
-    truncation comparison keeps no eigenvectors, so it also bounds
-    diagonalizing the truncations of that operator one after another."""
+    class's c x c blocks, and at last one residual block no larger than the
+    core's eigenvectors freed before it.  It grows with n, and a truncation
+    comparison keeps no eigenvectors, so it also bounds diagonalizing the
+    truncations of that operator one after another."""
     return 8 * n * (3 * n + _block_columns(n))
 
 
@@ -298,16 +297,6 @@ def _repeats(lines, rows=slice(None), cols=slice(None)) -> np.ndarray:
     return rep
 
 
-def _gather(dst, src, rows, cols) -> None:
-    """``dst = src[rows][:, cols]`` for a Fortran-ordered ``dst``, by blocks
-    of columns, each gathered before it is written.  With ``cols``
-    ascending, ``dst`` may start where a Fortran-ordered ``src`` starts: the
-    later blocks' columns then lie beyond what is written."""
-    step = max(1, cols.size // 16)  # so that the gathered blocks stay small
-    for j in range(0, cols.size, step):
-        dst[:, j:j + step] = src[np.ix_(rows, cols[j:j + step])]
-
-
 def _geev(a, overwrite_a: int = 0):
     """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a`` by
     one dgeev."""
@@ -366,35 +355,33 @@ def _sylvester(vr, rest, l, h, block, link, wr, wi, first) -> None:
         vr[l:h, lo:hi] = q @ y
 
 
-def _lump(a, rest, rep, buf):
-    """The core of the m x m ``src``, in Fortran order at the start of
-    ``buf``, and what :func:`_lift` needs, for ``src = a[rest][:, rest]``,
-    whose column j equals column ``rep[j] <= j`` bit for bit.
+def _lump(a, rest, rep):
+    """The core of the m x m ``src``, a new Fortran-ordered array, and what
+    :func:`_lift` needs, for ``src = a[rest][:, rest]``, whose column j
+    equals column ``rep[j] <= j`` bit for bit.
 
-    With J the columns that repeat an earlier one, ``U = I - sum_j
-    e_rep(j) e_j^T`` zeroes each column j of ``U^-1 src U`` and adds row j
-    into row ``rep(j)``: the representatives' rows and columns are then the
-    g x g lumped matrix M (Ipsen & Selee), and below M sit X, the rows J on
-    the representatives' columns.  Then T zeroes each nonzero row i of M
-    that repeats an earlier one, ``k(i)``, and adds column i into column
+    With J the columns that repeat an earlier one, ``U = I - sum_j e_rep(j)
+    e_j^T`` zeroes each column j of ``U^-1 src U`` and adds row j into row
+    ``rep(j)``: the representatives' rows and columns are then the g x g
+    lumped matrix M (Ipsen & Selee), and below M sit X, the rows J on the
+    representatives' columns.  Then T zeroes each nonzero row i of M that
+    repeats an earlier one, ``k(i)``, and adds column i into column
     ``k(i)``; scaled by the size of each group, so that its column is its
     members' mean and its row their sum (the lumped Markov chain of a
     stochastic M, stochastic too), the rows and columns left, K, are the
-    core.  An all-zero row or column is not lumped (dgebal isolates it),
-    nor is a row unless some column is.  Both transforms act on a few rows
-    and columns of a matrix already gathered, so no other n x n buffer is
-    made.  The spectrum of ``src`` is that of the core and ``m - |K|``
-    zeros.  Returns the core and ``(rep, reps, extra, x, pos, size, lost)``:
-    ``rep``, the representatives, J, X, the row of the core and the size of
-    the group of each row of M, and the rounding level of the core's
-    eigenvectors.
+    core.  An all-zero row or column is not lumped (dgebal isolates it), nor
+    is a row unless some column is.  M is gathered from ``a`` into a new
+    array, and the core out of M into another, M dropped at once.  The
+    spectrum of ``src`` is that of the core and ``m - |K|`` zeros.  Returns
+    the core and ``(rep, reps, extra, x, pos, size, lost)``: ``rep``, the
+    representatives, J, X, the row of the core and the size of the group of
+    each row of M, and the rounding level of the core's eigenvectors.
     """
     m = rest.size
     reps, extra = np.flatnonzero(rep == np.arange(m)), np.flatnonzero(rep != np.arange(m))
     g = reps.size
     x = a[np.ix_(rest[extra], rest[reps])]
-    core = buf[: g * g].reshape(g, g, order="F")
-    _gather(core, a, rest[reps], rest[reps])
+    core = a.T[np.ix_(rest[reps], rest[reps])].T
     np.add.at(core, np.searchsorted(reps, rep[extra]), x)
     row = _repeats(core.T)
     folded = row != np.arange(g)
@@ -402,8 +389,7 @@ def _lump(a, rest, rep, buf):
     keep = np.flatnonzero(~folded)
     k = keep.size
     if k < g:
-        _gather(buf[: k * k].reshape(k, k, order="F"), core, keep, keep)
-        core = buf[: k * k].reshape(k, k, order="F")
+        core = core.T[np.ix_(keep, keep)].T
     size = np.bincount(row)[row].astype(float)  # the members of each row's group
     big = np.flatnonzero(size[keep] > 1)
     core[:, big] /= size[keep[big]]  # each group's column is its members' mean
@@ -476,13 +462,12 @@ def _dgeev(a, blocks):
     only when one of its diagonal blocks holds an eighth of it or more:
     dgeev's QR work is cubic in those blocks, and on a rest of smaller
     ones, nearly triangular, lumping's passes over the rest cost more than
-    the smaller dgeev saves.  With no block apart and nothing lumped, dgeev
-    sees ``a`` itself.  Otherwise no QR work runs on all of ``a``: the
-    rest's matrix, or its core, is gathered into the storage of the packed
-    eigenvectors and solved there, so the split holds no n x n buffer
-    beyond the one dgeev of ``a`` would.  The rest's columns come first,
-    and with a block apart each of them is scaled by its largest entry (a
-    conjugate pair's two by one factor).
+    the smaller dgeev saves.  dgeev sees a Fortran-ordered copy of the
+    rest's matrix, or its core, gathered from ``a`` and freed before the
+    packed eigenvectors are allocated: all of ``a`` when nothing is split or
+    lumped, with dgeev's eigenpairs of ``a`` bit for bit.  The rest's
+    columns come first, and with a block apart each of them is scaled by its
+    largest entry (a conjugate pair's two by one factor).
     """
     n = a.shape[0]
     lo, hi, closed, linked = blocks
@@ -501,19 +486,14 @@ def _dgeev(a, blocks):
     cubic = 8 * size[~apart].max(initial=0) >= m  # worth lumping
     rep = _repeats(a, rest, rest) if cubic else np.arange(m)
     lumped = m - int(np.count_nonzero(rep == np.arange(m)))
-    if not (classes or lumped):
-        return (*_geev(a), [], 0, 0)
-    buf = np.empty(n * n)
     if lumped:
-        core, lumping = _lump(a, rest, rep, buf)
+        core, lumping = _lump(a, rest, rep)
     else:
-        core = buf[: m * m].reshape(m, m, order="F")
-        _gather(core, a, rest, rest)
+        core = a.T[np.ix_(rest, rest)].T
     wr, wi, v = _geev(core, overwrite_a=1) if m else (np.empty(0), np.empty(0), None)
     del core
     k = wr.size
-    vr = buf.reshape(n, n, order="F")
-    vr.fill(0.0)
+    vr = np.zeros((n, n), order="F")
     if lumped:
         _lift(vr, rest, lumping, wr, wi, v)
         wr, wi = (np.concatenate([w, np.zeros(m - k)]) for w in (wr, wi))
@@ -575,18 +555,18 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     the uniform columns of dangling nodes) and after those their identical
     rows lumped (see :func:`_lump`), so one more dgeev sees only the core;
     each column j lumped into an earlier one gets the exact null vector
-    ``e_j - e_rep(j)`` with eigenvalue 0.0, each row lumped a copy of one
-    of those, and ``lumped`` and ``lumped_rows`` count them.  With no
-    column lumped and no class apart, dgeev sees the whole matrix and the
+    ``e_j - e_rep(j)`` with eigenvalue 0.0, each row lumped a copy of one of
+    those, and ``lumped`` and ``lumped_rows`` count them.  With no column
+    lumped and no class apart, dgeev sees a copy of the whole matrix and the
     eigenvalues and eigenvectors are bitwise those of ``scipy.linalg.eig``.
     The contract is then checked in real arithmetic, column block by column
-    block (see :func:`_certify_block`), and each eigenvector's
-    participation ratio is taken in the same pass; the eigenvectors of a
-    class solved apart are zero outside its rows, so their residual GEMM
-    runs over those columns of the matrix only.  The traced peak is about
-    18 bytes per matrix entry beyond the input: the packed eigenvectors
-    with dgeev's copy of the matrix (or the core's eigenvectors), then with
-    one residual block.
+    block (see :func:`_certify_block`), and each eigenvector's participation
+    ratio is taken in the same pass; the eigenvectors of a class solved
+    apart are zero outside its rows, so their residual GEMM runs over those
+    columns of the matrix only.  The traced peak is 15 to 20.3 bytes per
+    matrix entry beyond the input at n = 256 (20.3 with nothing split or
+    lumped): dgeev's copy of what it sees with its eigenvectors, then the
+    packed eigenvectors with the core's, then with one residual block.
 
     With ``damping = (alpha, rank)``, ``matrix`` holds a column-stochastic
     S with its nodes in :func:`gmatrix.scc_order`, so that ``closed`` is
@@ -620,7 +600,7 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     a, trans = _gemm_operand(matrix)
     s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
     step = _block_columns(n)
-    if lumped:  # residual blocks that fit where the core's eigenvectors were
+    if lumped:  # a certification block no larger than the core's eigenvectors keeps the peak
         step = min(step, max(2, (n - lumped - lumped_rows) ** 2 // n))
     cuts = np.flatnonzero(np.diff(top) | np.diff(bottom)) + 1
     for lo, hi in _blocks(first, step):

@@ -158,7 +158,8 @@ class TestSpectrumCommand:
         from netspectra import cli
 
         monkeypatch.setattr(cli, "_MEMINFO", str(tmp_path / "absent"))
-        monkeypatch.setattr(cli, "_CGROUP_LIMITS", (str(tmp_path / "absent"),))
+        monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "absent"))
+        monkeypatch.setattr(cli, "_CGROUP_ROOTS", ((str(tmp_path / "absent"), "memory.max"),))
         assert cli._available_memory() is None
         assert main(["spectrum", k5_file, "--out-dir", str(tmp_path / "o")]) == 0
 
@@ -167,14 +168,60 @@ class TestSpectrumCommand:
 
         meminfo = tmp_path / "meminfo"
         meminfo.write_text("MemTotal:  8000 kB\nMemFree:  100 kB\nMemAvailable:  2048 kB\n")
-        unlimited, limit = tmp_path / "memory.max", tmp_path / "limit_in_bytes"
-        unlimited.write_text("max\n")
-        limit.write_text("1000000\n")
+        v2, v1 = tmp_path / "v2", tmp_path / "v1"
+        v2.mkdir()
+        v1.mkdir()
+        (v2 / "memory.max").write_text("max\n")
         monkeypatch.setattr(cli, "_MEMINFO", str(meminfo))
-        monkeypatch.setattr(cli, "_CGROUP_LIMITS", (str(unlimited),))
+        monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "absent"))
+        monkeypatch.setattr(cli, "_CGROUP_ROOTS", ((str(v2), "memory.max"),))
         assert cli._available_memory() == 2048 * 1024
-        monkeypatch.setattr(cli, "_CGROUP_LIMITS", (str(unlimited), str(limit)))
+        (v1 / "memory.limit_in_bytes").write_text("1000000\n")
+        roots = ((str(v2), "memory.max"), (str(v1), "memory.limit_in_bytes"))
+        monkeypatch.setattr(cli, "_CGROUP_ROOTS", roots)
         assert cli._available_memory() == 1000000
+
+    # a fake /proc/self/cgroup of a cgroup v2 host and of a v1 one
+    @pytest.mark.parametrize(
+        "version, proc",
+        [(0, "0::/outer/inner\n"), (1, "5:cpu,cpuacct:/elsewhere\n4:memory:/outer/inner\n0::/\n")],
+        ids=["v2", "v1"],
+    )
+    def test_available_memory_capped_by_nested_cgroup(self, tmp_path, monkeypatch, version, proc):
+        from netspectra import cli
+
+        roots = ((str(tmp_path / "v2"), "memory.max"), (str(tmp_path / "v1"), "memory.limit_in_bytes"))
+        mount, name = roots[version]
+        inner = Path(mount, "outer", "inner")
+        inner.mkdir(parents=True)
+        Path(mount, name).write_text("max\n" if version == 0 else "9223372036854771712\n")
+        Path(mount, "outer", name).write_text("5000000\n")
+        (inner / name).write_text("max\n" if version == 0 else "9223372036854771712\n")
+        (tmp_path / "cgroup").write_text(proc)
+        monkeypatch.setattr(cli, "_MEMINFO", str(tmp_path / "absent"))
+        monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(cli, "_CGROUP_ROOTS", roots)
+        assert cli._available_memory() == 5000000
+        (inner / name).write_text("3000000\n")
+        assert cli._available_memory() == 3000000
+
+    def test_available_memory_falls_back_to_the_root_limit(self, tmp_path, monkeypatch):
+        from netspectra import cli
+
+        (tmp_path / "v1").mkdir()
+        (tmp_path / "v1" / "memory.limit_in_bytes").write_text("7000000\n")
+        (tmp_path / "cgroup").write_text("4:memory:/not/mounted/here\n")
+        monkeypatch.setattr(cli, "_MEMINFO", str(tmp_path / "absent"))
+        monkeypatch.setattr(cli, "_PROC_CGROUP", str(tmp_path / "cgroup"))
+        monkeypatch.setattr(cli, "_CGROUP_ROOTS", ((str(tmp_path / "v1"), "memory.limit_in_bytes"),))
+        assert cli._available_memory() == 7000000
+
+    def test_dropped_self_loop_keeps_its_node(self, tmp_path):
+        path = tmp_path / "loop.edges"
+        path.write_text("0 0\n")
+        out = tmp_path / "o"
+        assert main(["spectrum", str(path), "--drop-self-loops", "--out-dir", str(out)]) == 0
+        assert (out / "eigenvalues.csv").read_text().endswith("re,im,abs,gamma,par,residual\n1,0,1,0,1,0\n")
 
     def test_malformed_input_exit_1(self, tmp_path):
         bad = tmp_path / "bad.edges"

@@ -125,10 +125,23 @@ class TestLoadEdgeList:
         with pytest.raises(NodeIdError, match="exceed the int64 id range"):
             load_text(text)
 
+    # ids are sized and checked before self-loops are dropped
     def test_dropped_self_loop_beyond_int64(self):
         big = 2**70
-        g = load_text(f"{big} {big}\n0 1\n", allow_self_loops=False)
-        assert g.edges.tolist() == [[0, 1]]
+        for loops in (True, False):
+            with pytest.raises(NodeIdError, match="exceed the int64 id range"):
+                load_text(f"{big} {big}\n0 1\n", allow_self_loops=loops)
+
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_dropped_self_loop_still_counts_its_node(self, loops):
+        g = load_text("0 1\n2 2\n", allow_self_loops=loops)
+        assert g.n_nodes == 3
+        assert g.edge_set() == ({(0, 1), (2, 2)} if loops else {(0, 1)})
+
+    @pytest.mark.parametrize("loops", [True, False])
+    def test_dropped_self_loop_checked_against_header(self, loops):
+        with pytest.raises(NodeIdError, match="node id 5 exceeds declared nodes=2"):
+            load_text("# nodes=2\n0 1\n5 5\n", allow_self_loops=loops)
 
     # at scale 2**57 a src * n + dst pair key would wrap int64
     @pytest.mark.parametrize("scale", [1, 2**57], ids=["narrow", "wide"])

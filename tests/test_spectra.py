@@ -732,27 +732,52 @@ class TestPackedCore:
         with pytest.raises(ValueError, match="no eigenvectors"):
             spec.eigenvectors
 
-    @pytest.mark.parametrize("apart", [False, True], ids=["whole", "classes apart"])
-    def test_traced_peak_bytes_per_entry(self, apart):
-        # dgeev's copy of the matrix and the packed eigenvectors are 16 B/N^2;
-        # the complex path this replaced peaked at 48.5.  The community
-        # graph's S in block order has closed classes that are solved apart.
+    @staticmethod
+    def structure_cases(n):
+        """A matrix with nothing split or lumped, one with columns and rows
+        lumped, and the community graph's S in block order, whose closed
+        classes are solved apart."""
+        g = GoogleMatrix.from_graph(communities(n, 16, seed=0), 1.0)
+        return {
+            "whole": GoogleMatrix.from_graph(ring_plus_random(n, seed=3), 0.85).to_dense(),
+            "lumped": GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense(),
+            "classes apart": g.permuted(scc_order(g.s)).to_dense(),
+        }
+
+    @pytest.mark.parametrize("case", ["whole", "lumped", "classes apart"])
+    def test_traced_peak_bytes_per_entry(self, case):
+        # the packed eigenvectors and dgeev's copy of the matrix it sees are
+        # 16 B/N^2; the complex path this replaced peaked at 48.5.  Measured:
+        # 20.3 whole, 16.2 lumped and 18.5 with the classes apart.
         n = 256
-        if apart:
-            g = GoogleMatrix.from_graph(communities(n, 16, seed=0), 1.0)
-            matrix = g.permuted(scc_order(g.s)).to_dense()
-        else:
-            matrix = GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense()
+        matrix = self.structure_cases(n)[case]
         tracemalloc.start()
         try:
             spec = eigendecompose(matrix)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert spec.n == n and (spec.apart > 0) == apart
+        assert spec.n == n
+        assert (spec.lumped > 0, spec.apart > 0) == (case == "lumped", case == "classes apart")
         assert peak <= 26 * n * n
         # the preflight's estimate covers the input as well
         assert peak + matrix.nbytes <= dense_memory_bytes(n)
+
+    @pytest.mark.parametrize(
+        "name", [*packed_core_cases(), "classes apart", "lumped, C order"]
+    )
+    def test_input_left_unchanged(self, name):
+        if name == "classes apart":
+            matrix = self.structure_cases(256)[name]
+        elif name == "lumped, C order":
+            matrix = np.ascontiguousarray(packed_core_cases()["random 0.85"])
+        else:
+            matrix = packed_core_cases()[name]
+        before = matrix.tobytes(order="A")
+        spec = eigendecompose(matrix)
+        assert (spec.lumped > 0) == (name in (*LUMPED_CASES, "lumped, C order"))
+        assert (spec.apart > 0) == (name == "classes apart")
+        assert matrix.tobytes(order="A") == before
 
 
 class TestParColumnPass:
