@@ -249,19 +249,18 @@ def cmd_pagerank(args, graph) -> _Result:
     )
 
 
-def _sweep_result(outputs, summary, solves) -> _Result:
-    """Result of an alpha sweep from ``(alpha, converged, iterations,
-    residual)`` per alpha: the manifest lists each solve, and the failure
-    message names every alpha that did not converge."""
-    alphas, converged, iterations, residuals = zip(*solves)
-    failed = [repr(float(a)) for a, ok in zip(alphas, converged) if not ok]
+def _sweep_result(outputs, summary, ranks) -> _Result:
+    """Result of an alpha sweep from its rank vectors: the manifest lists
+    each solve, and the failure message names every alpha that did not
+    converge."""
+    failed = [repr(float(r.alpha)) for r in ranks if not r.converged]
     return _Result(
         outputs,
         summary,
         extra={
-            "converged": [bool(c) for c in converged],
-            "iterations": [int(i) for i in iterations],
-            "residual": [float(r) for r in residuals],
+            "converged": [bool(r.converged) for r in ranks],
+            "iterations": [int(r.iterations) for r in ranks],
+            "residual": [float(r.residual) for r in ranks],
         },
         failure=f"alpha {', '.join(failed)} did not converge" if failed else None,
     )
@@ -274,7 +273,7 @@ def cmd_fidelity(args, graph) -> _Result:
     return _sweep_result(
         {"fidelity.csv": partial(ranking.fidelity_grid_to_csv, grid)},
         f"n={graph.n_nodes} grid {len(args.alphas)}x{len(args.alphas)}",
-        zip(grid.alphas, grid.converged, grid.iterations, grid.residuals),
+        grid.ranks,
     )
 
 
@@ -285,7 +284,7 @@ def cmd_par_curve(args, graph) -> _Result:
     return _sweep_result(
         {"par_curve.csv": partial(ranking.par_curve_to_csv, points)},
         f"n={graph.n_nodes} {len(points)} alpha values",
-        [(p.alpha, p.converged, p.iterations, p.residual) for p in points],
+        [p.rank for p in points],
     )
 
 

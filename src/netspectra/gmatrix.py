@@ -48,8 +48,9 @@ class StochasticMatrix:
             raise ValueError("stochastic matrix must be square")
         n = matrix.shape[0]
         dangling = np.asarray(dangling, dtype=bool).reshape(n)
-        if matrix.nnz and matrix.data.min() < 0:
-            raise ValueError("negative entries in stochastic matrix")
+        # nan fails both comparisons
+        if not np.all((0.0 <= matrix.data) & (matrix.data < np.inf)):
+            raise ValueError("stochastic matrix entries must be nonnegative and finite")
         colsums = np.asarray(matrix.sum(axis=0)).ravel()
         if np.any(colsums[dangling] != 0.0):
             raise ValueError("dangling columns must store no explicit entries")

@@ -5,7 +5,8 @@ values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -44,8 +45,7 @@ _RESIDUAL_FLOOR = 8 * float(np.finfo(np.float64).eps)
 class RankVector:
     """L1-normalized nonnegative rank scores with solver metadata.
 
-    ``order`` lists node ids by decreasing score, ties broken toward the
-    lower id.  ``iterations`` counts applications of the operator (0 for a
+    ``iterations`` counts applications of the operator (0 for a
     direct solve).  ``residual`` is ``||Gx - x||_1`` of the returned vector
     for :func:`pagerank`, so below alpha = 1 ``residual / (1 - alpha)``
     bounds its L1 distance to the exact rank vector; power iteration
@@ -58,7 +58,6 @@ class RankVector:
     iterations: int
     residual: float
     converged: bool = True
-    order: np.ndarray = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
@@ -70,35 +69,37 @@ class RankVector:
             raise ValueError("rank values must be nonnegative")
         if abs(values.sum() - 1.0) > 1e-12:
             raise ValueError("rank values must sum to 1")
-        order = np.lexsort((np.arange(values.size), -values))
-        order.setflags(write=False)
-        object.__setattr__(self, "order", order)
 
     @property
     def n(self) -> int:
         return self.values.size
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Node ids by decreasing score, ties broken toward the lower id
+        (read-only), sorted on first use."""
+        order = np.lexsort((np.arange(self.n), -self.values))
+        order.setflags(write=False)
+        return order
+
 
 @dataclass(frozen=True)
 class FidelityGrid:
     """Symmetric matrix of pairwise rank-vector fidelities over a set of
-    damping values; the diagonal is 1.  ``converged[i]``, ``iterations[i]``
-    and ``residuals[i]`` describe the solve of the rank vector at
-    ``alphas[i]`` (see :class:`RankVector`)."""
+    damping values; the diagonal is 1.  ``ranks[i]`` is the rank vector at
+    ``alphas[i]``."""
 
     alphas: np.ndarray
     f: np.ndarray
-    converged: np.ndarray
-    iterations: np.ndarray
-    residuals: np.ndarray
+    ranks: list[RankVector]
 
 
 class ParPoint(NamedTuple):
+    """Participation ratio ``xi`` of the rank vector ``rank`` at ``alpha``."""
+
     alpha: float
     xi: float
-    converged: bool
-    iterations: int
-    residual: float
+    rank: RankVector
 
 
 def pagerank(
@@ -275,13 +276,10 @@ def par_vs_alpha(
     tol: float = PAGERANK_TOL,
     max_iter: int = PAGERANK_MAX_ITER,
 ) -> list[ParPoint]:
-    """Participation ratio of the rank vector at each damping value.
-
-    Each point carries the convergence flag, iteration count and residual
-    of its rank vector.
-    """
+    """Participation ratio of the rank vector at each damping value; each
+    point keeps its rank vector."""
     return [
-        ParPoint(r.alpha, participation_ratio(r.values), r.converged, r.iterations, r.residual)
+        ParPoint(r.alpha, participation_ratio(r.values), r)
         for r in _rank_sweep(graph, alphas, tol, max_iter)
     ]
 
@@ -346,13 +344,7 @@ def fidelity_grid(
     for i in range(k):
         for j in range(i, k):
             f[i, j] = f[j, i] = fidelity(ranks[i], ranks[j])
-    return FidelityGrid(
-        alphas=np.array([r.alpha for r in ranks]),
-        f=f,
-        converged=np.array([r.converged for r in ranks]),
-        iterations=np.array([r.iterations for r in ranks]),
-        residuals=np.array([r.residual for r in ranks]),
-    )
+    return FidelityGrid(alphas=np.array([r.alpha for r in ranks]), f=f, ranks=ranks)
 
 
 def rank_to_csv(r: RankVector, target) -> None:

@@ -166,11 +166,11 @@ def dense_memory_bytes(n: int) -> int:
     of the operator when nothing is split or lumped), freed before the
     packed eigenvectors are allocated; beside those are then held the
     repeated columns' rows and the core's k x k eigenvectors while they are
-    lifted, then the rows the rest links into the classes with and one
-    class's c x c blocks, and at last one residual block no larger than the
-    core's eigenvectors freed before it.  It grows with n, and a truncation
-    comparison keeps no eigenvectors, so it also bounds diagonalizing the
-    truncations of that operator one after another."""
+    lifted, then one class apart at a time, its c x c blocks and the rows
+    the rest links into it with, and at last one residual block no larger
+    than the core's eigenvectors freed before it.  It grows with n, and a
+    truncation comparison keeps no eigenvectors, so it also bounds
+    diagonalizing the truncations of that operator one after another."""
     return 8 * n * (3 * n + _block_columns(n))
 
 
@@ -452,37 +452,36 @@ def _dgeev(a, blocks):
 
     Each closed block of :func:`_diagonal_blocks` gets its own dgeev, and its
     eigenvectors padded with zeros are eigenvectors of ``a``.  Such a block
-    costs its dgeev and a Schur form, about ``2 c^3``, apart, and
-    ``(r + c)^3 - r^3`` in the rest's dgeev, so it stays with the rest when
-    that is cheaper.  The other indices, the rest, have their repeated
-    columns and then their repeated rows lumped (see :func:`_lump`), one
-    dgeev solves the core, and its eigenvectors are lifted to the rest's
-    (see :func:`_lift`); each closed block that the rest links into gives
-    them their rows there (see :func:`_sylvester`).  The rest is lumped
-    only when one of its diagonal blocks holds an eighth of it or more:
-    dgeev's QR work is cubic in those blocks, and on a rest of smaller
-    ones, nearly triangular, lumping's passes over the rest cost more than
-    the smaller dgeev saves.  dgeev sees a Fortran-ordered copy of the
-    rest's matrix, or its core, gathered from ``a`` and freed before the
-    packed eigenvectors are allocated: all of ``a`` when nothing is split or
-    lumped, with dgeev's eigenpairs of ``a`` bit for bit.  The rest's
-    columns come first, and with a block apart each of them is scaled by its
-    largest entry (a conjugate pair's two by one factor).
+    costs its dgeev, about ``c^3``, apart, twice that with the Schur form
+    it needs when the rest links into it, and ``(r + c)^3 - r^3`` in the
+    rest's dgeev, so it stays with the rest when that is cheaper.  The
+    other indices, the rest, have their repeated columns and then their
+    repeated rows lumped (see :func:`_lump`), one dgeev solves the core,
+    and its eigenvectors are lifted to the rest's (see :func:`_lift`).
+    The rest is lumped only when one of its diagonal blocks holds an eighth
+    of it or more: dgeev's QR work is cubic in those blocks, and on a rest
+    of smaller ones, nearly triangular, lumping's passes over the rest cost
+    more than the smaller dgeev saves.  dgeev sees a Fortran-ordered copy
+    of the rest's matrix, or its core, gathered from ``a`` and freed before
+    the packed eigenvectors are allocated: all of ``a`` when nothing is
+    split or lumped, with dgeev's eigenpairs of ``a`` bit for bit.  Each block
+    apart is copied out of ``a`` as it is solved, with its rows on the
+    rest's columns when the rest links into it, which give the rest's
+    eigenvectors their rows there (see :func:`_sylvester`): one block and
+    its link rows are held at a time.  The rest's columns come first, and
+    with a block apart each of them is scaled by its largest entry (a
+    conjugate pair's two by one factor).
     """
     n = a.shape[0]
     lo, hi, closed, linked = blocks
     size = hi - lo
     r = n - size[closed].sum()
-    apart = closed & (size < n) & (~linked | (2 * size**3 <= (r + size) ** 3 - r**3))
+    apart = closed & (size < n) & ((1 + linked) * size**3 <= (r + size) ** 3 - r**3)
     keep = np.ones(n, dtype=bool)
     for l, h in zip(lo[apart], hi[apart]):
         keep[l:h] = False
     rest = np.flatnonzero(keep)
     m = rest.size
-    classes = [
-        (l, h, a[l:h, l:h], a[l:h][:, rest] if link else None)
-        for l, h, link in zip(lo[apart], hi[apart], linked[apart])
-    ]
     cubic = 8 * size[~apart].max(initial=0) >= m  # worth lumping
     rep = _repeats(a, rest, rest) if cubic else np.arange(m)
     lumped = m - int(np.count_nonzero(rep == np.arange(m)))
@@ -502,16 +501,17 @@ def _dgeev(a, blocks):
     del v
     first = wi > 0
     wrs, wis, parts = [wr], [wi], []
-    for l, h, block, link in classes:
-        if link is not None:
-            _sylvester(vr, rest, l, h, block, link, wr, wi, first)
+    for l, h, link in zip(lo[apart], hi[apart], linked[apart]):
+        block = a[l:h, l:h]
+        if link:
+            _sylvester(vr, rest, l, h, block, a[l:h][:, rest], wr, wi, first)
         w, wim, vc = _geev(block)
         col = parts[-1][1] if parts else m
         vr[l:h, col:col + h - l] = vc
         wrs.append(w)
         wis.append(wim)
         parts.append((col, col + h - l, l, h))
-    if classes:
+    if parts:
         f = np.flatnonzero(first)
         top = np.abs(vr[:, :m]).max(axis=0)
         top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
@@ -544,7 +544,8 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
     """Full eigendecomposition of a dense real nonsymmetric matrix.
 
     Any method is acceptable as long as every pair satisfies
-    ``||M psi - lambda psi||_2 <= tol * ||M||_F``; this calls LAPACK
+    ``||M psi - lambda psi||_2 <= tol * ||M||_F``, with the norm and every
+    residual finite (else :class:`EigensolverError`); this calls LAPACK
     ``dgeev`` (balanced Hessenberg/QR, the routine behind
     ``scipy.linalg.eig``) and keeps its packed real eigenvectors.  The
     matrix's diagonal blocks are found once (see :func:`_diagonal_blocks`):
@@ -615,7 +616,10 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         )
     residuals = np.sqrt(r2 / s2)
     fro = np.linalg.norm(matrix, "fro")
-    bad = residuals > tol * fro
+    if not np.isfinite(fro):
+        raise EigensolverError(f"||M||_F = {fro} is not finite")
+    # a nan residual fails every comparison, so the test is for passing
+    bad = ~(np.isfinite(residuals) & (residuals <= tol * fro))
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
         raise EigensolverError(

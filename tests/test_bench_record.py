@@ -206,3 +206,43 @@ def test_checkouts_are_siblings_holding_parent_commit_and_working_tree(tmp_path)
     control = bench_record.archive(repo, "HEAD", tmp_path / "runs" / "control")
     assert (control / "pkg" / "mod.py").read_text() == "x = 1\n"
     assert (control / "gone.txt").exists() and not (control / "pkg" / "new.py").exists()
+
+
+def test_manifests_equal_up_to_checkout_and_wall_time(tmp_path):
+    def recorded(name, wall_time, iterations):
+        checkout = tmp_path / name
+        job = checkout / ".bench_work" / "out" / "j"
+        job.mkdir(parents=True)
+        graph = str(checkout / ".bench_work" / "inputs" / "g.edges")
+        manifest = {
+            "parameters": {"input": graph, "out_dir": str(job), "alpha": 0.85},
+            "input_digests": {graph: "ab12"},
+            "wall_time_s": wall_time,
+            "rank": {"converged": True, "iterations": iterations},
+        }
+        (job / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        (job / "g.edges.params.json").write_text(json.dumps({"seed": 1, "wall_time_s": wall_time}))
+        (job / "e.csv").write_text("re\n1\n")
+        return bench_record.manifests([{"id": "j", "dir": str(job)}], checkout)
+
+    a, b, c = recorded("parent", 0.5, 4), recorded("change", 0.7, 4), recorded("other", 0.5, 5)
+    assert sorted(a) == ["j/g.edges.params.json", "j/manifest.json"]
+    assert a == b
+    assert a["j/manifest.json"]["input_digests"] == {"<checkout>/.bench_work/inputs/g.edges": "ab12"}
+    assert "wall_time_s" not in a["j/manifest.json"]
+    assert bench_record.manifest_differences(a["j/manifest.json"], b["j/manifest.json"]) == []
+    assert bench_record.manifest_differences(a["j/manifest.json"], c["j/manifest.json"]) == [
+        "rank.iterations"
+    ]
+    assert bench_record.manifest_differences({"x": 1}, {"x": 1, "y": {}}) == ["y"]
+    assert bench_record.manifest_differences({"x": 1}, None) == ["."]
+
+    def pair_of(x, y):
+        keys = sorted(x.keys() | y.keys())
+        diffs = {k: d for k in keys if (d := bench_record.manifest_differences(x.get(k), y.get(k)))}
+        return pair(side(1.0, 1.0), side(1.0, 1.0)) | {"manifests": keys, "manifest_differences": diffs}
+
+    out = bench_record.summarize([pair_of(a, b), pair_of(a, c)], DECLARED)
+    assert out["manifests_equal"] == {"j/g.edges.params.json": True, "j/manifest.json": False}
+    assert out["manifest_differences"] == {"j/manifest.json": ["rank.iterations"]}
+    assert bench_record.summarize([pair_of(a, b)], DECLARED)["manifest_differences"] == {}

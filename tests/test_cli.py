@@ -109,6 +109,22 @@ class TestSpectrumCommand:
         )
         assert not out.exists()
 
+    def test_nan_eigenvector_exit_3_before_any_output(self, k5_file, tmp_path, capsys, monkeypatch):
+        from netspectra import spectra
+
+        dgeev = spectra.lapack.dgeev
+
+        def poisoned(*args, **kwargs):
+            wr, wi, vl, vr, info = dgeev(*args, **kwargs)
+            vr[0, 0] = np.nan
+            return wr, wi, vl, vr, info
+
+        monkeypatch.setattr(spectra.lapack, "dgeev", poisoned)
+        out = tmp_path / "o"
+        assert main(["spectrum", k5_file, "--out-dir", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("netspectra: residual nan at index 0 exceeds")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv", [["spectrum"], ["truncate-spectrum", "--sizes", "3"]], ids=["spectrum", "truncate"]
     )

@@ -71,6 +71,25 @@ class TestBuildStochastic:
         with pytest.raises(ValueError):
             StochasticMatrix(mat, [False, True])
 
+    def test_constructor_rejects_a_non_square_matrix(self):
+        from scipy import sparse
+
+        with pytest.raises(ValueError, match="must be square"):
+            StochasticMatrix(sparse.csc_matrix(np.ones((2, 3)) / 2), [False, False, False])
+
+    @pytest.mark.parametrize(
+        "column",
+        [[-0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]],
+        ids=["negative", "nan", "inf", "-inf"],
+    )
+    def test_constructor_rejects_negative_and_non_finite_entries(self, column):
+        # the negative column still sums to 1, and nan fails every comparison
+        from scipy import sparse
+
+        mat = sparse.csc_matrix(np.column_stack([column, [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            StochasticMatrix(mat, [False, False])
+
 
 class TestApply:
     def test_alpha_zero_gives_uniform(self):

@@ -210,6 +210,16 @@ class TestPagerank:
             assert np.all(r.values == r.values[0])
             assert abs(r.values[0] - 1 / n) <= np.spacing(1 / n)
 
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    def test_exact_half_step_ends_the_sweep(self, alpha):
+        # on 0 -> 1 the first half step s = r - a v is exactly 0, so the
+        # sweep returns x + a p after two products: with the certificates
+        # before and after it, 4 operator applications
+        gm = GoogleMatrix.from_graph(DirectedGraph(n_nodes=2, edges=np.array([[0, 1]])), alpha)
+        r = pagerank(gm)
+        assert r.converged and r.iterations == 4
+        assert r.values.tolist() == pagerank_dense_solve(gm).values.tolist()
+
     @pytest.mark.parametrize("max_iter", [1, 2, 3, 5])
     def test_budget_exhausted_flags_non_convergence(self, max_iter):
         for alpha in (0.99, 1.0):
@@ -305,7 +315,7 @@ class TestParVsAlpha:
         pts = par_vs_alpha(complete_graph(5), [0.2, 0.5, 0.85])
         for p in pts:
             assert p.xi == pytest.approx(5.0, abs=1e-9)
-            assert p.converged
+            assert p.rank.converged and p.rank.alpha == p.alpha
 
     def test_two_cycle_constant(self):
         pts = par_vs_alpha(two_cycle(), [0.3, 0.85])

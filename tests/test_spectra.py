@@ -717,6 +717,24 @@ class TestPackedCore:
         with pytest.raises(EigensolverError, match="residual .* exceeds"):
             eigendecompose(packed_core_cases()["random 0.85"])
 
+    def test_nan_eigenvector_fails_the_contract(self, monkeypatch):
+        # a nan residual fails every comparison, so it must fail the contract
+        def poisoned(wr, wi, vl, vr, info):
+            vr[0, 0] = np.nan
+            return wr, wi, vl, vr, info
+
+        self.patched_dgeev(monkeypatch, poisoned)
+        with pytest.raises(EigensolverError, match="residual nan at index 0 exceeds"):
+            eigendecompose(np.random.default_rng(6).random((6, 6)))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("scale", [1e160, 1e300])
+    def test_overflowing_norm_fails_the_contract(self, scale):
+        # ||M||_F overflows to inf, under which an infinite residual would pass
+        matrix = scale * np.random.default_rng(7).random((5, 5))
+        with pytest.raises(EigensolverError, match=r"\|\|M\|\|_F = inf is not finite"):
+            eigendecompose(matrix)
+
     def test_qr_failure_raises(self, monkeypatch):
         self.patched_dgeev(monkeypatch, lambda wr, wi, vl, vr, info: (wr, wi, vl, vr, 7))
         with pytest.raises(EigensolverError, match="failed to converge"):

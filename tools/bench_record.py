@@ -36,9 +36,15 @@ bytes were equal on both sides in every pair and, for a column that
 differed, the largest absolute difference between the two sides' numbers
 in any pair, row by row (``max_abs_diff``) and with each side's numbers
 sorted first (``max_abs_diff_sorted``, which reads 0 for rows that only
-swapped places).  The environment block of the first change run
-is copied in.  Workloads already recorded in ``--out`` against the same
-parent are kept, so workloads can be recorded one run at a time.
+swapped places); and, per JSON output of each job (``<job id>/<file>``:
+``manifest.json`` and the ``*.params.json`` and ``*.manifest.json``
+sidecars), whether the manifests were equal in every pair once
+``wall_time_s`` is dropped and each side's checkout directory is replaced
+by one token (``manifests_equal``), with the dotted keys that differed in
+any pair for each one that was not (``manifest_differences``).  The
+environment block of the first change run is copied in.  Workloads already
+recorded in ``--out`` against the same parent are kept, so workloads can be
+recorded one run at a time.
 """
 
 from __future__ import annotations
@@ -155,6 +161,40 @@ def column_differences(a: dict, b: dict, sort: bool = False) -> dict[str, float 
     return out
 
 
+CHECKOUT = "<checkout>"
+
+
+def manifests(jobs, checkout: Path) -> dict[str, dict]:
+    """``{<job id>/<file>: manifest}`` for each JSON output of the jobs,
+    without ``wall_time_s`` and with the checkout directory, which the
+    jobs' paths hold in parameter values and input digest keys, replaced
+    by :data:`CHECKOUT`."""
+    root = json.dumps(str(checkout.resolve()))[1:-1]  # as it is escaped in JSON text
+    out = {}
+    for job in jobs:
+        for path in sorted(Path(job["dir"]).glob("*.json")):
+            manifest = json.loads(path.read_text().replace(root, CHECKOUT))
+            manifest.pop("wall_time_s", None)
+            out[f"{job['id']}/{path.name}"] = manifest
+    return out
+
+
+def manifest_differences(a, b, prefix: str = "") -> list[str]:
+    """The dotted keys whose values differ between two manifests, nested
+    objects compared key by key; a key on one side only differs, and a
+    manifest on one side only differs as a whole, ``"."``."""
+    if not (isinstance(a, dict) and isinstance(b, dict)):
+        return [] if a == b else [prefix or "."]
+    keys = []
+    for key in sorted(a.keys() | b.keys()):
+        path = f"{prefix}.{key}" if prefix else key
+        if key in a and key in b:
+            keys += manifest_differences(a[key], b[key], path)
+        else:
+            keys.append(path)
+    return keys
+
+
 def side_stats(values: list[float]) -> dict:
     q1, _, q3 = (
         statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
@@ -219,6 +259,13 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
             for key, diff in p.get(field, {}).items():
                 known = worst.get(key, 0.0)
                 worst[key] = None if diff is None or known is None else max(known, diff)
+    same: dict[str, bool] = {}
+    changed: dict[str, set[str]] = {}
+    for p in pairs:
+        for key in p.get("manifests", []):
+            diff = p["manifest_differences"].get(key, [])
+            same[key] = same.get(key, True) and not diff
+            changed.setdefault(key, set()).update(diff)
     sides = [side for side in SIDES if side in pairs[0]]
     return {
         "metrics": metrics,
@@ -227,6 +274,8 @@ def summarize(pairs: list[dict], declared: dict) -> dict:
         "digests_equal": dict(sorted(equal.items())),
         "max_abs_diff": dict(sorted(moved["differences"].items())),
         "max_abs_diff_sorted": dict(sorted(moved["sorted_differences"].items())),
+        "manifests_equal": dict(sorted(same.items())),
+        "manifest_differences": {k: sorted(changed[k]) for k in sorted(same) if not same[k]},
     }
 
 
@@ -271,10 +320,17 @@ def main(argv=None) -> int:
                     print(f"{name} seed {seed} {side}: peak_rss_mb {rss:.2f}", file=sys.stderr)
                 # every side's outputs of this pair are still in its checkout
                 del pair["control"]["jobs"]
-                a, b = (column_cells(pair[side].pop("jobs")) for side in ("parent", "change"))
+                jobs = {side: pair[side].pop("jobs") for side in ("parent", "change")}
+                a, b = (column_cells(jobs[side]) for side in ("parent", "change"))
                 pair["columns"] = sorted(a.keys() | b.keys())
                 pair["differences"] = column_differences(a, b)
                 pair["sorted_differences"] = column_differences(a, b, sort=True)
+                ma, mb = (manifests(jobs[side], dirs[side]) for side in ("parent", "change"))
+                pair["manifests"] = sorted(ma.keys() | mb.keys())
+                pair["manifest_differences"] = {
+                    key: diff for key in pair["manifests"]
+                    if (diff := manifest_differences(ma.get(key), mb.get(key)))
+                }
                 pairs.append(pair)
                 order.append(sides[0])
                 record.setdefault("environment", pairs[0]["change"]["detail"]["environment"])
