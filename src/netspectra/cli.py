@@ -177,10 +177,10 @@ def _available_memory() -> int | None:
     return min(figures) if figures else None
 
 
-def _check_dense_memory(n: int) -> None:
-    """Refuse (exit 2) before densifying an n-node operator when the dense
-    path (see :func:`spectra.dense_memory_bytes`) cannot fit in the
-    available memory.  No check without a figure."""
+def _check_dense_memory(n: int) -> int:
+    """Refuse (exit 2) before the dense work on an n-node operator when the
+    dense path cannot fit in the available memory (no check without a
+    figure); return the estimate, :func:`spectra.dense_memory_bytes`."""
     from . import spectra
 
     peak = spectra.dense_memory_bytes(n)
@@ -190,6 +190,7 @@ def _check_dense_memory(n: int) -> None:
             f"the dense path needs about {peak / 2**30:.3g} GiB but {available / 2**30:.3g} GiB "
             "are available"
         )
+    return peak
 
 
 def _health(spec) -> dict:
@@ -210,7 +211,7 @@ def cmd_spectrum(args, graph) -> _Result:
     from . import gmatrix, spectra
 
     g = gmatrix.GoogleMatrix.from_graph(graph, args.alpha)
-    _check_dense_memory(g.n)
+    peak = _check_dense_memory(g.n)
     spec = spectra.operator_spectrum(g, args.tol)
     gammas, zero_modes = spectra.relaxation_rates(spec, args.lambda_cutoff)
     hist = spectra.density_of_states(
@@ -224,7 +225,8 @@ def cmd_spectrum(args, graph) -> _Result:
         "degeneracy.csv": partial(spectra.degeneracy_to_csv, report),
         "eigenvector_par.csv": partial(spectra.eigenvector_pars_to_csv, par_gammas, pars),
     }
-    return _Result(outputs, f"n={graph.n_nodes} alpha={args.alpha}", extra=_health(spec))
+    extra = {**_health(spec), "dense_peak_bytes": peak}
+    return _Result(outputs, f"n={graph.n_nodes} alpha={args.alpha}", extra=extra)
 
 
 def cmd_pagerank(args, graph) -> _Result:
@@ -343,11 +345,11 @@ def cmd_generate(args, _graph) -> _Result:
 def cmd_truncate_spectrum(args, graph) -> _Result:
     from . import spectra
 
-    _check_dense_memory(graph.n_nodes)
+    peak = _check_dense_memory(graph.n_nodes)
     cmp = spectra.truncated_spectrum_compare(graph, args.alpha, args.sizes, tol=args.tol)
     outputs = {"eigenvalues_full.csv": partial(spectra.spectrum_to_csv, cmp.full)}
     hausdorff = {}
-    extra = {}
+    extra = {"dense_peak_bytes": peak}
     for name, spec in [("full", cmp.full)] + [(str(res.m), res.spectrum) for res in cmp.results]:
         for key, value in _health(spec).items():
             extra.setdefault(key, {})[name] = value

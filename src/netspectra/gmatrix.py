@@ -106,6 +106,17 @@ def build_stochastic(graph: DirectedGraph) -> StochasticMatrix:
     return StochasticMatrix(mat, out_deg == 0)
 
 
+def _column_sums(v) -> np.ndarray:
+    """``v.sum(axis=0)``, pairwise down the rows also for a row-major block,
+    whose rows numpy adds one after another."""
+    while v.ndim == 2 and v.shape[0] > 1:
+        h = v.shape[0] // 2
+        s = v[:h] + v[h:2 * h]
+        s[0] += v[2 * h:].sum(axis=0)
+        v = s
+    return v.sum(axis=0)
+
+
 @dataclass(frozen=True)
 class GoogleMatrix:
     """Damped link operator ``alpha * S + (1-alpha) * uniform teleportation``.
@@ -130,26 +141,22 @@ class GoogleMatrix:
         return self.s.n
 
     def apply(self, v) -> np.ndarray:
-        """Matrix-vector product in O(edges + N).
+        """Matrix-vector product in O(edges + N), or the product with each
+        column of an N x k block in O(k (edges + N)).
 
         Dangling columns contribute ``alpha/N * sum(v over dangling)`` to every
         entry and the teleportation part ``(1-alpha)/N * sum(v)``; the vector
         sum is preserved.
         """
         v = np.asarray(v, dtype=np.float64)
-        if v.shape != (self.n,):
-            raise ValueError(f"vector has shape {v.shape}, expected ({self.n},)")
-        dangling_mass = v[self.s.dangling_nodes].sum()
-        shift = (self.alpha * dangling_mass + (1.0 - self.alpha) * v.sum()) / self.n
-        return self.alpha * (self.s.matrix @ v) + shift
-
-    def permuted(self, order) -> "GoogleMatrix":
-        """The operator with its nodes relabelled so that node ``order[k]``
-        becomes node k: the matrix ``P^T G P``, built from the sparse link
-        matrix, so :meth:`to_dense` writes it out directly."""
-        order = np.asarray(order)
-        s = StochasticMatrix(self.s.matrix[order][:, order], self.s.dangling[order])
-        return GoogleMatrix(s, self.alpha)
+        if v.shape[:1] != (self.n,) or v.ndim > 2:
+            raise ValueError(f"vector has shape {v.shape}, expected ({self.n},) or ({self.n}, k)")
+        dangling_mass = _column_sums(v[self.s.dangling_nodes])
+        shift = (self.alpha * dangling_mass + (1.0 - self.alpha) * _column_sums(v)) / self.n
+        out = self.s.matrix @ v
+        out *= self.alpha
+        out += shift
+        return out
 
     def to_dense(self) -> np.ndarray:
         """Materialize the full N x N matrix."""

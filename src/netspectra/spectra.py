@@ -9,12 +9,13 @@ no finite rate (they are bucketed separately as "zero modes").
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import blas, lapack, schur
 
-from .gmatrix import GoogleMatrix, scc_order, truncate_by_rank
+from .gmatrix import GoogleMatrix, StochasticMatrix, scc_order, truncate_by_rank
 from .netcore import DirectedGraph, _check_positive, _write_table
 from .ranking import RankVector, pagerank
 
@@ -81,15 +82,11 @@ class Spectrum:
     ``rows`` is set on every spectrum of :func:`operator_spectrum`, whose
     solver saw the nodes reordered: row k of ``packed`` belongs to node
     ``rows[k]``.  ``blocks`` counts the diagonal blocks of the matrix the
-    solver saw and ``closed`` the closed ones among them, on every
-    spectrum; in :func:`gmatrix.scc_order` these are the components and the
-    closed classes, the multiplicity of the eigenvalue 1 of S.  ``apart``
-    counts the closed classes diagonalized on their own, and ``lumped`` and
-    ``lumped_rows`` the columns and then the rows of the other indices that
-    repeated an earlier one bit for bit and were lumped before dgeev (see
-    :func:`eigendecompose`).  ``fro`` is ``||M||_F`` of the matrix whose
-    spectrum this is, the scale of the residual contract.  Residuals and
-    PARs do not depend on the row order.
+    solver saw and ``closed`` the closed ones (in :func:`gmatrix.scc_order`
+    the components and closed classes), ``apart`` the closed classes
+    diagonalized on their own, and ``lumped`` and ``lumped_rows`` the
+    columns and rows lumped before dgeev (see :func:`eigendecompose`).
+    ``fro`` is ``||M||_F``, the scale of the residual contract.
     """
 
     eigenvalues: np.ndarray
@@ -114,133 +111,104 @@ class Spectrum:
     def eigenvectors(self) -> np.ndarray:
         """Unit-norm right eigenvectors as columns aligned with
         ``eigenvalues``, rows in node order (read-only), built from the
-        packed matrix on first use: complex when the solver returned a
-        conjugate pair.  For :func:`eigendecompose` of a matrix whose
-        columns are all distinct and none of whose closed classes is solved
-        apart they are bitwise the columns of ``scipy.linalg.eig`` divided
-        by their norms; a class solved apart has its own eigenvectors, zero
-        outside it, and gives the others their rows in it; where the other
-        indices repeat a column, each repeat j of column ``rep(j)`` has
-        ``(e_j - e_rep(j)) / sqrt(2)`` there, with eigenvalue exactly 0,
-        each repeated row a copy of one of those, and the rest are lifts
-        of the core's eigenvectors (see :func:`_lift`).  Below alpha = 1,
-        :func:`operator_spectrum` keeps the eigenvectors of S except on the
-        eigenvalues 1 and alpha, and the spectra of
-        :func:`truncated_spectrum_compare` carry none.  The result holds 16
-        bytes per entry, twice the packed storage, and 32 while it is
-        built: one gather puts the rows in node order and the columns in
-        spectrum order."""
+        packed matrix on first use, one certification block of columns at a
+        time: complex when the solver returned a conjugate pair.  Where
+        nothing is lumped or solved apart they are bitwise the columns of
+        ``scipy.linalg.eig`` divided by their norms (see :func:`_dgeev` for
+        the others)."""
         if self.packed is None:
             raise ValueError("spectrum carries no eigenvectors")
-        packed = self.packed
-        first = np.flatnonzero(self.pair_first)
-        if first.size:
-            vecs = packed.astype(np.complex128, order="F")
-            vecs.imag[:, first] = packed[:, first + 1]
-            vecs[:, first + 1] = vecs[:, first].conj()
-        else:
-            vecs = packed.copy(order="F")
-        # one gather puts the columns in spectrum order and the rows in node
-        # order; Fortran order, so the norms sum as scipy's layout takes them
-        rows = vecs.T[self.order if self.rows is None else np.ix_(self.order, np.argsort(self.rows))]
-        del vecs
-        vecs = rows.T
-        vecs /= np.linalg.norm(vecs, axis=0)
+        packed, n, first = self.packed, self.n, self.pair_first
+        second = np.zeros(n, dtype=bool)  # the v column of a pair u, v
+        second[1:] = first[:-1]
+        rows = np.arange(n) if self.rows is None else np.argsort(self.rows)
+        vecs = np.empty((n, n), complex if first.any() else float, order="F")
+        for lo in range(0, n, step := _block_columns(n)):
+            cols = self.order[lo:lo + step]
+            blk = vecs[:, lo:lo + step]  # Fortran order, so the norms sum as scipy's layout takes them
+            blk[...] = packed[np.ix_(rows, cols - second[cols])]  # u, or the real column
+            pair = np.flatnonzero(first[cols] | second[cols])
+            if pair.size:  # u + iv, and u - iv for the second of the pair
+                im = packed[np.ix_(rows, cols[pair] + first[cols[pair]])]
+                blk.imag[:, pair] = np.where(second[cols[pair]], -im, im)
+            blk /= np.linalg.norm(blk, axis=0)
         vecs.setflags(write=False)
         return vecs
 
 
-# Bytes of one block of residual columns: an operator up to N = 2,048 is
-# checked with one GEMM, a larger one in blocks of about 2^22 / N columns.
-_BLOCK_BYTES = 1 << 25
+# Bytes of one block of residual columns, which stays in cache: an eighth
+# of the columns up to N = 1,024, about 2^17 / N columns above.
+_BLOCK_BYTES = 1 << 20
 
 
 def _block_columns(n: int) -> int:
-    return min(n, max(2, _BLOCK_BYTES // (8 * n)))
+    return max(2, min(n // 8, _BLOCK_BYTES // (8 * n)))
 
 
 def dense_memory_bytes(n: int) -> int:
-    """Bytes the dense path holds at its peak for an n x n operator: the
-    operator, dgeev's copy of it, the packed eigenvectors and one residual
-    block (the O(n) vectors aside).  dgeev's copy is of the k x k core (all
-    of the operator when nothing is split or lumped), freed before the
-    packed eigenvectors are allocated; beside those are then held the
-    repeated columns' rows and the core's k x k eigenvectors while they are
-    lifted, then one class apart at a time, its c x c blocks and the rows
-    the rest links into it with, and at last one residual block no larger
-    than the core's eigenvectors freed before it.  It grows with n, and a
-    truncation comparison keeps no eigenvectors, so it also bounds
-    diagonalizing the truncations of that operator one after another."""
-    return 8 * n * (3 * n + _block_columns(n))
+    """Bytes the dense path holds at its peak for an n-node operator, with
+    no dense S or G (the O(n) vectors aside): dgeev's copy of the core, its
+    eigenvectors and workspace; then the packed eigenvectors beside the
+    core's while they are lifted, one class apart (no more than the core's,
+    see :func:`_dgeev`), or a few certification blocks of n x b.  It grows
+    with n, and truncation spectra keep no eigenvectors, so it bounds
+    those of the operator's truncations too."""
+    work, _ = lapack.dgeev_lwork(n, compute_vl=0, compute_vr=1)
+    return 8 * (n * (2 * n + _block_columns(n)) + int(work))
 
 
-def _power_sums(mod2):
-    """Row sums of ``|psi|^2`` and of ``|psi|^4``, given ``|psi|^2`` with one
-    eigenvector per contiguous row (overwritten)."""
-    s2 = mod2.sum(axis=1)
-    return s2, np.square(mod2, out=mod2).sum(axis=1)
-
-
-def _times_d(vb, wr, wi, f):
-    """``VR D`` in Fortran order for a block of packed columns VR that
-    splits no conjugate pair, ``f`` the first columns of its pairs (see
-    :func:`_certify_block`)."""
-    r = np.multiply(vb, wr, order="F")
-    step = max(16, vb.shape[1] // 16)  # pairs per pass, so that the gathered columns stay small
-    for lo in range(0, f.size, step):
-        g = f[lo:lo + step]
-        r[:, g] += wi[g + 1] * vb[:, g + 1]
-        r[:, g + 1] += wi[g] * vb[:, g]
+def _times_d(vb, wr, wi, f, out=None):
+    """``VR D`` for a block of packed columns VR that splits no conjugate
+    pair, ``f`` the first columns of its pairs (see :func:`_certify_block`),
+    into ``out`` if given (which may be ``vb``)."""
+    u, v = wi[f + 1] * vb[:, f + 1], wi[f] * vb[:, f]
+    r = np.multiply(vb, wr, out=out)
+    r[:, f] += u
+    r[:, f + 1] += v
     return r
 
 
-def _certify_block(a, trans: int, vb, wr, wi, first, parts=None):
-    """Squared norm, sum of fourth powers of the entry moduli, and squared
-    residual norm of the eigenvectors in one block of packed columns that
-    splits no conjugate pair; a pair's two columns both get the values of
-    ``u + iv``.
+# A norm from here up to overflow is accurate to rounding without scaling:
+# the squares lost below the normal range are below its last bit
+_NORM_SAFE = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+
+
+def _certify_block(product, vb, wr, wi, first):
+    """Squared norm, sum of fourth powers of the entry moduli, and residual
+    norm of the eigenvectors in one block of packed columns that splits no
+    conjugate pair; a pair's two columns both get the values of ``u + iv``.
 
     ``M VR = VR D`` holds with D block diagonal: ``a`` on the diagonal for
     a real eigenvalue, and ``[[a, b], [-b, a]]`` for a pair, so that
-    ``M u = a u - b v`` and ``M v = b u + a v``.  The residual block
-    ``M VR - VR D`` is real GEMMs accumulated into ``VR D``: one per
-    ``(lo, hi, rows)`` of ``parts`` (by default the whole block), for
-    columns ``lo:hi`` that are zero outside ``rows``, over M's columns
-    ``rows`` only.  Every sum runs along one contiguous row of a
-    transposed block, so a column's norm and PAR do not depend on the
+    ``M u = a u - b v`` and ``M v = b u + a v``.  The residual block is
+    ``product(VR) - VR D``, taken on a row-major copy of the block, the
+    layout a sparse product reads; a column whose squares overflow or near
+    underflow is scaled before it is squared.  Every PAR sum runs along one
+    contiguous row of a transposed block, so they do not depend on the
     blocking.
     """
-    k = vb.shape[1]
     f = np.flatnonzero(first)
-    r = _times_d(vb, wr, wi, f)
-    for lo, hi, rows in parts or [(0, k, slice(None))]:
-        r[:, lo:hi] = blas.dgemm(
-            1.0, a[rows] if trans else a[:, rows], vb[rows, lo:hi], beta=-1.0, c=r[:, lo:hi],
-            trans_a=trans, overwrite_c=1,
-        )
-    r2 = np.square(r, out=r).T.sum(axis=1)
+    c = vb.copy(order="C")
+    r = product(c)
+    r -= _times_d(c, wr, wi, f, out=c)
+    del c
+    rn = np.sqrt(np.einsum("ij,ij->j", r, r))
+    odd = np.flatnonzero(~(rn >= _NORM_SAFE) | (rn == np.inf))  # nan too
+    e = np.frexp(np.abs(r[:, odd]).max(axis=0, initial=0.0))[1]  # a power of two scales exactly
+    rn[odd] = np.ldexp(np.linalg.norm(np.ldexp(r[:, odd], -e), axis=0), e)
     del r
-    rows = vb.T  # one packed column per contiguous row
-    s2, s4 = np.empty(k), np.empty(k)
-    real = np.ones(k, dtype=bool)
-    real[f] = real[f + 1] = False
-    mod2 = rows[real]
-    s2[real], s4[real] = _power_sums(np.square(mod2, out=mod2))
-    mod2 = rows[f]
-    np.square(mod2, out=mod2)
-    v = rows[f + 1]
-    mod2 += np.square(v, out=v)  # |u + iv|^2 = u^2 + v^2 entry by entry
-    del v
-    s2[f], s4[f] = _power_sums(mod2)
+    mod2 = np.square(vb.T)  # one packed column per contiguous row
+    mod2[f] += mod2[f + 1]  # |u + iv|^2 = u^2 + v^2 entry by entry
+    s2 = mod2.sum(axis=1)
+    s4 = np.square(mod2, out=mod2).sum(axis=1)
     s2[f + 1], s4[f + 1] = s2[f], s4[f]
-    r2[f] = r2[f + 1] = r2[f] + r2[f + 1]
-    return s2, s4, r2
+    rn[f] = rn[f + 1] = np.hypot(rn[f], rn[f + 1])
+    return s2, s4, rn
 
 
-def _damp(matrix, wr, wi, vr, closed: int, alpha: float, rank) -> None:
+def _damp(wr, wi, vr, closed: int, alpha: float, rank) -> None:
     """Turn the eigenpairs ``(wr + i wi, vr)`` of a column-stochastic S into
-    those of ``G = alpha*S + (1-alpha)/N * ee^T``, and S in ``matrix`` into
-    G, all in place.
+    those of ``G = alpha*S + (1-alpha)/N * ee^T`` in place.
 
     Since ``e^T S = e^T``, an eigenvector psi of S with lambda != 1 has
     ``e^T psi = 0``, so ``G psi = alpha*lambda psi``: the eigenvalue is
@@ -251,7 +219,7 @@ def _damp(matrix, wr, wi, vr, closed: int, alpha: float, rank) -> None:
     ``psi_j - (e^T psi_j / e^T psi_p) psi_p``, which sums to zero, so G
     maps it to alpha times itself; psi_p becomes the rank vector ``rank``
     (unit L2 norm), G's eigenvector for 1.  A column mapped wrongly fails
-    the residual contract that follows.  Returns those ``closed`` columns.
+    the residual contract that follows.
     """
     unit = np.argsort(np.hypot(wr - 1.0, wi), kind="stable")[:closed]
     sums = vr[:, unit].sum(axis=0)
@@ -264,49 +232,82 @@ def _damp(matrix, wr, wi, vr, closed: int, alpha: float, rank) -> None:
     wr[unit[p]] = 1.0
     wr += 0.0
     wi += 0.0
-    matrix *= alpha
-    matrix += (1.0 - alpha) / matrix.shape[0]
-    return unit
 
 
-def _repeats(lines, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """Representative of each of the columns ``cols`` of ``lines``, as a
-    position in ``cols``: the first of them, in matrix order, whose bits in
-    ``rows`` all equal its own.  A column that is all zero there is its
-    own, since dgebal isolates it anyway.  One key per column (its bit
-    patterns in ``rows`` times fixed odd weights, summed modulo 2^64, so
-    equal columns get equal keys), then each candidate group is confirmed
-    on the columns."""
-    bits = lines.view(np.uint64)
-    rows, cols = np.arange(bits.shape[0])[rows], np.arange(bits.shape[1])[cols]
-    weights = np.zeros(bits.shape[0], dtype=np.uint64)
+def _gather(a, rows, cols, order: str = "F") -> np.ndarray:
+    """``a[rows][:, cols]`` as a new array in ``order``, for a dense ``a`` or
+    the CSC link matrix of S (its empty columns uniform): the dense S's
+    floats, in one pass over the entries of ``cols``."""
+    if not sparse.issparse(a):
+        return a[np.ix_(rows, cols)] if order == "C" else a.T[np.ix_(cols, rows)].T
+    n = a.shape[0]
+    out = np.zeros((rows.size, cols.size), order=order)
+    where = np.full(n, -1)
+    where[rows] = np.arange(rows.size)
+    start, count = a.indptr[cols], np.diff(a.indptr)[cols]
+    col = np.repeat(np.arange(cols.size), count)
+    pos = np.arange(col.size) + np.repeat(start - np.cumsum(count) + count, count)
+    row = where[a.indices[pos]]
+    inside = row >= 0
+    out[row[inside], col[inside]] = a.data[pos[inside]]
+    out[:, count == 0] = 1.0 / n
+    return out
+
+
+def _repeats(a, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Representative of each of the columns ``cols`` of ``a`` (dense, or a
+    CSC link matrix as in :func:`_gather`), as a position in ``cols``: the
+    first of them, in matrix order, whose bits in ``rows`` all equal its
+    own.  A column that is all zero there is its own, since dgebal isolates
+    it anyway.  One key per column (its bit patterns in ``rows`` times
+    fixed odd weights, summed modulo 2^64, so equal columns get equal keys
+    whatever the storage), then each candidate group is confirmed on the
+    columns."""
+    n = a.shape[0]
+    rows, cols = np.arange(n)[rows], np.arange(a.shape[1])[cols]
+    weights = np.zeros(n, dtype=np.uint64)
     weights[rows] = np.arange(1, 2 * rows.size, 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    keys = (weights @ bits)[cols]
+    if sparse.issparse(a):  # the keys of the entries, and of the uniform dangling columns
+        sums = np.zeros(a.nnz + 1, dtype=np.uint64)
+        np.cumsum(weights[a.indices] * a.data.view(np.uint64), out=sums[1:])
+        keys = sums[a.indptr[1:]] - sums[a.indptr[:-1]]
+        keys[np.diff(a.indptr) == 0] = (weights * np.float64(1 / n).view(np.uint64)).sum()
+    else:
+        keys = weights @ a.view(np.uint64)
+    keys = keys[cols]
     _, labels, counts = np.unique(keys, return_inverse=True, return_counts=True)
     rep = np.arange(cols.size)
     cand = np.flatnonzero(counts[labels] > 1)
     cand = cand[np.argsort(labels[cand], kind="stable")]  # by key, ascending within one
     for members in np.split(cand, np.flatnonzero(np.diff(labels[cand])) + 1):
         if members.size and keys[members[0]] == 0:  # where the zero columns are
-            members = members[bits[np.ix_(rows, cols[members])].any(axis=0)]
+            members = members[_gather(a, rows, cols[members]).view(np.uint64).any(axis=0)]
         while members.size > 1:
-            block = bits[np.ix_(rows, cols[members])]
+            block = _gather(a, rows, cols[members]).view(np.uint64)
             same = (block == block[:, :1]).all(axis=0)
             rep[members[same]] = members[0]
             members = members[~same]
     return rep
 
 
+# dgeev scales a matrix whose largest entry lies outside [1/_GEEV_BIG,
+# _GEEV_BIG], and scipy's LAPACK leaves its eigenvalues scaled
+_GEEV_BIG = np.finfo(float).eps / np.sqrt(np.finfo(float).tiny)
+
+
 def _geev(a, overwrite_a: int = 0):
     """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a`` by
-    one dgeev."""
+    one dgeev, of ``a`` scaled by a power of two (exactly) where dgeev
+    would scale it."""
+    top = max(a.max(), -a.min())
+    e = int(np.frexp(top)[1]) if top > 0 and not 1 / _GEEV_BIG <= top <= _GEEV_BIG else 0
+    if e:
+        a, overwrite_a = np.ldexp(a, -e), 1
     work, _ = lapack.dgeev_lwork(a.shape[0], compute_vl=0, compute_vr=1)
-    wr, wi, _, vr, info = lapack.dgeev(
-        a, compute_vl=0, compute_vr=1, lwork=int(work), overwrite_a=overwrite_a
-    )
+    wr, wi, _, vr, info = lapack.dgeev(a, compute_vl=0, compute_vr=1, lwork=int(work), overwrite_a=overwrite_a)
     if info != 0:
         raise EigensolverError(f"QR iteration failed to converge (dgeev info {info})")
-    return wr, wi, vr
+    return np.ldexp(wr, e), np.ldexp(wi, e), vr
 
 
 def _diagonal_blocks(a):
@@ -315,12 +316,21 @@ def _diagonal_blocks(a):
     its columns has an entry outside it, and whether a column outside it has
     an entry in its rows.  With the nodes in :func:`gmatrix.scc_order` the
     blocks are the strongly connected components, and the closed ones the
-    closed classes.  An empty row or column counts as linking everywhere."""
+    closed classes.  An empty row or column counts as linking everywhere;
+    a CSC link matrix (see :func:`_gather`) is read off its index arrays."""
     n = a.shape[0]
-    nz = a != 0
-    top = nz.argmax(axis=0)  # first row of each column's entries
-    bottom = n - 1 - nz[::-1].argmax(axis=0)  # last row of each column's entries
-    right = n - 1 - nz[:, ::-1].argmax(axis=1)  # last column of each row's entries
+    if sparse.issparse(a):
+        ptr, full = a.indptr, np.diff(a.indptr) == 0
+        top, bottom = np.zeros(n, dtype=np.int64), np.full(n, n - 1)
+        top[~full], bottom[~full] = a.indices[ptr[:-1][~full]], a.indices[ptr[1:][~full] - 1]
+        right = np.full(n, np.flatnonzero(full).max(initial=-1))
+        np.maximum.at(right, a.indices, np.repeat(np.arange(n), np.diff(ptr)))
+        right[right < 0] = n - 1
+    else:
+        nz = a != 0
+        top = nz.argmax(axis=0)  # first row of each column's entries
+        bottom = n - 1 - nz[::-1].argmax(axis=0)  # last row of each column's entries
+        right = n - 1 - nz[:, ::-1].argmax(axis=1)  # last column of each row's entries
     hi = np.flatnonzero(np.maximum.accumulate(bottom) <= np.arange(n)) + 1
     lo = np.concatenate(([0], hi[:-1]))
     return lo, hi, np.minimum.reduceat(top, lo) >= lo, np.maximum.reduceat(right, lo) >= hi
@@ -370,8 +380,9 @@ def _lump(a, rest, rep):
     members' mean and its row their sum (the lumped Markov chain of a
     stochastic M, stochastic too), the rows and columns left, K, are the
     core.  An all-zero row or column is not lumped (dgebal isolates it), nor
-    is a row unless some column is.  M is gathered from ``a`` into a new
-    array, and the core out of M into another, M dropped at once.  The
+    is a row unless some column is.  M is gathered from ``a`` (see
+    :func:`_gather`) into a new array, and the core out of M into another,
+    M dropped at once.  The
     spectrum of ``src`` is that of the core and ``m - |K|`` zeros.  Returns
     the core and ``(rep, reps, extra, x, pos, size, lost)``: ``rep``, the
     representatives, J, X, the row of the core and the size of the group of
@@ -380,8 +391,8 @@ def _lump(a, rest, rep):
     m = rest.size
     reps, extra = np.flatnonzero(rep == np.arange(m)), np.flatnonzero(rep != np.arange(m))
     g = reps.size
-    x = a[np.ix_(rest[extra], rest[reps])]
-    core = a.T[np.ix_(rest[reps], rest[reps])].T
+    x = _gather(a, rest[extra], rest[reps], "C")
+    core = _gather(a, rest[reps], rest[reps])
     np.add.at(core, np.searchsorted(reps, rep[extra]), x)
     row = _repeats(core.T)
     folded = row != np.arange(g)
@@ -446,49 +457,45 @@ def _lift(vr, rows, lumping, wr, wi, v) -> None:
 
 def _dgeev(a, blocks):
     """Eigenvalues ``wr + i wi`` and packed right eigenvectors of ``a``,
-    given its :func:`_diagonal_blocks` ``blocks``; the ``(lo, hi, l, h)`` of
-    each closed block ``a[l:h, l:h]`` solved on its own, whose eigenvectors
-    are the columns ``lo:hi``; and the columns and rows lumped.
+    dense or a CSC link matrix (see :func:`_gather`), given its
+    :func:`_diagonal_blocks` ``blocks``; the number of closed blocks solved
+    on their own; and the columns and rows lumped.
 
-    Each closed block of :func:`_diagonal_blocks` gets its own dgeev, and its
-    eigenvectors padded with zeros are eigenvectors of ``a``.  Such a block
-    costs its dgeev, about ``c^3``, apart, twice that with the Schur form
-    it needs when the rest links into it, and ``(r + c)^3 - r^3`` in the
-    rest's dgeev, so it stays with the rest when that is cheaper.  The
-    other indices, the rest, have their repeated columns and then their
-    repeated rows lumped (see :func:`_lump`), one dgeev solves the core,
-    and its eigenvectors are lifted to the rest's (see :func:`_lift`).
-    The rest is lumped only when one of its diagonal blocks holds an eighth
-    of it or more: dgeev's QR work is cubic in those blocks, and on a rest
-    of smaller ones, nearly triangular, lumping's passes over the rest cost
-    more than the smaller dgeev saves.  dgeev sees a Fortran-ordered copy
-    of the rest's matrix, or its core, gathered from ``a`` and freed before
-    the packed eigenvectors are allocated: all of ``a`` when nothing is
-    split or lumped, with dgeev's eigenpairs of ``a`` bit for bit.  Each block
-    apart is copied out of ``a`` as it is solved, with its rows on the
-    rest's columns when the rest links into it, which give the rest's
-    eigenvectors their rows there (see :func:`_sylvester`): one block and
-    its link rows are held at a time.  The rest's columns come first, and
-    with a block apart each of them is scaled by its largest entry (a
-    conjugate pair's two by one factor).
+    Each closed block of :func:`_diagonal_blocks` gets its own dgeev, and
+    its eigenvectors padded with zeros are eigenvectors of ``a``.  Such a
+    block costs its dgeev, about ``c^3``, apart, twice that with the Schur
+    form it needs when the rest links into it, and ``(r + c)^3 - r^3`` in
+    the rest's dgeev, so it stays with the rest when that is cheaper, or
+    when it would hold more than the n^2 floats of dgeev's copy of the rest:
+    itself and its eigenvectors, and when linked its Schur form and the rows
+    the rest links into it with.  The other indices, the rest, have their
+    repeated columns and then their repeated rows lumped (see
+    :func:`_lump`), one dgeev solves the core, and its eigenvectors are
+    lifted to the rest's (see :func:`_lift`).  The rest is lumped only when
+    one of its diagonal blocks holds an eighth of it or more: dgeev's QR
+    work is cubic in those blocks, and on a rest of smaller ones, nearly
+    triangular, lumping's passes over the rest cost more than the smaller
+    dgeev saves.  dgeev sees a Fortran-ordered copy of the rest's matrix, or
+    its core, gathered from ``a`` and freed before the packed eigenvectors
+    are allocated.  Each block apart is gathered as it is solved, for its
+    own dgeev to work on in place, with the rows the rest links into it
+    with, which give the rest's eigenvectors their rows there (see
+    :func:`_sylvester`).  The rest's columns come first, and with a block
+    apart each of them is scaled by its largest entry (a conjugate pair's
+    two by one factor).
     """
     n = a.shape[0]
     lo, hi, closed, linked = blocks
     size = hi - lo
     r = n - size[closed].sum()
-    apart = closed & (size < n) & ((1 + linked) * size**3 <= (r + size) ** 3 - r**3)
-    keep = np.ones(n, dtype=bool)
-    for l, h in zip(lo[apart], hi[apart]):
-        keep[l:h] = False
-    rest = np.flatnonzero(keep)
+    fits = (2 + linked) * size**2 + linked * size * n <= n * n  # beside the packed vectors
+    apart = closed & fits & ((1 + linked) * size**3 <= (r + size) ** 3 - r**3)
+    rest = np.flatnonzero(~np.repeat(apart, size))
     m = rest.size
     cubic = 8 * size[~apart].max(initial=0) >= m  # worth lumping
     rep = _repeats(a, rest, rest) if cubic else np.arange(m)
     lumped = m - int(np.count_nonzero(rep == np.arange(m)))
-    if lumped:
-        core, lumping = _lump(a, rest, rep)
-    else:
-        core = a.T[np.ix_(rest, rest)].T
+    core, lumping = _lump(a, rest, rep) if lumped else (_gather(a, rest, rest), None)
     wr, wi, v = _geev(core, overwrite_a=1) if m else (np.empty(0), np.empty(0), None)
     del core
     k = wr.size
@@ -500,32 +507,22 @@ def _dgeev(a, blocks):
         vr[rest, :m] = v
     del v
     first = wi > 0
-    wrs, wis, parts = [wr], [wi], []
+    eigs, col = [(wr, wi)], m
     for l, h, link in zip(lo[apart], hi[apart], linked[apart]):
-        block = a[l:h, l:h]
+        span = np.arange(l, h)
+        block = _gather(a, span, span)
         if link:
-            _sylvester(vr, rest, l, h, block, a[l:h][:, rest], wr, wi, first)
-        w, wim, vc = _geev(block)
-        col = parts[-1][1] if parts else m
-        vr[l:h, col:col + h - l] = vc
-        wrs.append(w)
-        wis.append(wim)
-        parts.append((col, col + h - l, l, h))
-    if parts:
+            _sylvester(vr, rest, l, h, block, _gather(a, span, rest, "C"), wr, wi, first)
+        *w, vr[l:h, col:col + h - l] = _geev(block, overwrite_a=1)
+        eigs.append(w)
+        col += h - l
+    if col > m:
         f = np.flatnonzero(first)
         top = np.abs(vr[:, :m]).max(axis=0)
         top[f] = top[f + 1] = np.maximum(top[f], top[f + 1])
         vr[:, :m] /= top
-    return np.concatenate(wrs), np.concatenate(wis), vr, parts, lumped, m - k - lumped
-
-
-def _gemm_operand(matrix):
-    """``(a, trans)`` such that dgemm with ``trans_a=trans`` multiplies by
-    ``matrix``: a C-ordered matrix read as its transpose, any other layout
-    copied once rather than by f2py for every block."""
-    if matrix.flags.c_contiguous:
-        return matrix.T, 1
-    return np.asfortranarray(matrix), 0
+    wr, wi = (np.concatenate(w) for w in zip(*eigs))
+    return wr, wi, vr, int(apart.sum()), lumped, m - k - lumped
 
 
 def _blocks(first, step: int):
@@ -541,91 +538,83 @@ def _blocks(first, step: int):
 
 
 def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
-    """Full eigendecomposition of a dense real nonsymmetric matrix.
+    """Full eigendecomposition of a dense real nonsymmetric matrix, or of
+    the column-stochastic S whose CSC link matrix ``matrix`` is (its empty
+    columns are S's uniform dangling ones, and dgeev sees the floats of the
+    dense S).
 
     Any method is acceptable as long as every pair satisfies
     ``||M psi - lambda psi||_2 <= tol * ||M||_F``, with the norm and every
     residual finite (else :class:`EigensolverError`); this calls LAPACK
     ``dgeev`` (balanced Hessenberg/QR, the routine behind
     ``scipy.linalg.eig``) and keeps its packed real eigenvectors.  The
-    matrix's diagonal blocks are found once (see :func:`_diagonal_blocks`):
-    ``blocks`` counts them and ``closed`` the closed ones.  Those are split
-    off first (see :func:`_dgeev`): each closed class that is cheaper apart
-    gets its own dgeev, and ``apart`` counts those classes.  The other
-    indices, the rest, then have their bitwise identical columns (such as
-    the uniform columns of dangling nodes) and after those their identical
-    rows lumped (see :func:`_lump`), so one more dgeev sees only the core;
-    each column j lumped into an earlier one gets the exact null vector
-    ``e_j - e_rep(j)`` with eigenvalue 0.0, each row lumped a copy of one of
-    those, and ``lumped`` and ``lumped_rows`` count them.  With no column
-    lumped and no class apart, dgeev sees a copy of the whole matrix and the
-    eigenvalues and eigenvectors are bitwise those of ``scipy.linalg.eig``.
-    The contract is then checked in real arithmetic, column block by column
-    block (see :func:`_certify_block`), and each eigenvector's participation
-    ratio is taken in the same pass; the eigenvectors of a class solved
-    apart are zero outside its rows, so their residual GEMM runs over those
-    columns of the matrix only.  The traced peak is 15 to 20.3 bytes per
-    matrix entry beyond the input at n = 256 (20.3 with nothing split or
-    lumped): dgeev's copy of what it sees with its eigenvectors, then the
-    packed eigenvectors with the core's, then with one residual block.
+    matrix's diagonal blocks (see :func:`_diagonal_blocks`) are counted in
+    ``blocks`` and the closed ones in ``closed``; ``apart`` counts the
+    closed classes solved on their own, and ``lumped`` and ``lumped_rows``
+    the repeated columns and rows of the other indices, each given an exact
+    null vector with eigenvalue 0.0 (see :func:`_dgeev`).  With nothing
+    lumped or apart, the eigenpairs are bitwise those of
+    ``scipy.linalg.eig``.  The contract is checked column block by column
+    block (see :func:`_certify_block`), by the GEMM of a dense matrix or by
+    :meth:`gmatrix.GoogleMatrix.apply` for S, with each eigenvector's
+    participation ratio in the same pass.  ``||M||_F`` is BLAS nrm2 of a
+    dense matrix, and for S ``alpha^2 ||S||_F^2 + 2 alpha c N + c^2 N^2``
+    with ``c = (1 - alpha)/N``, a dangling column adding 1/N to
+    ``||S||_F^2``.
 
-    With ``damping = (alpha, rank)``, ``matrix`` holds a column-stochastic
-    S with its nodes in :func:`gmatrix.scc_order`, so that ``closed`` is
-    the multiplicity of its eigenvalue 1, and the spectrum is that of
+    With ``damping = (alpha, rank)``, ``matrix`` is the link matrix with
+    its nodes in :func:`gmatrix.scc_order`, so that ``closed`` is the
+    multiplicity of the eigenvalue 1 of S, and the spectrum is that of
     ``G = alpha*S + (1-alpha)/N * ee^T``: once dgeev is done, the
-    eigenpairs are mapped to G and G is written over ``matrix`` (see
-    :func:`_damp`), and the contract is checked against G.
-    ``rank`` is G's rank vector in the rows' order.
+    eigenpairs are mapped to G (see :func:`_damp`), and the contract is
+    checked against G.  ``rank`` is G's rank vector in the rows' order.
     """
     _check_positive("tol", tol)
-    matrix = np.asarray(matrix, dtype=np.float64)
+    if not sparse.issparse(matrix):
+        matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("matrix must be square")
     n = matrix.shape[0]
     if n == 0:
         raise ValueError("matrix must be at least 1x1")
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix must not contain infs or NaNs")
-    blocks = _diagonal_blocks(matrix)
-    closed = int(np.count_nonzero(blocks[2]))
-    wr, wi, vr, parts, lumped, lumped_rows = _dgeev(matrix, blocks)
-    first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
-    # the rows outside which each column is zero: a class solved apart has
-    # its own, the other columns all of them
-    top, bottom = np.zeros(n, dtype=np.int64), np.full(n, n)
-    for lo, hi, l, h in parts:
-        top[lo:hi], bottom[lo:hi] = l, h
-    if damping is not None:
-        unit = _damp(matrix, wr, wi, vr, closed, *damping)
-        top[unit], bottom[unit] = 0, n
-    a, trans = _gemm_operand(matrix)
-    s2, s4, r2 = np.empty(n), np.empty(n), np.empty(n)
-    step = _block_columns(n)
-    if lumped:  # a certification block no larger than the core's eigenvectors keeps the peak
-        step = min(step, max(2, (n - lumped - lumped_rows) ** 2 // n))
-    cuts = np.flatnonzero(np.diff(top) | np.diff(bottom)) + 1
-    for lo, hi in _blocks(first, step):
-        edges = [lo, *cuts[(cuts > lo) & (cuts < hi)], hi]
-        runs = [(b - lo, e - lo, slice(top[b], bottom[b])) for b, e in zip(edges, edges[1:])]
-        s2[lo:hi], s4[lo:hi], r2[lo:hi] = _certify_block(
-            a, trans, vr[:, lo:hi], wr[lo:hi], wi[lo:hi], first[lo:hi], runs
-        )
-    if np.any(s2 == 0):
-        raise EigensolverError(
-            f"solver returned a zero eigenvector at index {int(np.argmin(s2))}"
-        )
-    residuals = np.sqrt(r2 / s2)
-    fro = np.linalg.norm(matrix, "fro")
+    alpha, rank = damping or (1.0, None)
+    if rank is not None and not sparse.issparse(matrix):
+        raise ValueError("damping needs the link matrix of S")
+    if sparse.issparse(matrix):
+        link = sparse.csc_matrix(matrix)
+        if not (link.has_canonical_format and link.data.all()):  # as its index arrays are read:
+            link = link.copy()  # sorted, one nonzero entry per place
+            link.sum_duplicates()
+            link.eliminate_zeros()
+        g = GoogleMatrix(StochasticMatrix(link, np.diff(link.indptr) == 0), alpha)
+        a, product, c, s2 = g.s.matrix, g.apply, (1.0 - alpha) / n, g.s.n_dangling / n
+        fro = np.sqrt(alpha * alpha * (a.data @ a.data + s2) + 2.0 * alpha * c * n + c * c * n * n)
+    else:
+        if not np.isfinite(matrix).all():
+            raise ValueError("matrix must not contain infs or NaNs")
+        a, product = matrix, partial(np.matmul, matrix)
+        fro = blas.dnrm2(a.ravel(order="K"))  # scaled, so it overflows only when the norm does
     if not np.isfinite(fro):
         raise EigensolverError(f"||M||_F = {fro} is not finite")
+    blocks = _diagonal_blocks(a)
+    closed = int(np.count_nonzero(blocks[2]))
+    wr, wi, vr, apart, lumped, lumped_rows = _dgeev(a, blocks)
+    first = wi > 0  # LAPACK stores b > 0 of a pair a +- ib first
+    if rank is not None:
+        _damp(wr, wi, vr, closed, alpha, rank)
+    s2, s4, rn = np.empty(n), np.empty(n), np.empty(n)
+    for lo, hi in _blocks(first, _block_columns(n)):
+        cols = slice(lo, hi)
+        s2[cols], s4[cols], rn[cols] = _certify_block(product, vr[:, cols], wr[cols], wi[cols], first[cols])
+    if np.any(s2 == 0):
+        raise EigensolverError(f"solver returned a zero eigenvector at index {int(np.argmin(s2))}")
+    residuals = rn / np.sqrt(s2)
     # a nan residual fails every comparison, so the test is for passing
     bad = ~(np.isfinite(residuals) & (residuals <= tol * fro))
     if np.any(bad):
         i = int(np.nonzero(bad)[0][0])
-        raise EigensolverError(
-            f"residual {residuals[i]:.3e} at index {i} exceeds "
-            f"{tol:.1e} * ||M||_F = {tol * fro:.3e}"
-        )
+        limit = f"{tol:.1e} * ||M||_F = {tol * fro:.3e}"
+        raise EigensolverError(f"residual {residuals[i]:.3e} at index {i} exceeds {limit}")
     lam = wr + 1j * wi
     order = np.lexsort((lam.imag, -lam.real, -np.abs(lam)))
     residuals, pars = residuals[order], (s2 * s2 / s4)[order]
@@ -642,28 +631,25 @@ def eigendecompose(matrix, tol: float = EIG_TOL, damping=None) -> Spectrum:
         closed=closed,
         lumped=lumped,
         lumped_rows=lumped_rows,
-        apart=len(parts),
+        apart=apart,
         fro=float(fro),
     )
 
 
 def operator_spectrum(g: GoogleMatrix, tol: float = EIG_TOL) -> Spectrum:
-    """Spectrum of the dense operator ``g``, from one eigendecomposition of
-    its link matrix S.
+    """Spectrum of the operator ``g``, from one eigendecomposition of its
+    link matrix S, kept sparse: no dense S or G is built.
 
-    The nodes are first put in :func:`gmatrix.scc_order`, so the dense S is
-    block upper triangular, one block per strongly connected component, and
+    The nodes are first put in :func:`gmatrix.scc_order`, so S is block
+    upper triangular, one block per strongly connected component, and
     each closed class is a diagonal block with nothing else in its columns:
     :func:`eigendecompose` diagonalizes those on their own where that is
     cheaper, and dgeev's Hessenberg reduction and QR sweeps on the rest
     deflate at every block boundary.  The spectrum records that order in
-    ``rows``, the component count in ``blocks``, the closed count in
-    ``closed`` and the classes solved on their own in ``apart``.  Below
-    alpha = 1, :func:`eigendecompose` maps the spectrum of S to G: every
-    eigenvalue lambda != 1 becomes alpha*lambda with the same eigenvector,
-    the eigenvalue 1 gets the rank vector of :func:`ranking.pagerank`, and
-    the other ``closed - 1`` eigenvectors of S for 1 become differences
-    that sum to zero, with eigenvalue alpha.
+    ``rows``.  Below alpha = 1, :func:`eigendecompose` maps the spectrum of
+    S to G (see :func:`_damp`): every eigenvalue lambda != 1 becomes
+    alpha*lambda with the same eigenvector, and the eigenvalue 1 gets the
+    rank vector of :func:`ranking.pagerank`.
     """
     return _spectrum(g, tol, pagerank(g) if g.alpha < 1.0 else None)
 
@@ -673,7 +659,7 @@ def _spectrum(g: GoogleMatrix, tol: float, rank) -> Spectrum:
     at alpha = 1)."""
     rows = scc_order(g.s)
     damping = None if rank is None else (g.alpha, rank.values[rows])
-    spec = eigendecompose(GoogleMatrix(g.s, 1.0).permuted(rows).to_dense(), tol, damping)
+    spec = eigendecompose(g.s.matrix[rows][:, rows], tol, damping)
     return replace(spec, rows=rows)
 
 

@@ -1,10 +1,23 @@
 """Graph factories and test-only oracles shared across the test modules."""
 
+import importlib.util
 import random
+from pathlib import Path
 
 import numpy as np
 
 from netspectra.netcore import DirectedGraph
+
+
+def benchmark_graph(kind, n, seed, **kwargs):
+    """A graph of the benchmark's own input generator ``kind``
+    (``scale_free`` or ``communities`` of ``perfbench/inputs.py``)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    edges = getattr(inputs, kind)(np.random.default_rng(seed), n, **kwargs)
+    return DirectedGraph(n_nodes=n, edges=edges)
 
 
 def two_cycle():

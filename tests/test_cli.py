@@ -135,25 +135,50 @@ class TestSpectrumCommand:
             raise AssertionError("densified after the preflight refused")
 
         monkeypatch.setattr(spectra, "eigendecompose", never)
-        # K5 needs 8 * 5 * (3 * 5 + 5) = 800 bytes for its own decomposition
-        monkeypatch.setattr(cli, "_available_memory", lambda: 799)
+        # K5 needs 8 * (5 * (2 * 5 + 2) + 650) = 5680 bytes for its own
+        # decomposition: dgeev's workspace is 650 doubles
+        assert spectra.dense_memory_bytes(5) == 5680
+        monkeypatch.setattr(cli, "_available_memory", lambda: 5679)
         out = tmp_path / "o"
         assert main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("netspectra: the dense path needs about ")
         assert err.endswith(" GiB are available; truncate by rank to diagonalize a smaller operator\n")
         assert not out.exists()
+        # the guard stands where the dense work starts: with the memory the
+        # preflight asks for, the command reaches it
+        monkeypatch.setattr(cli, "_available_memory", lambda: 5680)
+        with pytest.raises(AssertionError, match="densified after the preflight refused"):
+            main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)])
 
     @pytest.mark.parametrize("sizes", ["5", "5,4,3"])
     def test_truncation_preflight_is_the_spectrum_bound(self, k5_file, tmp_path, monkeypatch, sizes):
         from netspectra import cli
 
-        # truncation keeps no eigenvectors, so K5's own 800 bytes bound every m <= 5
+        # truncation keeps no eigenvectors, so K5's own 5680 bytes bound every m <= 5
         for argv in (["spectrum"], ["truncate-spectrum", "--sizes", sizes]):
-            for available, code in ((799, 2), (800, 0)):
+            for available, code in ((5679, 2), (5680, 0)):
                 monkeypatch.setattr(cli, "_available_memory", lambda: available)
                 out = tmp_path / f"o{available}"
                 assert main([argv[0], k5_file, *argv[1:], "--out-dir", str(out)]) == code
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["spectrum"], ["spectrum", "--alpha", "1"], ["truncate-spectrum", "--sizes", "8,4"]],
+        ids=["spectrum", "spectrum alpha 1", "truncate"],
+    )
+    def test_no_dense_operator_is_built(self, tmp_path, monkeypatch, argv):
+        from netspectra.gmatrix import GoogleMatrix
+
+        def never(self):
+            raise AssertionError("built the dense operator")
+
+        monkeypatch.setattr(GoogleMatrix, "to_dense", never)
+        # closed classes, a transient cycle, and dangling nodes 8 and 9
+        path = tmp_path / "g.edges"
+        edges = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (4, 0), (5, 6), (6, 5), (7, 8), (7, 9)]
+        path.write_text("".join(f"{a} {b}\n" for a, b in edges))
+        assert main([argv[0], str(path), *argv[1:], "--out-dir", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("sizes, bad", [("0", 0), ("6", 6), ("3,6", 6)])
     def test_sizes_outside_one_to_n_exit_1_before_dense_work(
@@ -626,7 +651,7 @@ MANIFEST_CASES = {
     "spectrum": (
         ["spectrum", "GRAPH", "--out-dir", "OUT"], "manifest.json", SPECTRUM_FILES,
         {"scc_blocks", "closed_classes", "repeated_columns", "repeated_rows", "classes_apart",
-         "max_residual_rel"},
+         "max_residual_rel", "dense_peak_bytes"},
     ),
     "pagerank": (
         ["pagerank", "GRAPH", "--out-dir", "OUT"], "manifest.json", ["pagerank.csv"],
@@ -652,7 +677,7 @@ MANIFEST_CASES = {
         ["truncate-spectrum", "GRAPH", "--sizes", "12,6", "--out-dir", "OUT"], "manifest.json",
         ["eigenvalues_full.csv", "eigenvalues_m12.csv", "eigenvalues_m6.csv"],
         {"hausdorff", "scc_blocks", "closed_classes", "repeated_columns", "repeated_rows",
-         "classes_apart", "max_residual_rel", "rank"},
+         "classes_apart", "max_residual_rel", "rank", "dense_peak_bytes"},
     ),
     "generate ab": (
         ["generate", "ab", "--n", "40", "--m", "2", "--seed", "3", "--out", "OUT/g.edges"],
@@ -695,6 +720,10 @@ def test_manifest_contract(command, tmp_path, capsys):
     zero = {"spectrum": 0, "truncate-spectrum": {"full": 0, "12": 0, "6": 0}}.get(command)
     assert manifest.get("classes_apart") == zero
     if command in ("spectrum", "truncate-spectrum"):
+        from netspectra.spectra import dense_memory_bytes
+
+        # the preflight's estimate for the whole operator, also when truncating
+        assert manifest["dense_peak_bytes"] == dense_memory_bytes(12)
         worst = manifest["max_residual_rel"]
         for value in worst.values() if isinstance(worst, dict) else [worst]:
             assert 0.0 <= value <= 1e-9

@@ -136,6 +136,19 @@ class TestApply:
             shift = (alpha * mass + (1.0 - alpha) * float(v.sum())) / 200
             assert g.apply(v).tobytes() == (alpha * (g.s.matrix @ v) + shift).tobytes()
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
+    def test_block_is_each_column_applied(self, alpha):
+        # the residual check's block product; a single vector keeps the
+        # bits above, which the rank certificate and pagerank.csv rest on
+        rng = np.random.default_rng(6)
+        g = GoogleMatrix.from_graph(sparse_random(200, seed=4), alpha=alpha)
+        block = rng.random((200, 7))
+        columns = np.column_stack([g.apply(v) for v in block.T])
+        np.testing.assert_allclose(g.apply(block), columns, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(g.apply(np.asfortranarray(block)), columns, rtol=1e-14, atol=0)
+        with pytest.raises(ValueError, match=r"expected \(200,\) or \(200, k\)"):
+            g.apply(rng.random((200, 2, 2)))
+
     def test_agrees_with_dense_on_random_vectors(self):
         rng = np.random.default_rng(11)
         for seed, n in ((0, 37), (1, 120), (2, 500)):
@@ -220,7 +233,7 @@ class TestSccOrder:
         order = scc_order(g.s)
         label = {v: k for k, c in enumerate(strong_components(graph)) for v in c}
         block = np.array([label[v] for v in order.tolist()])
-        dense = g.permuted(order).to_dense()
+        dense = g.to_dense()[np.ix_(order, order)]
         below = np.tril(np.ones(dense.shape, dtype=bool), -1) & (block[:, None] != block)
         assert np.all(dense[below] == 0.0)
 
@@ -243,14 +256,6 @@ class TestSccOrder:
         assert scc_order(build_stochastic(leaky_pairs())).tolist() == [0, 1, 2, 3, 4]
         spec = operator_spectrum(GoogleMatrix.from_graph(leaky_pairs(), 1.0))
         assert (spec.blocks, spec.closed) == (2, 1)
-
-    @pytest.mark.parametrize("alpha", [0.0, 0.85, 1.0])
-    def test_permuted_dense_is_the_permuted_matrix(self, alpha):
-        g = GoogleMatrix.from_graph(sparse_random(60, seed=2), alpha)
-        order = np.random.default_rng(0).permutation(60)
-        p = g.permuted(order)
-        assert p.alpha == alpha
-        assert np.array_equal(p.to_dense(), g.to_dense()[np.ix_(order, order)])
 
 
 class TestTruncateByRank:

@@ -1,4 +1,5 @@
 import io
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,12 +9,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.sparse import coo_matrix
+from scipy.sparse import coo_matrix, csc_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import directed_hausdorff, pdist
 
-from netspectra.genmodels import AbParams, ColorParams, generate_color
+from netspectra.genmodels import AbParams, AlParams, ColorParams, generate_ab, generate_al, generate_color
 from netspectra.gmatrix import GoogleMatrix, scc_order
 from netspectra.netcore import DirectedGraph
 from netspectra.ranking import pagerank_power, participation_ratio
@@ -42,6 +43,7 @@ from helpers import (
     ScalingCheckError,
     _greedy_pair_error,
     alpha_scaling_check,
+    benchmark_graph,
     closed_class_count,
     closed_classes,
     communities,
@@ -640,12 +642,12 @@ class TestPackedCore:
         blocks = []
         certify = spectra._certify_block
 
-        def recorded(a, trans, vb, wr, wi, first, *parts):
+        def recorded(product, vb, wr, wi, first):
             blocks.append(first)
-            return certify(a, trans, vb, wr, wi, first, *parts)
+            return certify(product, vb, wr, wi, first)
 
         monkeypatch.setattr(spectra, "_certify_block", recorded)
-        monkeypatch.setattr(spectra, "_BLOCK_BYTES", 8 * n * (j + 1))
+        monkeypatch.setattr(spectra, "_block_columns", lambda n: j + 1)
         spec = eigendecompose(matrix)
         assert blocks[0].size == j + 2  # widened by one column to keep the pair
         assert sum(b.size for b in blocks) == n and len(blocks) > 2
@@ -727,11 +729,22 @@ class TestPackedCore:
         with pytest.raises(EigensolverError, match="residual nan at index 0 exceeds"):
             eigendecompose(np.random.default_rng(6).random((6, 6)))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("scale", [1e160, 1e300])
-    def test_overflowing_norm_fails_the_contract(self, scale):
+    def test_large_entries_meet_the_contract(self, scale):
+        # ||M||_F and every residual are representable, though their squares
+        # are not: the norm is BLAS nrm2 and each residual column is scaled
+        unit = np.random.default_rng(7).random((5, 5))
+        spec, plain = eigendecompose(scale * unit), eigendecompose(unit)
+        assert spec.fro == pytest.approx(scale * plain.fro, rel=1e-15)
+        assert 0 < spec.residuals.max() <= EIG_TOL * spec.fro
+        np.testing.assert_allclose(spec.eigenvalues / scale, plain.eigenvalues, rtol=0, atol=1e-14 * plain.fro)
+        np.testing.assert_allclose(spec.pars, plain.pars, rtol=1e-12)
+
+    def test_overflowing_norm_fails_the_contract(self):
         # ||M||_F overflows to inf, under which an infinite residual would pass
-        matrix = scale * np.random.default_rng(7).random((5, 5))
+        matrix = 1e308 * np.random.default_rng(7).random((5, 5))
+        assert np.isfinite(matrix).all()
         with pytest.raises(EigensolverError, match=r"\|\|M\|\|_F = inf is not finite"):
             eigendecompose(matrix)
 
@@ -751,22 +764,31 @@ class TestPackedCore:
             spec.eigenvectors
 
     @staticmethod
-    def structure_cases(n):
-        """A matrix with nothing split or lumped, one with columns and rows
-        lumped, and the community graph's S in block order, whose closed
-        classes are solved apart."""
-        g = GoogleMatrix.from_graph(communities(n, 16, seed=0), 1.0)
+    def structure_operators(n):
+        """An operator with nothing split or lumped, one with columns and rows
+        lumped, and the community graph's S, whose closed classes are solved
+        apart."""
         return {
-            "whole": GoogleMatrix.from_graph(ring_plus_random(n, seed=3), 0.85).to_dense(),
-            "lumped": GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85).to_dense(),
-            "classes apart": g.permuted(scc_order(g.s)).to_dense(),
+            "whole": GoogleMatrix.from_graph(ring_plus_random(n, seed=3), 0.85),
+            "lumped": GoogleMatrix.from_graph(sparse_random(n, seed=10), 0.85),
+            "classes apart": GoogleMatrix.from_graph(communities(n, 16, seed=0), 1.0),
         }
+
+    @classmethod
+    def structure_cases(cls, n):
+        """The dense matrices of :meth:`structure_operators`, the last in
+        block order."""
+        cases = {name: g.to_dense() for name, g in cls.structure_operators(n).items()}
+        g = cls.structure_operators(n)["classes apart"]
+        rows = scc_order(g.s)
+        cases["classes apart"] = g.to_dense()[np.ix_(rows, rows)]
+        return cases
 
     @pytest.mark.parametrize("case", ["whole", "lumped", "classes apart"])
     def test_traced_peak_bytes_per_entry(self, case):
         # the packed eigenvectors and dgeev's copy of the matrix it sees are
         # 16 B/N^2; the complex path this replaced peaked at 48.5.  Measured:
-        # 20.3 whole, 16.2 lumped and 18.5 with the classes apart.
+        # 20.3 whole, 16.1 lumped and 12.1 with the classes apart.
         n = 256
         matrix = self.structure_cases(n)[case]
         tracemalloc.start()
@@ -778,8 +800,26 @@ class TestPackedCore:
         assert spec.n == n
         assert (spec.lumped > 0, spec.apart > 0) == (case == "lumped", case == "classes apart")
         assert peak <= 26 * n * n
-        # the preflight's estimate covers the input as well
-        assert peak + matrix.nbytes <= dense_memory_bytes(n)
+
+    @pytest.mark.parametrize("case", ["whole", "lumped", "classes apart"])
+    def test_operator_spectrum_traced_peak_is_the_preflight_bound(self, case):
+        # everything operator_spectrum allocates, from the sparse operator
+        # on, with no dense S or G: dgeev's copy of the core and its
+        # eigenvectors (16 B/N^2 at most) beside its workspace of 130 N
+        # doubles, which is 4.1 B/N^2 at N = 256 and 1.0 at N = 1,024.
+        # Measured: 20.8 whole, 16.4 lumped, 12.7 classes apart
+        n = 256
+        g = self.structure_operators(n)[case]
+        tracemalloc.start()
+        try:
+            spec = operator_spectrum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.n == n
+        work = scipy.linalg.lapack.dgeev_lwork(n, compute_vl=0, compute_vr=1)[0]
+        assert peak <= 18 * n * n + 8 * work
+        assert peak <= dense_memory_bytes(n)
 
     @pytest.mark.parametrize(
         "name", [*packed_core_cases(), "classes apart", "lumped, C order"]
@@ -842,15 +882,16 @@ class TestParColumnPass:
         blocks = []
         certify = spectra._certify_block
 
-        def counted(a, trans, vb, *rest):
+        def counted(product, vb, *rest):
             blocks.append(vb.shape[1])
-            return certify(a, trans, vb, *rest)
+            return certify(product, vb, *rest)
 
         monkeypatch.setattr(spectra, "_certify_block", counted)
         path = tmp_path / "g.edges"
         path.write_text("".join(f"{i} {(i + k) % 12}\n" for i in range(12) for k in (1, 5)))
         assert main(["spectrum", str(path), "--out-dir", str(tmp_path / "out")]) == 0
-        assert blocks == [12]  # one pass over the 12 columns, inside eigendecompose
+        # one pass over the 12 columns, in blocks of 2 widened to keep a pair
+        assert sum(blocks) == 12 and max(blocks) <= 3 and len(blocks) > 1
         spec = spectrum_of(sparse_random(30, seed=2), 0.85)
         assert spec.pars is spec.pars and not spec.pars.flags.writeable
 
@@ -913,17 +954,20 @@ class TestOperatorSpectrum:
         g = GoogleMatrix.from_graph(graph, alpha)
         spec, plain = operator_spectrum(g), eigendecompose(g.to_dense())
         assert np.array_equal(spec.rows, np.arange(g.n))
-        for field in ("eigenvalues", "residuals", "pars", "packed", "order", "pair_first"):
+        for field in ("eigenvalues", "pars", "packed", "order", "pair_first"):
             assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
         assert spec.eigenvectors.tobytes() == plain.eigenvectors.tobytes()
+        # the residuals of the sparse product and of the dense GEMM
+        assert np.max(np.abs(spec.residuals - plain.residuals)) <= 1e-15 * plain.fro
 
     @pytest.mark.parametrize("name", list(multi_block_cases()))
     def test_alpha_one_is_the_block_ordered_decomposition_of_s(self, name):
         g = GoogleMatrix.from_graph(multi_block_cases()[name], 1.0)
         spec = operator_spectrum(g)
         plain = eigendecompose(g.to_dense()[np.ix_(spec.rows, spec.rows)])
-        for field in ("eigenvalues", "residuals", "pars", "packed", "order", "pair_first"):
+        for field in ("eigenvalues", "pars", "packed", "order", "pair_first"):
             assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
+        assert np.max(np.abs(spec.residuals - plain.residuals)) <= 1e-15 * plain.fro
 
     @staticmethod
     def damped_cases():
@@ -1053,7 +1097,9 @@ class TestOperatorSpectrum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 33 * n * n  # the complex copy and its gathered columns, 32 B/N^2
+        # the complex result, 16 B/N^2, and one column block's gathers and
+        # norm temporaries; measured 19.07
+        assert peak <= 19.1 * n * n
 
     def test_truncation_at_alpha_one_uses_the_block_order(self):
         graph = multi_block_cases()["colour without cross links"]
@@ -1064,6 +1110,113 @@ class TestOperatorSpectrum:
             sub = DirectedGraph(n_nodes=res.m, edges=np.searchsorted(res.kept, graph.edges[inside]))
             assert res.spectrum.blocks == len(strong_components(sub))
             assert abs(res.spectrum.eigenvalues[0] - 1.0) <= 1e-9
+
+
+def certification_cases():
+    """The benchmark's scale-free and community graphs, the paper's AB and
+    AL models at N = 1,024, and a graph without dangling nodes."""
+    return {
+        "sf 512": benchmark_graph("scale_free", 512, seed=2101),
+        "comm 512": benchmark_graph("communities", 512, seed=2102, n_comm=32),
+        "ab 1024": generate_ab(AbParams(n_target=1024, m=5, seed=1)),
+        "al 1024": generate_al(AlParams(n_target=1024, m=5, seed=1)),
+        "no dangling 300": sparse_random(300, seed=12, lo=1, hi=3, dangling_frac=0),
+    }
+
+
+def dense_residuals(g, spec, dtype=np.float64):
+    """Every residual of ``spec`` recomputed on the dense G in the solver's
+    row order and in ``dtype``: ``||G VR - VR D||`` per packed column, a
+    conjugate pair's two columns taken together, over the column's own
+    norm."""
+    matrix = g.to_dense()[np.ix_(spec.rows, spec.rows)].astype(dtype)
+    lam = np.empty(spec.n, dtype=complex)
+    lam[spec.order] = spec.eigenvalues
+    vr, wr, wi = (x.astype(dtype) for x in (spec.packed, lam.real, lam.imag))
+    vd = vr * wr
+    f = np.flatnonzero(spec.pair_first)
+    vd[:, f] -= wi[f] * vr[:, f + 1]  # G u = a u - b v
+    vd[:, f + 1] += wi[f] * vr[:, f]  # G v = b u + a v
+    r2, s2 = np.sum((matrix @ vr - vd) ** 2, axis=0), np.sum(vr**2, axis=0)
+    for arr in (r2, s2):
+        arr[f] = arr[f + 1] = arr[f] + arr[f + 1]
+    return np.sqrt(r2 / s2).astype(np.float64)[spec.order]
+
+
+class TestSparseCertification:
+    """The residual contract checked against the sparse operator, with no
+    dense S or G, against oracles built on the dense G."""
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.85, 1.0])
+    @pytest.mark.parametrize("name", list(certification_cases()))
+    def test_residuals_match_a_dense_recomputation(self, name, alpha):
+        g = GoogleMatrix.from_graph(certification_cases()[name], alpha)
+        spec = operator_spectrum(g)
+        fro = np.linalg.norm(g.to_dense(), "fro")
+        assert spec.residuals.max() <= EIG_TOL * spec.fro
+        # at alpha = 0 the dense GEMM's own rounding on the uniform rank
+        # vector reaches 4.4e-15 ||G||_F (see the long-double test below)
+        tol = 1e-15 if alpha > 0 else 32 * np.finfo(float).eps
+        assert np.max(np.abs(spec.residuals - dense_residuals(g, spec))) <= tol * fro
+
+    @pytest.mark.parametrize("name", ["sf 512", "no dangling 300"])
+    def test_alpha_zero_against_a_long_double_recomputation(self, name):
+        g = GoogleMatrix.from_graph(certification_cases()[name], 0.0)
+        spec = operator_spectrum(g)
+        exact = dense_residuals(g, spec, np.longdouble)
+        assert np.max(np.abs(spec.residuals - exact)) <= 1e-15 * spec.fro
+
+    @pytest.mark.parametrize("name", list(certification_cases())[:4])
+    def test_traced_peak_at_most_18_bytes_per_entry(self, name):
+        g = GoogleMatrix.from_graph(certification_cases()[name], 0.85)
+        tracemalloc.start()
+        try:
+            operator_spectrum(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * g.n**2
+        assert peak <= dense_memory_bytes(g.n)
+
+    def test_link_matrix_in_any_storage(self):
+        # unsorted indices, entries split in two halves and stored zeros
+        # give the floats of the dense S, so the same solver input
+        g = GoogleMatrix.from_graph(dangling_fed_graph(), 1.0)
+        order = scc_order(g.s)
+        link = g.s.matrix[order][:, order]
+        n = link.shape[0]
+        data, indices, indptr = [], [], [0]
+        for j in range(n):
+            span = slice(link.indptr[j], link.indptr[j + 1])
+            for i, value in zip(link.indices[span][::-1], link.data[span][::-1]):
+                data += [value / 2, value / 2]
+                indices += [i, i]
+            if indices[indptr[-1]:]:
+                data.append(0.0)
+                indices.append((j + 1) % n)
+            indptr.append(len(data))
+        messy = csc_matrix((data, indices, indptr), shape=(n, n))
+        stored = messy.data.copy(), messy.indices.copy()
+        spec = eigendecompose(messy)
+        plain = eigendecompose(g.to_dense()[np.ix_(order, order)])
+        assert spec.apart > 0 and spec.lumped > 0
+        for field in ("eigenvalues", "pars", "packed"):
+            assert getattr(spec, field).tobytes() == getattr(plain, field).tobytes(), field
+        for field in ("blocks", "closed", "apart", "lumped", "lumped_rows"):
+            assert getattr(spec, field) == getattr(plain, field), field
+        assert np.array_equal(messy.data, stored[0]) and np.array_equal(messy.indices, stored[1])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3, 0.85, 1.0])
+    @pytest.mark.parametrize("dangling_frac", [0.0, 0.2])
+    def test_closed_form_norm(self, dangling_frac, alpha):
+        graph = sparse_random(200, seed=31, lo=1, hi=5, dangling_frac=dangling_frac)
+        g = GoogleMatrix.from_graph(graph, alpha)
+        assert (g.s.n_dangling > 0) == (dangling_frac > 0)
+        dense = g.to_dense()
+        exact = np.sqrt(math.fsum(dense.ravel() ** 2))
+        fro = operator_spectrum(g).fro
+        assert abs(fro - exact) <= 4 * np.finfo(float).eps * exact
+        assert fro == pytest.approx(np.linalg.norm(dense, "fro"), rel=1e-13)
 
 
 def dangling_fed_graph():
@@ -1137,9 +1290,12 @@ class TestTwoSidedLumping:
 def shared_eigenvalue_graph():
     """A transient 2-cycle {3, 4}, eigenvalues +-1/2, that links into the
     closed triangle {0, 1, 2}, eigenvalues 1, -1/2, -1/2: the rest shares
-    -1/2 with the class, where S has a Jordan block."""
+    -1/2 with the class, where S has a Jordan block.  Sources 5 -> 3 and
+    6 -> 4 (eigenvalues 0) leave the triangle small enough to be held
+    apart."""
     triangle = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-    return DirectedGraph(n_nodes=5, edges=np.array(triangle + [(3, 4), (3, 0), (4, 3), (4, 1)]))
+    rest = [(3, 4), (3, 0), (4, 3), (4, 1), (5, 3), (6, 4)]
+    return DirectedGraph(n_nodes=7, edges=np.array(triangle + rest))
 
 
 class TestClassesApart:
@@ -1155,7 +1311,7 @@ class TestClassesApart:
         graph = self.cases()[name]
         g = GoogleMatrix.from_graph(graph, 1.0)
         rows = scc_order(g.s)
-        lo, hi, closed, _ = _diagonal_blocks(g.permuted(rows).to_dense())
+        lo, hi, closed, _ = _diagonal_blocks(g.to_dense()[np.ix_(rows, rows)])
         found = {frozenset(rows[l:h].tolist()) for l, h in zip(lo[closed], hi[closed])}
         assert found == closed_classes(graph)
         assert operator_spectrum(g).apart <= len(found)
@@ -1188,7 +1344,7 @@ class TestClassesApart:
         fro = np.linalg.norm(matrix, "fro")
         oracle = complex_residuals(matrix, spec)
         assert oracle.max() <= EIG_TOL * fro
-        # a class's residual GEMM runs over its own rows only
+        # the sparse product against the complex residual
         assert np.max(np.abs(spec.residuals - oracle)) <= 4 * np.finfo(float).eps * fro
         far = [lam[np.abs(lam) > 0.05] for lam in (spec.eigenvalues, scipy.linalg.eig(matrix)[0])]
         assert far[0].size == far[1].size
@@ -1203,7 +1359,7 @@ class TestClassesApart:
         matrix = g.to_dense()
         assert complex_residuals(matrix, spec).max() <= EIG_TOL * np.linalg.norm(matrix, "fro")
         assert np.all(spec.eigenvalues.imag == 0)
-        expected = [1.0, alpha / 2, -alpha / 2, -alpha / 2, -alpha / 2]
+        expected = [1.0, alpha / 2, -alpha / 2, -alpha / 2, -alpha / 2, 0.0, 0.0]
         np.testing.assert_allclose(spec.eigenvalues.real, expected, rtol=0, atol=1e-14)
 
     def test_large_class_that_sources_link_into_stays_with_them(self):
@@ -1217,6 +1373,22 @@ class TestClassesApart:
         assert spec.closed == len(closed_classes(graph)) == 1 and spec.apart == 0
         lam, _ = scipy_sorted(g.to_dense()[np.ix_(spec.rows, spec.rows)])
         assert spec.eigenvalues.tobytes() == lam.tobytes()
+
+
+    def test_class_too_large_to_hold_apart_stays_with_the_rest(self):
+        # closed classes of 230 and 26 nodes: apart, the larger one and its
+        # eigenvectors would take 2 * 230^2 floats beside the packed 256^2
+        ring = ring_plus_random(230, seed=1)
+        small = ring_plus_random(26, seed=2).edges + 230
+        graph = DirectedGraph(n_nodes=256, edges=np.concatenate([ring.edges, small]))
+        tracemalloc.start()
+        try:
+            spec = operator_spectrum(GoogleMatrix.from_graph(graph, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.closed == 2 and spec.apart == 1
+        assert peak <= dense_memory_bytes(256)
 
 
 class TestDomainChecks:
